@@ -8,7 +8,6 @@ __all__ = [
     "bench",
     "cli",
     "constraints",
-    "geometry",
     "plotting",
     "puzzles",
     "splitting",

@@ -217,8 +217,10 @@ def ddr_rate_eigenvalues(gamma):
 
 
 def ddr_affine_rate(gamma):
-    """Contraction factor of the damped map on affine pairs."""
-    if not gamma > 0.0:
+    """Contraction factor of the damped map on affine pairs, which is also
+    the damped step's relaxation weight lam = gamma / (1 + gamma); inf
+    maps to 1."""
+    if gamma is None or not gamma > 0.0:
         raise ValueError(f"damping parameter must be positive, got {gamma}")
     if np.isinf(gamma):
         return 1.0

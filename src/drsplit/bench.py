@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .puzzles import QueensInstance, SudokuInstance, queens_problem, sudoku_problem
+from .puzzles import build_problem
 from .splitting import FEASIBLE, product_step, run
 
 __all__ = [
@@ -105,18 +105,10 @@ def read_bench_csv(path):
     return BenchReport(records)
 
 
-def _build_problem(instance):
-    if isinstance(instance, SudokuInstance):
-        return sudoku_problem(instance)
-    if isinstance(instance, QueensInstance):
-        return queens_problem(instance)
-    raise TypeError(f"cannot benchmark {type(instance).__name__}")
-
-
 def _bench_one(task):
     """Worker body; module level so it pickles into a process pool."""
-    instance, method, gamma, policy, run_id, seed = task
-    problem = _build_problem(instance)
+    instance, method, gamma, policy, tie_break, run_id, seed = task
+    problem = build_problem(instance, tie_break=tie_break, tie_seed=seed)
     step = product_step(problem.projections, method, gamma=gamma)
     t0 = time.perf_counter()
     res = run(step, problem.initial_state(seed), policy,
@@ -127,12 +119,13 @@ def _bench_one(task):
 
 
 def bench_puzzle(instance, method, gamma, policy, runs, base_seed=0,
-                 workers=None):
-    """Run the same instance from `runs` consecutive seeds."""
+                 workers=None, tie_break="lowest"):
+    """Run the same instance from `runs` consecutive seeds.  Each run
+    builds its problem with its own seed as the tie-break seed."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     n_workers = resolve_workers(workers, runs)
-    tasks = [(instance, method, gamma, policy, i, base_seed + i)
+    tasks = [(instance, method, gamma, policy, tie_break, i, base_seed + i)
              for i in range(runs)]
     if n_workers == 1:
         records = [_bench_one(t) for t in tasks]

@@ -34,17 +34,15 @@ from .analysis import (
 from .bench import bench_puzzle
 from .plotting import render_rate_plot
 from .puzzles import (
+    BUNDLED,
     InvalidInstanceError,
     ParseError,
     QueensInstance,
-    SudokuInstance,
-    bundled_path,
+    build_problem,
     bundled_sudoku,
     circle_line_instance,
     format_grid,
     parse_sudoku,
-    queens_problem,
-    sudoku_problem,
 )
 from .splitting import (
     FEASIBLE,
@@ -57,8 +55,6 @@ from .splitting import (
 )
 
 __all__ = ["CliError", "main"]
-
-_BUNDLED_KEYS = ("4x4", "9x9-37", "9x9-22")
 
 _DENSE_EIG_LIMIT = 600      # full spectra only for small product spaces
 _RANK_BLOCK_LIMIT = 48      # the rate block is p-independent, test a slice
@@ -78,7 +74,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_instance_flags(sp, circle=False):
     sp.add_argument("--puzzle", metavar="KEY_OR_FILE",
-                    help="bundled instance key (4x4, 9x9-37, 9x9-22) "
+                    help=f"bundled instance key ({', '.join(BUNDLED)}) "
                          "or a puzzle text file")
     sp.add_argument("--queens-size", type=int, dest="queens_size",
                     metavar="S", help="s-queens board side")
@@ -214,13 +210,13 @@ def _resolve_instance(args):
     if len(chosen) > 1:
         raise CliError(f"choose one instance, got {' and '.join(chosen)}")
     if args.puzzle is not None:
-        if args.puzzle in _BUNDLED_KEYS:
+        if args.puzzle in BUNDLED:
             return "sudoku", bundled_sudoku(args.puzzle)
         path = Path(args.puzzle)
         if not path.exists():
             raise CliError(
                 f"{args.puzzle!r} is neither a bundled key "
-                f"{_BUNDLED_KEYS} nor an existing file")
+                f"{tuple(BUNDLED)} nor an existing file")
         return "sudoku", parse_sudoku(path.read_text())
     if getattr(args, "queens_size", None) is not None:
         return "queens", QueensInstance(args.queens_size)
@@ -252,11 +248,8 @@ def _resolve_seed(args):
     return 0 if args.seed is None else args.seed
 
 
-def _build_problem(kind, inst, args):
-    tie_break = args.tie_break if args.tie_break is not None else "lowest"
-    tie_seed = _resolve_seed(args) if tie_break == "random" else None
-    build = sudoku_problem if kind == "sudoku" else queens_problem
-    return build(inst, tie_break=tie_break, tie_seed=tie_seed)
+def _resolve_tie_break(args):
+    return "lowest" if args.tie_break is None else args.tie_break
 
 
 def _run_instance(kind, inst, args, stop_on_feasible=True,
@@ -273,7 +266,8 @@ def _run_instance(kind, inst, args, stop_on_feasible=True,
                   keep_iterates=keep_iterates)
         return res, None
     policy = _resolve_policy(args, stop_on_feasible=stop_on_feasible)
-    problem = _build_problem(kind, inst, args)
+    problem = build_problem(inst, tie_break=_resolve_tie_break(args),
+                            tie_seed=_resolve_seed(args))
     step = product_step(problem.projections, method, gamma=args.gamma)
     res = run(step, problem.initial_state(_resolve_seed(args)), policy,
               feasible=problem.feasible, keep_iterates=keep_iterates)
@@ -321,7 +315,8 @@ def _cmd_bench(args):
     runs = 20 if args.runs is None else args.runs
     report = bench_puzzle(inst, method, args.gamma, policy, runs=runs,
                           base_seed=_resolve_seed(args),
-                          workers=args.workers)
+                          workers=args.workers,
+                          tie_break=_resolve_tie_break(args))
     print(f"instance={args.puzzle or f'queens-{inst.size}'} "
           f"method={method}"
           + (f" gamma={args.gamma}" if method == "ddr" else ""))
@@ -410,17 +405,7 @@ def _cmd_rates(args):
 
 
 def _cmd_angles(args):
-    if args.puzzle in _BUNDLED_KEYS:
-        inst = bundled_sudoku(args.puzzle)
-    else:
-        path = Path(args.puzzle)
-        if not path.exists():
-            raise CliError(
-                f"{args.puzzle!r} is neither a bundled key "
-                f"{_BUNDLED_KEYS} nor an existing file")
-        inst = parse_sudoku(path.read_text())
-    if not isinstance(inst, SudokuInstance):
-        raise CliError("angles needs a sudoku instance")
+    _, inst = _resolve_instance(args)
     n = inst.size ** 3
     dim = 5 * n
     if dim > args.dim_cap:

@@ -190,17 +190,6 @@ class GroupProjection:
             out[winners] = 1.0
         return out
 
-    # keep the live RNG out of pickles so worker processes start fresh
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_rng"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self.tie_break == "random" and self._rng is None:
-            self._rng = np.random.default_rng()
-
 
 class ClueProjection:
     """Affine clamp of clued pillars: cell (i, j) fixed to digit k means the

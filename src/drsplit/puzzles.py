@@ -8,6 +8,7 @@ used as dictionary keys.
 """
 
 import dataclasses
+import functools
 import math
 import re
 from pathlib import Path
@@ -19,10 +20,11 @@ from .constraints import (
     GroupProjection,
     project_unit_sphere,
     queens_groups,
-    sudoku_cell_index,
     sudoku_groups,
 )
+
 __all__ = [
+    "BUNDLED",
     "CircleLineInstance",
     "Hyperplane",
     "InvalidInstanceError",
@@ -30,6 +32,7 @@ __all__ = [
     "Problem",
     "QueensInstance",
     "SudokuInstance",
+    "build_problem",
     "bundled_path",
     "bundled_sudoku",
     "circle_line_instance",
@@ -260,37 +263,29 @@ def validate_queens(board, inst):
 # ---------------------------------------------------------------------------
 # problem assembly
 
+@dataclasses.dataclass
 class Problem:
-    """A feasibility problem as a list of set projections on one vector."""
+    """A feasibility problem as a list of set projections on one vector,
+    with the rounding of a vector to a candidate solution and the
+    validator that returns (ok, violations) for that candidate."""
 
-    def __init__(self, instance, projections):
-        self.instance = instance
-        self.projections = list(projections)
+    instance: object
+    projections: list
+    ambient_dim: int
+    round: object
+    validate: object
 
     @property
     def n_blocks(self):
         return len(self.projections)
-
-    @property
-    def ambient_dim(self):
-        if isinstance(self.instance, SudokuInstance):
-            return self.instance.size ** 3
-        return self.instance.size ** 2
 
     def initial_state(self, seed):
         """Seeded uniform start, one block row per constraint set."""
         rng = np.random.default_rng(seed)
         return rng.uniform(0.0, 1.0, size=(self.n_blocks, self.ambient_dim))
 
-    def round(self, v):
-        if isinstance(self.instance, SudokuInstance):
-            return round_cube(v, self.instance.size)
-        return round_board(v, self.instance.size)
-
     def feasible(self, v):
-        if isinstance(self.instance, SudokuInstance):
-            return validate_sudoku(self.round(v), self.instance)[0]
-        return validate_queens(self.round(v), self.instance)[0]
+        return self.validate(self.round(v))[0]
 
 
 def sudoku_problem(inst, tie_break="lowest", tie_seed=None):
@@ -303,7 +298,8 @@ def sudoku_problem(inst, tie_break="lowest", tie_seed=None):
         for off, kind in enumerate(("row", "column", "pillar", "block"))
     ]
     projections.append(ClueProjection(s, inst.clues))
-    return Problem(inst, projections)
+    return Problem(inst, projections, n, functools.partial(round_cube, s=s),
+                   functools.partial(validate_sudoku, inst=inst))
 
 
 def queens_problem(inst, tie_break="lowest", tie_seed=None):
@@ -318,13 +314,27 @@ def queens_problem(inst, tie_break="lowest", tie_seed=None):
                         seed=None if tie_seed is None else tie_seed + off)
         for off, (kind, zero) in enumerate(specs)
     ]
-    return Problem(inst, projections)
+    return Problem(inst, projections, n, functools.partial(round_board, s=s),
+                   functools.partial(validate_queens, inst=inst))
+
+
+_BUILDERS = {SudokuInstance: sudoku_problem, QueensInstance: queens_problem}
+
+
+def build_problem(instance, tie_break="lowest", tie_seed=None):
+    """The product-space problem of a sudoku or queens instance."""
+    try:
+        build = _BUILDERS[type(instance)]
+    except KeyError:
+        raise TypeError(f"no product-space problem for "
+                        f"{type(instance).__name__}") from None
+    return build(instance, tie_break=tie_break, tie_seed=tie_seed)
 
 
 # ---------------------------------------------------------------------------
 # bundled instances
 
-_BUNDLED = {
+BUNDLED = {
     "4x4": "sudoku_4x4_4.txt",
     "9x9-37": "sudoku_9x9_37.txt",
     "9x9-22": "sudoku_9x9_22.txt",
@@ -333,10 +343,10 @@ _BUNDLED = {
 
 def bundled_path(key):
     try:
-        name = _BUNDLED[key]
+        name = BUNDLED[key]
     except KeyError:
         raise KeyError(f"unknown bundled instance {key!r}; "
-                       f"available: {sorted(_BUNDLED)}") from None
+                       f"available: {sorted(BUNDLED)}") from None
     return Path(__file__).parent / "data" / name
 
 

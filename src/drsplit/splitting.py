@@ -1,23 +1,33 @@
-"""Douglas-Rachford splitting: plain and damped steps, product-space
-variants for many-set problems, stop policies, and the iteration driver.
+"""Douglas-Rachford splitting: plain and damped steps, stop policies, and
+the iteration loop.
 
 Conventions shared by every step function: a step maps the governing
 variable z to a triple (z_next, x, u) where x came from the first
-projection (or the consensus average in product space) and u from the
-second.  The damped variant relaxes the first projection by
-lam = gamma / (1 + gamma); gamma = inf recovers the plain method exactly,
-bit for bit, by delegating to it.
+projection and u from the second.  The damped variant relaxes the first
+projection by lam = gamma / (1 + gamma); gamma = inf recovers the plain
+method exactly, bit for bit, by delegating to it.
+
+A many-set problem runs the same two-set steps on the product space
+(Gravel & Elser's "divide and concur"): z has one row per constraint set,
+the first set is the consensus diagonal, reached by the row mean, whose
+single row broadcasts against z, and the second is the product of the
+sets, each applied to its own row.
 """
 
 import csv
 import dataclasses
+import functools
+import math
 
 import numpy as np
+
+from .analysis import ddr_affine_rate
 
 __all__ = [
     "FEASIBLE",
     "MAX_ITER",
     "METHODS",
+    "NON_FINITE",
     "STALLED",
     "IterationTrace",
     "RunResult",
@@ -26,8 +36,6 @@ __all__ = [
     "ddr_step",
     "dr_step",
     "dr_step_switched",
-    "product_ddr_step",
-    "product_dr_step",
     "product_step",
     "read_trace_csv",
     "run",
@@ -37,21 +45,14 @@ __all__ = [
 FEASIBLE = "feasible-found"
 STALLED = "stalled"
 MAX_ITER = "max-iter"
+NON_FINITE = "non-finite"
 
 METHODS = ("sdr", "ddr", "sdr-switched", "altproj")
 
 
-def _damping(gamma):
-    """Relaxation weight lam = gamma / (1 + gamma); inf maps to 1."""
-    if gamma is None or not gamma > 0.0:
-        raise ValueError(f"damping parameter must be positive, got {gamma}")
-    if np.isinf(gamma):
-        return 1.0
-    return gamma / (1.0 + gamma)
-
-
 # ---------------------------------------------------------------------------
-# two-set steps
+# steps: a product-space first projection returns one row, which the
+# broadcasts below tile to the state's shape (a no-op on two-set states)
 
 def dr_step(pa, pb, z):
     x = pa(z)
@@ -62,13 +63,13 @@ def dr_step(pa, pb, z):
 def dr_step_switched(pa, pb, z):
     """Same update with the projection order reversed."""
     x = pb(z)
-    u = pa(2.0 * x - z)
+    u = np.broadcast_to(pa(2.0 * x - z), x.shape).copy()
     return z + u - x, x, u
 
 
 def ddr_step(pa, pb, gamma, z):
     """Damped step: move only partway toward the first projection."""
-    lam = _damping(gamma)
+    lam = ddr_affine_rate(gamma)
     if lam == 1.0:
         return dr_step(pa, pb, z)
     x = z + lam * (pa(z) - z)
@@ -76,82 +77,42 @@ def ddr_step(pa, pb, gamma, z):
     return z + u - x, x, u
 
 
-def ap_step(pa, pb, x):
-    """One round of alternating projections."""
-    return pa(pb(x))
+def ap_step(pa, pb, z):
+    """One round of alternating projections; the next z is x."""
+    u = pb(z)
+    x = pa(u)
+    return np.broadcast_to(x, u.shape).copy(), x, u
 
 
-# ---------------------------------------------------------------------------
-# product-space steps: z has one row per constraint set, the first
-# "projection" is onto the diagonal (the row average)
+_STEPS = {"sdr": dr_step, "sdr-switched": dr_step_switched,
+          "altproj": ap_step}
 
-def product_dr_step(blocks, z):
-    x = z.mean(axis=0)
-    refl = 2.0 * x - z
-    u = np.empty_like(z)
+
+def two_set_step(pa, pb, method, gamma=None):
+    """Bind two projections and a method into a step z -> (z_next, x, u)."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if method == "ddr":
+        ddr_affine_rate(gamma)      # reject a bad gamma now, not mid-run
+        return functools.partial(ddr_step, pa, pb, gamma)
+    return functools.partial(_STEPS[method], pa, pb)
+
+
+def _consensus(z):
+    return z.mean(axis=0)
+
+
+def _stacked(blocks, z):
+    out = np.empty_like(z)
     for i, proj in enumerate(blocks):
-        u[i] = proj(refl[i])
-    return z + u - x, x, u
-
-
-def product_ddr_step(blocks, gamma, z):
-    lam = _damping(gamma)
-    if lam == 1.0:
-        return product_dr_step(blocks, z)
-    zbar = z.mean(axis=0)
-    x = z + lam * (zbar - z)
-    refl = 2.0 * x - z
-    u = np.empty_like(z)
-    for i, proj in enumerate(blocks):
-        u[i] = proj(refl[i])
-    return z + u - x, x, u
+        out[i] = proj(z[i])
+    return out
 
 
 def product_step(blocks, method, gamma=None):
     """Bind a list of set projections into a single product-space step."""
-    blocks = list(blocks)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    if method == "ddr":
-        _damping(gamma)
-        return lambda z: product_ddr_step(blocks, gamma, z)
-    if method == "sdr":
-        return lambda z: product_dr_step(blocks, z)
-    if method == "sdr-switched":
-        def step(z):
-            x = np.empty_like(z)
-            for i, proj in enumerate(blocks):
-                x[i] = proj(z[i])
-            ubar = (2.0 * x - z).mean(axis=0)
-            u = np.tile(ubar, (z.shape[0], 1))
-            return z + u - x, x, u
-        return step
-
-    def step(z):
-        u = np.empty_like(z)
-        for i, proj in enumerate(blocks):
-            u[i] = proj(z[i])
-        xbar = u.mean(axis=0)
-        return np.tile(xbar, (z.shape[0], 1)), xbar, u
-    return step
-
-
-def two_set_step(pa, pb, method, gamma=None):
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    if method == "ddr":
-        _damping(gamma)
-        return lambda z: ddr_step(pa, pb, gamma, z)
-    if method == "sdr":
-        return lambda z: dr_step(pa, pb, z)
-    if method == "sdr-switched":
-        return lambda z: dr_step_switched(pa, pb, z)
-
-    def step(z):
-        u = pb(z)
-        x = pa(u)
-        return x, x, u
-    return step
+    return two_set_step(_consensus, functools.partial(_stacked, list(blocks)),
+                        method, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +306,8 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
     Stopping, checked only once min_iter is reached: feasible candidate
     (when stop_on_feasible), else a z step at or below z_step_tol, which is
     FEASIBLE or STALLED depending on the candidate; exhausting max_iter is
-    always MAX_ITER.
+    always MAX_ITER.  The first z step that is not finite ends the run as
+    NON_FINITE, whatever min_iter says.
     """
     z = np.array(z0, dtype=float)
     if not np.all(np.isfinite(z)):
@@ -371,6 +333,9 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
                      x=x if keep_iterates else None,
                      u=u if keep_iterates else None)
         z = z_new
+        if not math.isfinite(step_size):
+            outcome = NON_FINITE
+            break
         if k >= policy.min_iter:
             if (policy.stop_on_feasible and feasible is not None
                     and feasible(candidate)):

@@ -31,8 +31,8 @@ from drsplit.constraints import (
     queens_groups,
     sudoku_groups,
 )
-from drsplit.geometry import AffineSubspace
 from drsplit.puzzles import (
+    Hyperplane,
     QueensInstance,
     SudokuInstance,
     bundled_sudoku,
@@ -48,7 +48,6 @@ from drsplit.splitting import (
     IterationTrace,
     StopPolicy,
     dr_step,
-    product_dr_step,
     product_step,
     run,
     two_set_step,
@@ -244,9 +243,9 @@ def test_criterion_8_damped_affine_rate_law():
     rng = np.random.default_rng(8)
     worst = 0.0
     for gamma in (0.2, 1.0, 99.0):
-        sub = AffineSubspace.from_span(rng.normal(size=(7, 20)),
-                                       offset=rng.normal(size=20))
-        M = (gamma / (1.0 + gamma)) * (np.eye(20) - sub.projector_matrix())
+        q = np.linalg.qr(rng.normal(size=(7, 20)).T)[0]
+        rng.normal(size=20)     # the offset: M does not depend on it
+        M = (gamma / (1.0 + gamma)) * (np.eye(20) - q @ q.T)
         worst = max(worst,
                     abs(spectral_radius(M) - gamma / (1.0 + gamma)))
     report(8, worst < 1e-12,
@@ -274,7 +273,7 @@ def test_criterion_9_oracle_property_suite():
     blocks = [GroupProjection([tuple(range(i, n, 3)) for i in range(3)], n,
                               allow_zero=(i % 2 == 0)) for i in range(m)]
     z = rng.normal(size=(m, n))
-    z_next, x, u = product_dr_step(blocks, z)
+    z_next, x, u = product_step(blocks, "sdr")(z)
 
     def stacked(v):
         w = v.reshape(m, n)
@@ -286,7 +285,7 @@ def test_criterion_9_oracle_property_suite():
     z2, x2, u2 = dr_step(consensus, stacked, z.ravel())
     assert np.max(np.abs(z_next.ravel() - z2)) < 1e-10
 
-    line = AffineSubspace.hyperplane(np.array([1.0, 2.0]), np.sqrt(2.0))
+    line = Hyperplane(np.array([1.0, 2.0]), np.sqrt(2.0))
     projs = [(GroupProjection(sudoku_groups(4, "row"), 64), 64),
              (GroupProjection(queens_groups(8, "diag"), 64,
                               allow_zero=True), 64),

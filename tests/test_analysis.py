@@ -22,7 +22,6 @@ from drsplit.analysis import (
     sudoku_subspace_bases,
     theoretical_rate,
 )
-from drsplit.geometry import AffineSubspace
 from drsplit.puzzles import bundled_sudoku, queens_problem, sudoku_problem
 from drsplit.puzzles import QueensInstance
 from drsplit.splitting import IterationTrace, StopPolicy, product_step, run
@@ -187,8 +186,8 @@ class TestPrincipalAngles:
         for _ in range(20):
             n = 8
             p, q = RNG.integers(1, 4), RNG.integers(1, 5)
-            A = AffineSubspace.from_span(RNG.normal(size=(p, n))).basis
-            B = AffineSubspace.from_span(RNG.normal(size=(q, n))).basis
+            A = np.linalg.qr(RNG.normal(size=(p, n)).T)[0].T
+            B = np.linalg.qr(RNG.normal(size=(q, n)).T)[0].T
             angles = principal_angles(A, B)
             Pa, Pb = A.T @ A, B.T @ B
             ev = np.sort(np.linalg.eigvalsh(Pa @ Pb @ Pa))[::-1]
@@ -196,8 +195,8 @@ class TestPrincipalAngles:
             assert_allclose(np.cos(angles), want, atol=1e-8)
 
     def test_angles_sorted_ascending_in_0_pi_half(self):
-        A = AffineSubspace.from_span(RNG.normal(size=(3, 9))).basis
-        B = AffineSubspace.from_span(RNG.normal(size=(4, 9))).basis
+        A = np.linalg.qr(RNG.normal(size=(3, 9)).T)[0].T
+        B = np.linalg.qr(RNG.normal(size=(4, 9)).T)[0].T
         angles = principal_angles(A, B)
         assert len(angles) == 3
         assert np.all(np.diff(angles) >= -1e-15)
@@ -244,9 +243,9 @@ class TestSpectra:
     def test_damped_affine_rate_law(self, gamma):
         # rho of (gamma/(1+gamma)) (I - P_S) equals gamma/(1+gamma)
         n, k = 20, 7
-        sub = AffineSubspace.from_span(RNG.normal(size=(k, n)),
-                                       offset=RNG.normal(size=n))
-        P = sub.projector_matrix()
+        q = np.linalg.qr(RNG.normal(size=(k, n)).T)[0]
+        RNG.normal(size=n)      # the offset: P does not depend on it
+        P = q @ q.T
         M = (gamma / (1.0 + gamma)) * (np.eye(n) - P)
         assert abs(spectral_radius(M) - ddr_affine_rate(gamma)) < 1e-12
 

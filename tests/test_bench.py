@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
+import drsplit.bench
 from drsplit.bench import BenchReport, bench_puzzle, read_bench_csv, resolve_workers
+from drsplit.cli import main
 from drsplit.puzzles import QueensInstance, bundled_sudoku
 from drsplit.splitting import StopPolicy
 
@@ -80,3 +83,34 @@ class TestBench:
                 for r in back.records] == \
                [(r.run_id, r.seed, r.outcome, r.iterations)
                 for r in rep.records]
+
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """(tie_break, tie_seed) of every problem bench builds, in order."""
+    calls = []
+    real = drsplit.bench.build_problem
+
+    def spy(instance, tie_break="lowest", tie_seed=None):
+        calls.append((tie_break, tie_seed))
+        return real(instance, tie_break=tie_break, tie_seed=tie_seed)
+
+    monkeypatch.setattr(drsplit.bench, "build_problem", spy)
+    return calls
+
+
+class TestBenchTieBreak:
+    def test_cli_forwards_tie_break_and_run_seed(self, build_calls, capsys):
+        assert main(["bench", "--queens-size", "5", "--runs", "3",
+                     "--workers", "1", "--seed", "7",
+                     "--tie-break", "random"]) == 0
+        assert build_calls == [("random", 7), ("random", 8), ("random", 9)]
+
+    def test_config_tie_break_reaches_build_problem(self, build_calls,
+                                                    tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("tie_break = random\nruns = 2\nworkers = 1\n")
+        assert main(["bench", "--queens-size", "5", "--config",
+                     str(cfg)]) == 0
+        assert build_calls == [("random", 0), ("random", 1)]

@@ -240,6 +240,15 @@ class TestGroupProjection:
             seen.add(int(np.argmax(ya)))
         assert len(seen) > 1          # actually randomizes across calls
 
+    def test_pickled_random_tie_break_continues_the_seeded_stream(self):
+        import pickle
+        groups = [(0, 1, 2, 3)]
+        a = GroupProjection(groups, 4, tie_break="random", seed=5)
+        clone = pickle.loads(pickle.dumps(a))
+        ties = np.array([1.0, 1.0, 1.0, 1.0])
+        for _ in range(20):
+            assert np.array_equal(a(ties), clone(ties))
+
     def test_lowest_index_tie_break_default(self):
         proj = GroupProjection([(0, 1, 2)], 3)
         assert_allclose(proj(np.array([0.7, 0.7, 0.7])), [1.0, 0.0, 0.0])

@@ -8,6 +8,7 @@ from drsplit.puzzles import (
     ParseError,
     QueensInstance,
     SudokuInstance,
+    build_problem,
     bundled_sudoku,
     circle_line_instance,
     format_grid,
@@ -247,6 +248,17 @@ class TestProblems:
         assert np.all((z0 >= 0.0) & (z0 <= 1.0))
         assert np.array_equal(z0, prob.initial_state(3))
         assert not np.array_equal(z0, prob.initial_state(4))
+
+    def test_build_problem_dispatches_on_instance_type(self):
+        x = RNG.uniform(size=64)
+        for inst, build in ((parse_sudoku(TEXT4), sudoku_problem),
+                            (QueensInstance(8), queens_problem)):
+            got, want = build_problem(inst), build(inst)
+            assert got.ambient_dim == want.ambient_dim
+            for p, q in zip(got.projections, want.projections, strict=True):
+                assert np.array_equal(p(x), q(x))
+        with pytest.raises(TypeError):
+            build_problem(circle_line_instance())
 
     def test_problems_pickle(self):
         import pickle

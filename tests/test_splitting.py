@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from drsplit.constraints import project_unit_sphere
-from drsplit.geometry import AffineSubspace
 from drsplit.puzzles import (
+    Hyperplane,
     QueensInstance,
     bundled_sudoku,
     lift_grid,
@@ -14,6 +14,7 @@ from drsplit.puzzles import (
 from drsplit.splitting import (
     FEASIBLE,
     MAX_ITER,
+    NON_FINITE,
     STALLED,
     IterationTrace,
     StopPolicy,
@@ -21,8 +22,6 @@ from drsplit.splitting import (
     ddr_step,
     dr_step,
     dr_step_switched,
-    product_ddr_step,
-    product_dr_step,
     product_step,
     read_trace_csv,
     run,
@@ -31,7 +30,7 @@ from drsplit.splitting import (
 
 RNG = np.random.default_rng(11)
 
-LINE = AffineSubspace.hyperplane(np.array([1.0, 2.0]), np.sqrt(2.0))
+LINE = Hyperplane(np.array([1.0, 2.0]), np.sqrt(2.0))
 
 
 def consensus_projection(m, n):
@@ -86,21 +85,24 @@ class TestTwoSetSteps:
             assert np.array_equal(ai, bi)
 
     def test_ddr_rejects_nonpositive_gamma(self):
-        for g in (0.0, -1.0):
+        for g in (0.0, -1.0, None):
             with pytest.raises(ValueError):
                 ddr_step(LINE.project, project_unit_sphere, g,
                          np.array([1.0, 0.0]))
 
     def test_ap_step_circle_then_line(self):
-        got = ap_step(LINE.project, project_unit_sphere, np.array([2.0, 0.0]))
-        assert_allclose(got, LINE.project(np.array([1.0, 0.0])), atol=0)
+        z_next, x, u = ap_step(LINE.project, project_unit_sphere,
+                               np.array([2.0, 0.0]))
+        assert_allclose(u, [1.0, 0.0], atol=0)
+        assert_allclose(x, LINE.project(np.array([1.0, 0.0])), atol=0)
+        assert np.array_equal(z_next, x)
 
     def test_ap_between_two_lines_converges_to_intersection(self):
-        l1 = AffineSubspace.hyperplane(np.array([0.0, 1.0]), 0.0)   # x-axis
-        l2 = AffineSubspace.hyperplane(np.array([1.0, -1.0]), 0.0)  # y = x
+        l1 = Hyperplane(np.array([0.0, 1.0]), 0.0)   # x-axis
+        l2 = Hyperplane(np.array([1.0, -1.0]), 0.0)  # y = x
         x = np.array([5.0, 3.0])
         for _ in range(200):
-            x = ap_step(l1.project, l2.project, x)
+            x = ap_step(l1.project, l2.project, x)[0]
         assert_allclose(x, [0.0, 0.0], atol=1e-10)
 
 
@@ -114,7 +116,7 @@ class TestProductSteps:
                   for i in range(m)]
         z = RNG.normal(size=(m, n))
 
-        z_next, x, u = product_dr_step(blocks, z)
+        z_next, x, u = product_step(blocks, "sdr")(z)
 
         def proj_c_stacked(v):
             w = v.reshape(m, n).copy()
@@ -135,7 +137,7 @@ class TestProductSteps:
         z = RNG.normal(size=(m, n))
         gamma = 0.3
 
-        z_next, x, u = product_ddr_step(blocks, gamma, z)
+        z_next, x, u = product_step(blocks, "ddr", gamma)(z)
 
         def proj_c_stacked(v):
             w = v.reshape(m, n)
@@ -150,18 +152,26 @@ class TestProductSteps:
     def test_product_ddr_infinite_gamma_is_product_dr(self):
         prob = queens_problem(QueensInstance(4))
         z = RNG.uniform(size=(4, 16))
-        a = product_ddr_step(prob.projections, np.inf, z)
-        b = product_dr_step(prob.projections, z)
-        assert np.array_equal(a[0], b[0])
+        a = product_step(prob.projections, "ddr", np.inf)(z)
+        b = product_step(prob.projections, "sdr")(z)
+        for ai, bi in zip(a, b):
+            assert np.array_equal(ai, bi)
 
     def test_step_factories_match_primitives(self):
         prob = queens_problem(QueensInstance(4))
         z = RNG.uniform(size=(4, 16))
+
+        def consensus(v):
+            return v.mean(axis=0)
+
+        def stacked(v):
+            return np.array([p(row) for p, row in zip(prob.projections, v)])
+
         s1 = product_step(prob.projections, "sdr")
-        assert np.array_equal(s1(z)[0], product_dr_step(prob.projections, z)[0])
+        assert np.array_equal(s1(z)[0], dr_step(consensus, stacked, z)[0])
         s2 = product_step(prob.projections, "ddr", gamma=0.5)
         assert np.array_equal(
-            s2(z)[0], product_ddr_step(prob.projections, 0.5, z)[0])
+            s2(z)[0], ddr_step(consensus, stacked, 0.5, z)[0])
         t1 = two_set_step(LINE.project, project_unit_sphere, "sdr-switched")
         w = RNG.normal(size=2)
         assert np.array_equal(
@@ -263,6 +273,15 @@ class TestRun:
                                gamma=0.2),
                   inst.z0, StopPolicy(), feasible=inst.feasible)
         assert res.outcome == FEASIBLE
+
+    def test_nan_block_stops_at_first_iteration(self):
+        prob = queens_problem(QueensInstance(4))
+        blocks = prob.projections[:-1] + [lambda v: np.full_like(v, np.nan)]
+        res = run(product_step(blocks, "sdr"), prob.initial_state(0),
+                  StopPolicy(), feasible=prob.feasible)
+        assert res.outcome == NON_FINITE
+        assert res.iterations == 1
+        assert len(res.trace) == 1
 
     def test_nonfinite_initial_state_rejected(self):
         prob = queens_problem(QueensInstance(4))
