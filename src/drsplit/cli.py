@@ -237,11 +237,11 @@ def _resolve_method(args):
 
 
 def _resolve_policy(args, stop_on_feasible=True):
-    return StopPolicy(
-        max_iter=10_000 if args.max_iter is None else args.max_iter,
-        min_iter=100 if args.min_iter is None else args.min_iter,
-        z_step_tol=1e-12 if args.tol is None else args.tol,
-        stop_on_feasible=stop_on_feasible)
+    """The given stop flags over `StopPolicy`'s defaults."""
+    given = {"max_iter": args.max_iter, "min_iter": args.min_iter,
+             "z_step_tol": args.tol}
+    return StopPolicy(stop_on_feasible=stop_on_feasible,
+                      **{k: v for k, v in given.items() if v is not None})
 
 
 def _resolve_seed(args):
@@ -299,8 +299,6 @@ def _cmd_solve(args):
                 " ".join(repr(float(v)) for v in res.x) + "\n")
         print(f"solution written to {args.out}")
     if args.trace:
-        if res.trace.has_snapshots:
-            res.trace.set_reference()
         res.trace.to_csv(args.trace)
         print(f"trace written to {args.trace}")
     return 0 if res.outcome == FEASIBLE else 2
@@ -349,22 +347,25 @@ def _cmd_rates(args):
         method = _resolve_method(args)
         res, _ = _run_instance(kind, inst, args, stop_on_feasible=False,
                                keep_iterates=True)
-        res.trace.set_reference()
         trace = res.trace
         print(f"outcome={res.outcome} iterations={res.iterations}")
         if kind == "queens":
-            freeze_z = detect_finite_termination(trace, "z")
-            blocks = [f"z K={freeze_z if freeze_z is not None else 'none'}"]
+            freeze = {"z": detect_finite_termination(trace, "z")}
             for i in range(trace.n_blocks):
-                k_u = detect_finite_termination(trace, f"u{i}")
-                blocks.append(f"u{i} K={k_u if k_u is not None else 'none'}")
-            print("finite termination: " + ", ".join(blocks))
+                freeze[f"u{i}"] = detect_finite_termination(trace, f"u{i}")
+            print("finite termination: " + ", ".join(
+                f"{block} K={'none' if k is None else k}"
+                for block, k in freeze.items()))
             if args.out:
                 ks = np.arange(1, len(trace) + 1)
                 render_rate_plot(args.out,
                                  [("z step", ks, trace.z_step)],
                                  title="finite termination")
                 print(f"plot written to {args.out}")
+            if args.report:
+                _write_report(args.report, {
+                    "outcome": res.outcome, "iterations": res.iterations,
+                    "finite_termination": freeze})
             return 0
         theory = theoretical_rate(kind, method, args.gamma)
 
@@ -399,9 +400,13 @@ def _cmd_rates(args):
         }
         if theory is not None:
             record["deviation"] = est.slope - theory
-        Path(args.report).write_text(json.dumps(record, indent=2) + "\n")
-        print(f"report written to {args.report}")
+        _write_report(args.report, record)
     return 0
+
+
+def _write_report(path, record):
+    Path(path).write_text(json.dumps(record, indent=2) + "\n")
+    print(f"report written to {path}")
 
 
 def _cmd_angles(args):

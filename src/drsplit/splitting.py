@@ -49,6 +49,8 @@ NON_FINITE = "non-finite"
 
 METHODS = ("sdr", "ddr", "sdr-switched", "altproj")
 
+_COLUMNS = ("z_step", "objective", "z_res", "x_res", "u_mismatch")
+
 
 # ---------------------------------------------------------------------------
 # steps: a product-space first projection returns one row, which the
@@ -137,150 +139,114 @@ class StopPolicy:
 
 
 class IterationTrace:
-    """Per-iteration scalars plus, when snapshots were kept, residuals of
-    every iterate against the final one.
-
-    Residual semantics: z_res and x_res are Frobenius distances to the last
-    recorded iterate; u_mismatch counts coordinates of each block's u that
-    differ (exact float inequality) from that block's final u, which makes
-    finite termination of combinatorial blocks directly visible.
+    """Per-iteration columns.  z_step and objective are recorded as the
+    run goes.  The reference columns compare every iterate with the last:
+    z_res and x_res are Frobenius distances, and u_mismatch (iterations x
+    blocks) counts the coordinates of each block's u that differ (exact
+    float inequality) from its final u, which makes finite termination of
+    combinatorial blocks directly visible.  They are given to the
+    constructor or filled from the run's (z, x, u) snapshots.
     """
 
-    def __init__(self, n_blocks=1):
+    def __init__(self, n_blocks=1, **columns):
+        unknown = set(columns).difference(_COLUMNS)
+        if unknown:
+            raise ValueError(f"unknown trace columns {sorted(unknown)}")
         self.n_blocks = int(n_blocks)
-        self._z_step = []
-        self._objective = []
-        self._z = []
-        self._x = []
-        self._u = []
-        self._derived = {}
+        self._table = {"z_step": [], "objective": []}
+        self._table.update((name, list(v)) for name, v in columns.items())
+        self._iterates = ([], [], [])
 
     def __len__(self):
-        return len(self._z_step)
+        return len(self._table["z_step"])
 
-    def append(self, z_step, objective, z=None, x=None, u=None):
-        self._z_step.append(float(z_step))
-        self._objective.append(float(objective))
-        if z is not None:
-            self._z.append(np.array(z, dtype=float))
-        if x is not None:
-            self._x.append(np.array(x, dtype=float))
-        if u is not None:
-            self._u.append(np.array(u, dtype=float))
+    def append(self, z_step, objective, iterates=None):
+        """Record one iteration; `iterates` is its (z, x, u) snapshot."""
+        self._table["z_step"].append(float(z_step))
+        self._table["objective"].append(float(objective))
+        if iterates is not None:
+            for kept, a in zip(self._iterates, iterates):
+                kept.append(np.array(a, dtype=float))
+
+    def set_reference(self):
+        """Take the final snapshot as the reference and fill z_res, x_res
+        and u_mismatch."""
+        zs, xs, us = self._iterates
+        if not zs:
+            raise ValueError(
+                "no iterate snapshots recorded; rerun with keep_iterates")
+        self._table["z_res"] = np.array(
+            [float(np.linalg.norm(zz - zs[-1])) for zz in zs])
+        self._table["x_res"] = np.array(
+            [float(np.linalg.norm(xx - xs[-1])) for xx in xs])
+        u_ref = np.atleast_2d(us[-1])
+        self._table["u_mismatch"] = np.array(
+            [np.count_nonzero(np.atleast_2d(uu) != u_ref, axis=1)
+             for uu in us], dtype=float)
+
+    def residuals(self, name):
+        """Column `name` as a float array; a missing reference column is
+        filled from the snapshots on first use."""
+        if name not in _COLUMNS:
+            raise ValueError(f"unknown residual quantity {name!r}")
+        if name not in self._table:
+            self.set_reference()
+        return np.asarray(self._table[name], dtype=float)
 
     @property
     def z_step(self):
-        return np.asarray(self._z_step)
-
-    @property
-    def has_snapshots(self):
-        return bool(self._z)
-
-    def inject_residuals(self, z_res=None, x_res=None, u_mismatch=None):
-        """Attach externally computed residual columns (e.g. from a CSV)."""
-        if z_res is not None:
-            self._derived["z_res"] = np.asarray(z_res, dtype=float)
-        if x_res is not None:
-            self._derived["x_res"] = np.asarray(x_res, dtype=float)
-        if u_mismatch is not None:
-            self._derived["u_mismatch"] = np.asarray(u_mismatch, dtype=float)
-
-    def set_reference(self):
-        """Take the final snapshot as the reference and fill residuals."""
-        if not self._z:
-            raise ValueError(
-                "no iterate snapshots recorded; rerun with keep_iterates")
-        z_ref = self._z[-1]
-        self._derived["z_res"] = np.array(
-            [float(np.linalg.norm(zz - z_ref)) for zz in self._z])
-        if self._x:
-            x_ref = self._x[-1]
-            self._derived["x_res"] = np.array(
-                [float(np.linalg.norm(xx - x_ref)) for xx in self._x])
-        if self._u:
-            u_ref = np.atleast_2d(self._u[-1])
-            mm = np.zeros((len(self._u), u_ref.shape[0]))
-            for t, uu in enumerate(self._u):
-                mm[t] = np.count_nonzero(np.atleast_2d(uu) != u_ref, axis=1)
-            self._derived["u_mismatch"] = mm
+        return self.residuals("z_step")
 
     @property
     def u_mismatch(self):
-        if "u_mismatch" not in self._derived:
-            self.set_reference()
-        return self._derived["u_mismatch"]
-
-    def residuals(self, name):
-        if name == "objective":
-            return np.asarray(self._objective)
-        if name == "z_step":
-            return self.z_step
-        if name in ("z_res", "x_res"):
-            if name not in self._derived:
-                self.set_reference()
-            return self._derived[name]
-        raise ValueError(f"unknown residual quantity {name!r}")
-
-    def _column(self, name):
-        if name in self._derived:
-            return self._derived[name]
-        if self._z:
-            self.set_reference()
-            return self._derived.get(name)
-        return None
+        return self.residuals("u_mismatch")
 
     def to_csv(self, path):
-        """Write one row per iteration; floats use repr for an exact
-        round trip, missing columns are written as nan."""
+        """Write one row per iteration; floats use repr for an exact round
+        trip, and reference columns no snapshot can fill are nan."""
+        if self._iterates[0] and "z_res" not in self._table:
+            self.set_reference()
         n = len(self)
-        nan_col = np.full(n, np.nan)
-        z_res = self._column("z_res")
-        x_res = self._column("x_res")
-        mm = self._column("u_mismatch")
-        if z_res is None:
-            z_res = nan_col
-        if x_res is None:
-            x_res = nan_col
-        if mm is None:
-            mm = np.full((n, self.n_blocks), np.nan)
+        cols = {"z_res": np.full(n, np.nan), "x_res": np.full(n, np.nan),
+                "u_mismatch": np.full((n, self.n_blocks), np.nan),
+                **self._table}
         header = (["k", "z_step", "z_res", "x_res"]
-                  + [f"u{i}_mismatch" for i in range(mm.shape[1])]
+                  + [f"u{i}_mismatch" for i in range(self.n_blocks)]
                   + ["objective"])
+        rows = zip(cols["z_step"], cols["z_res"], cols["x_res"],
+                   cols["u_mismatch"], cols["objective"])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for k in range(n):
-                row = [k + 1, repr(float(self._z_step[k])),
-                       repr(float(z_res[k])), repr(float(x_res[k]))]
-                row += [repr(float(v)) for v in mm[k]]
-                row.append(repr(float(self._objective[k])))
-                writer.writerow(row)
+            for k, (step, z_res, x_res, mm, obj) in enumerate(rows, 1):
+                writer.writerow([k] + [repr(float(v)) for v in
+                                       (step, z_res, x_res, *mm, obj)])
 
 
 def read_trace_csv(path):
+    """Build a trace from a `to_csv` file.  Absent columns read as nan,
+    except u_mismatch, which is then left out."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"empty trace file {path!r}")
-    header = rows[0]
+    header, body = rows[0], rows[1:]
+    for line, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{line}: {len(row)} fields, "
+                             f"the header has {len(header)}")
     col = {name: i for i, name in enumerate(header)}
     if "z_step" not in col:
         raise ValueError(f"trace file {path!r} lacks a z_step column")
-    u_cols = [name for name in header
+    columns = {name: [float(row[col[name]]) if name in col else np.nan
+                      for row in body]
+               for name in ("z_step", "objective", "z_res", "x_res")}
+    u_cols = [i for i, name in enumerate(header)
               if name.startswith("u") and name.endswith("_mismatch")]
-    trace = IterationTrace(n_blocks=max(1, len(u_cols)))
-    z_res, x_res, mm = [], [], []
-    for row in rows[1:]:
-        objective = float(row[col["objective"]]) if "objective" in col else np.nan
-        trace.append(z_step=float(row[col["z_step"]]), objective=objective)
-        z_res.append(float(row[col["z_res"]]) if "z_res" in col else np.nan)
-        x_res.append(float(row[col["x_res"]]) if "x_res" in col else np.nan)
-        mm.append([float(row[col[name]]) for name in u_cols])
-    trace.inject_residuals(
-        z_res=np.asarray(z_res),
-        x_res=np.asarray(x_res),
-        u_mismatch=np.asarray(mm) if u_cols else None)
-    return trace
+    if u_cols:
+        columns["u_mismatch"] = [[float(row[i]) for i in u_cols]
+                                 for row in body]
+    return IterationTrace(max(1, len(u_cols)), **columns)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +278,9 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
     z = np.array(z0, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("initial state contains non-finite entries")
-    trace = None
+    trace = IterationTrace(n_blocks=z.shape[0] if z.ndim == 2 else 1)
     outcome = MAX_ITER
     k = 0
-    x = u = candidate = None
     while k < policy.max_iter:
         k += 1
         pre_mean = z.mean(axis=0) if z.ndim == 2 else None
@@ -326,12 +291,8 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
             objective = 0.5 * float(np.sum((u - u.mean(axis=0)) ** 2))
         else:
             objective = 0.5 * float(np.sum((u - x) ** 2))
-        if trace is None:
-            trace = IterationTrace(n_blocks=u.shape[0] if u.ndim == 2 else 1)
-        trace.append(z_step=step_size, objective=objective,
-                     z=z_new if keep_iterates else None,
-                     x=x if keep_iterates else None,
-                     u=u if keep_iterates else None)
+        trace.append(step_size, objective,
+                     (z_new, x, u) if keep_iterates else None)
         z = z_new
         if not math.isfinite(step_size):
             outcome = NON_FINITE
@@ -347,7 +308,5 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
                 else:
                     outcome = STALLED
                 break
-    if trace is None:
-        trace = IterationTrace()
     return RunResult(outcome=outcome, iterations=k, z=z, x=x, u=u,
                      candidate=candidate, trace=trace)

@@ -300,10 +300,8 @@ def test_criterion_9_oracle_property_suite():
         assert np.allclose(proj(y), y, atol=1e-12)
 
     r = 2.0 * 0.3 ** np.arange(40)
-    tr = IterationTrace(n_blocks=1)
-    for v in r:
-        tr.append(z_step=v, objective=np.nan)
-    tr.inject_residuals(z_res=r)
+    tr = IterationTrace(1, z_step=r, objective=np.full(len(r), np.nan),
+                        z_res=r)
     est = fit_linear_rate(tr, "z_res", 0.5)
     assert abs(est.slope - 0.3) < 1e-6
 

@@ -32,11 +32,8 @@ RNG = np.random.default_rng(2024)
 def synthetic_trace(residuals):
     """Trace stub carrying a prescribed z-residual sequence."""
     r = np.asarray(residuals, dtype=float)
-    tr = IterationTrace(n_blocks=1)
-    for v in r:
-        tr.append(z_step=v, objective=np.nan)
-    tr.inject_residuals(z_res=r)
-    return tr
+    return IterationTrace(1, z_step=r, objective=np.full(len(r), np.nan),
+                          z_res=r)
 
 
 class TestRateFitting:

@@ -193,6 +193,32 @@ class TestRatesCommand:
         assert "finite termination" in out
         assert "K=" in out
 
+    def test_queens_rates_writes_report(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        code, out, _ = run_cli(capsys, "rates", "--queens-size", "8",
+                               "--seed", "0", "--report", str(report))
+        assert code == 0
+        rec = json.loads(report.read_text())
+        assert rec["outcome"] == "feasible-found"
+        assert f"iterations={rec['iterations']}" in out
+        freeze = rec["finite_termination"]
+        assert list(freeze) == ["z", "u0", "u1", "u2", "u3"]
+        for block, k in freeze.items():
+            assert f"{block} K={'none' if k is None else k}" in out
+        assert all(isinstance(k, int) for k in freeze.values())  # all froze
+
+    def test_truncated_trace_is_an_input_error(self, capsys, tmp_path):
+        trace = tmp_path / "t.csv"
+        run_cli(capsys, "solve", "--puzzle", PUZZLE4, "--seed", "0",
+                "--run-to-stall", "--trace", str(trace))
+        lines = trace.read_text().splitlines()
+        cut = ",".join(lines[-1].split(",")[:3])
+        trace.write_text("\n".join(lines[:-1] + [cut]) + "\n")
+        code, _, err = run_cli(capsys, "rates", "--trace", str(trace))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert f"{trace}:{len(lines)}:" in err
+
 
 class TestAnglesCommand:
     def test_reports_friedrichs_and_spectrum(self, capsys):

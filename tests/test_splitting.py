@@ -7,6 +7,7 @@ from drsplit.puzzles import (
     Hyperplane,
     QueensInstance,
     bundled_sudoku,
+    circle_line_instance,
     lift_grid,
     queens_problem,
     sudoku_problem,
@@ -322,20 +323,47 @@ class TestTrace:
         with pytest.raises(ValueError):
             res.trace.set_reference()
 
-    def test_csv_round_trip(self, tmp_path):
-        res, _ = self.make_run(keep=True)
+    @staticmethod
+    def circle_line_run():
+        inst = circle_line_instance()
+        return run(two_set_step(inst.line.project, inst.project_circle,
+                                "ddr", gamma=0.2),
+                   inst.z0, StopPolicy(stop_on_feasible=False),
+                   feasible=inst.feasible, keep_iterates=True)
+
+    @pytest.mark.parametrize("instance", ["4x4", "circle-line"])
+    def test_csv_round_trip(self, tmp_path, instance):
+        if instance == "4x4":
+            res, u_blocks = self.make_run(keep=True)[0], 5
+        else:
+            res, u_blocks = self.circle_line_run(), 1
         path = tmp_path / "trace.csv"
         res.trace.to_csv(path)
         text = path.read_text()
         header = text.splitlines()[0].split(",")
-        assert header == ["k", "z_step", "z_res", "x_res", "u0_mismatch",
-                          "u1_mismatch", "u2_mismatch", "u3_mismatch",
-                          "u4_mismatch", "objective"]
+        assert header == (["k", "z_step", "z_res", "x_res"]
+                          + [f"u{i}_mismatch" for i in range(u_blocks)]
+                          + ["objective"])
         back = read_trace_csv(path)
         assert len(back) == len(res.trace)
-        assert_allclose(back.z_step, res.trace.z_step, rtol=0, atol=0)
-        assert_allclose(back.residuals("z_res"), res.trace.residuals("z_res"),
-                        rtol=0, atol=0)
+        assert back.n_blocks == res.trace.n_blocks == u_blocks
+        for name in ("z_step", "objective", "z_res", "x_res", "u_mismatch"):
+            got, want = back.residuals(name), res.trace.residuals(name)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_hand_built_trace_takes_columns(self):
+        r = 0.5 ** np.arange(4)
+        tr = IterationTrace(2, z_step=r, objective=r,
+                            u_mismatch=np.zeros((4, 2)))
+        assert len(tr) == 4 and tr.n_blocks == 2
+        assert tr.u_mismatch.shape == (4, 2)
+        tr.append(0.0, 0.0)
+        assert len(tr) == 5 and tr.z_step[-1] == 0.0
+        with pytest.raises(ValueError):     # no snapshots to fill z_res
+            tr.residuals("z_res")
+        with pytest.raises(ValueError):
+            IterationTrace(1, z_resid=r)
 
     def test_csv_without_snapshots_has_nan_residuals(self, tmp_path):
         res, _ = self.make_run(keep=False)
