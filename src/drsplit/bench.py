@@ -50,7 +50,11 @@ class BenchRecord:
 
 @dataclasses.dataclass
 class BenchReport:
+    """Per-run records, plus the wall time of the whole batch (pool start
+    and teardown included) when the report comes from `bench_puzzle`."""
+
     records: list
+    batch_wall_s: float = None
 
     @property
     def successes(self):
@@ -84,6 +88,8 @@ class BenchReport:
             parts.append(f"median_iter={self.median_iterations:.1f}")
         total_ms = sum(r.wall_ms for r in self.records)
         parts.append(f"total_wall_s={total_ms / 1e3:.2f}")
+        if self.batch_wall_s is not None:
+            parts.append(f"batch_wall_s={self.batch_wall_s:.2f}")
         return " ".join(parts)
 
     def to_csv(self, path):
@@ -124,6 +130,7 @@ def bench_puzzle(instance, method, gamma, policy, runs, base_seed=0,
     builds its problem with its own seed as the tie-break seed."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    t0 = time.perf_counter()
     n_workers = resolve_workers(workers, runs)
     tasks = [(instance, method, gamma, policy, tie_break, i, base_seed + i)
              for i in range(runs)]
@@ -132,4 +139,4 @@ def bench_puzzle(instance, method, gamma, policy, runs, base_seed=0,
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             records = list(pool.map(_bench_one, tasks))
-    return BenchReport(records)
+    return BenchReport(records, batch_wall_s=time.perf_counter() - t0)

@@ -72,6 +72,11 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def tail_fraction(text):
+    """'auto' or a float: the argparse type of --tail-fraction."""
+    return text if text == "auto" else float(text)
+
+
 def _add_instance_flags(sp, circle=False):
     sp.add_argument("--puzzle", metavar="KEY_OR_FILE",
                     help=f"bundled instance key ({', '.join(BUNDLED)}) "
@@ -136,6 +141,7 @@ def _build_parser():
     sp.add_argument("--quantity", default=None,
                     choices=["z_res", "x_res", "objective"])
     sp.add_argument("--tail-fraction", dest="tail_fraction", default=None,
+                    type=tail_fraction,
                     help="fraction of the run to fit, or 'auto'")
     sp.add_argument("--out", metavar="FILE", help="write an SVG plot")
     sp.add_argument("--report", metavar="FILE", help="write a JSON report")
@@ -164,8 +170,6 @@ _CONFIG_TYPES = {
     "queens_size": int,
     "runs": int,
     "workers": int,
-    "quantity": str,
-    "tail_fraction": str,
 }
 
 
@@ -244,6 +248,16 @@ def _resolve_policy(args, stop_on_feasible=True):
                       **{k: v for k, v in given.items() if v is not None})
 
 
+def _reject_ignored(args, names, reason):
+    """CliError naming each of the given flags that was set, since
+    `reason` means none of them would take effect."""
+    given = [f"--{name.replace('_', '-')}" for name in names
+             if getattr(args, name) is not None
+             and getattr(args, name) is not False]
+    if given:
+        raise CliError(f"{reason}; {', '.join(given)} would be ignored")
+
+
 def _resolve_seed(args):
     return 0 if args.seed is None else args.seed
 
@@ -310,6 +324,9 @@ def _cmd_bench(args):
         raise CliError("bench needs a puzzle instance")
     method = _resolve_method(args)
     policy = _resolve_policy(args)
+    if args.workers is not None and args.workers < 0:
+        raise CliError(f"--workers must be >= 0 (0 for the default), "
+                       f"got {args.workers}")
     runs = 20 if args.runs is None else args.runs
     report = bench_puzzle(inst, method, args.gamma, policy, runs=runs,
                           base_seed=_resolve_seed(args),
@@ -333,7 +350,12 @@ def _fit_tail(args, trace, quantity):
     raw = args.tail_fraction
     if raw is None or raw == "auto":
         return auto_tail_fraction(trace, quantity)
-    return float(raw)
+    return raw
+
+
+# what a run needs and a saved trace does not
+_RUN_FLAGS = ("puzzle", "queens_size", "circle_line", "method", "gamma",
+              "seed", "max_iter", "min_iter", "tol", "tie_break")
 
 
 def _cmd_rates(args):
@@ -341,10 +363,15 @@ def _cmd_rates(args):
     theory = None
     trace = None
     if args.trace is not None:
+        _reject_ignored(args, _RUN_FLAGS, "--trace fits a saved trace")
         trace = read_trace_csv(args.trace)
     else:
         kind, inst = _resolve_instance(args)
         method = _resolve_method(args)
+        if kind == "queens":
+            _reject_ignored(args, ("quantity", "tail_fraction"),
+                            "queens runs report finite termination, "
+                            "not a rate fit")
         res, _ = _run_instance(kind, inst, args, stop_on_feasible=False,
                                keep_iterates=True)
         trace = res.trace

@@ -41,9 +41,11 @@ __all__ = [
     "lift_board",
     "lift_grid",
     "parse_sudoku",
+    "queens_feasible",
     "queens_problem",
     "round_board",
     "round_cube",
+    "sudoku_feasible",
     "sudoku_problem",
     "validate_queens",
     "validate_sudoku",
@@ -263,17 +265,57 @@ def validate_queens(board, inst):
 # ---------------------------------------------------------------------------
 # problem assembly
 
+def _distinct(keys):
+    """True when no key repeats (keys are small non-negative ints)."""
+    return bool(np.count_nonzero(np.bincount(keys.ravel())) == keys.size)
+
+
+def _sudoku_line_keys(s):
+    """(3, s*s) offsets that put digit k of cell (i, j) at a key of its
+    row i, column j and box, each line owning a disjoint range of s keys."""
+    b = math.isqrt(s)
+    i, j = np.divmod(np.arange(s * s), s)
+    return np.stack((i, s + j, 2 * s + (i // b) * b + j // b)) * s
+
+
+def sudoku_feasible(v, s, line_keys, clue_cells, clue_digits):
+    """``validate_sudoku(round_cube(v, s), inst)[0]`` without the Python
+    loops: the rounded grid holds the clue digit at every clue cell (flat
+    indices `clue_cells`) and each digit once per row, column and box."""
+    g = np.asarray(v).reshape(s, s, s).argmax(axis=2).ravel()
+    return (not np.count_nonzero(g[clue_cells] != clue_digits)
+            and _distinct(g + line_keys))
+
+
+def _queens_line_keys(s):
+    """(3, s) offsets taking the column j of row i's queen to disjoint key
+    ranges: its column j, antidiagonal i + j (shifted by s) and diagonal
+    j - i (shifted by 4s)."""
+    i = np.arange(s)
+    return np.stack((0 * i, s + i, 4 * s - i))
+
+
+def queens_feasible(v, s, line_keys):
+    """``validate_queens(round_board(v, s), inst)[0]`` without the Python
+    loops: rounding puts one queen per row, at column cols[i], so the
+    board is valid iff the columns, the antidiagonals i + j and the
+    diagonals i - j are each distinct."""
+    cols = np.asarray(v).reshape(s, s).argmax(axis=1)
+    return _distinct(cols + line_keys)
+
+
 @dataclasses.dataclass
 class Problem:
     """A feasibility problem as a list of set projections on one vector,
     with the rounding of a vector to a candidate solution and the
-    validator that returns (ok, violations) for that candidate."""
+    feasibility predicate of a vector: a vectorized check equal to
+    ``validate_*(round(v))[0]``."""
 
     instance: object
     projections: list
     ambient_dim: int
     round: object
-    validate: object
+    feasible: object
 
     @property
     def n_blocks(self):
@@ -283,9 +325,6 @@ class Problem:
         """Seeded uniform start, one block row per constraint set."""
         rng = np.random.default_rng(seed)
         return rng.uniform(0.0, 1.0, size=(self.n_blocks, self.ambient_dim))
-
-    def feasible(self, v):
-        return self.validate(self.round(v))[0]
 
 
 def sudoku_problem(inst, tie_break="lowest", tie_seed=None):
@@ -298,8 +337,12 @@ def sudoku_problem(inst, tie_break="lowest", tie_seed=None):
         for off, kind in enumerate(("row", "column", "pillar", "block"))
     ]
     projections.append(ClueProjection(s, inst.clues))
+    clues = np.array(inst.clues, dtype=int).reshape(-1, 3)
+    feasible = functools.partial(
+        sudoku_feasible, s=s, line_keys=_sudoku_line_keys(s),
+        clue_cells=clues[:, 0] * s + clues[:, 1], clue_digits=clues[:, 2])
     return Problem(inst, projections, n, functools.partial(round_cube, s=s),
-                   functools.partial(validate_sudoku, inst=inst))
+                   feasible)
 
 
 def queens_problem(inst, tie_break="lowest", tie_seed=None):
@@ -315,7 +358,8 @@ def queens_problem(inst, tie_break="lowest", tie_seed=None):
         for off, (kind, zero) in enumerate(specs)
     ]
     return Problem(inst, projections, n, functools.partial(round_board, s=s),
-                   functools.partial(validate_queens, inst=inst))
+                   functools.partial(queens_feasible, s=s,
+                                     line_keys=_queens_line_keys(s)))
 
 
 _BUILDERS = {SudokuInstance: sudoku_problem, QueensInstance: queens_problem}

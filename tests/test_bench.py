@@ -69,6 +69,15 @@ class TestBench:
             assert rep.mean_iterations == float(np.mean(iters))
             assert rep.median_iterations == float(np.median(iters))
 
+    def test_batch_wall_time_is_reported(self):
+        rep = bench_puzzle(QueensInstance(5), "sdr", None, StopPolicy(),
+                           runs=3, base_seed=0, workers=1)
+        # a serial batch runs every record inside its own wall time
+        assert rep.batch_wall_s >= sum(r.wall_ms for r in rep.records) / 1e3
+        text = rep.summary()
+        assert text.endswith(f" batch_wall_s={rep.batch_wall_s:.2f}")
+        assert "total_wall_s=" in text
+
     def test_csv_round_trip(self, tmp_path):
         rep = bench_puzzle(QueensInstance(5), "sdr", None, StopPolicy(),
                            runs=4, base_seed=2, workers=1)
@@ -79,6 +88,9 @@ class TestBench:
         assert len(lines) == 5
         back = read_bench_csv(path)
         assert isinstance(back, BenchReport)
+        assert back.batch_wall_s is None
+        assert "batch_wall_s" not in back.summary()
+        assert "total_wall_s=" in back.summary()
         assert [(r.run_id, r.seed, r.outcome, r.iterations)
                 for r in back.records] == \
                [(r.run_id, r.seed, r.outcome, r.iterations)

@@ -148,6 +148,25 @@ class TestBenchCommand:
         seeds = [int(l.split(",")[1]) for l in lines[1:]]
         assert seeds == [7, 8, 9, 10]
         assert "success_rate=" in out
+        assert "batch_wall_s=" in out
+
+    def test_negative_workers_rejected(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "bench", "--queens-size", "5",
+                                 "--runs", "2", "--workers", "-3")
+        assert code == 1
+        assert "--workers" in err and "-3" in err
+        assert out == ""
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("workers = -1\n")
+        code, _, err = run_cli(capsys, "bench", "--queens-size", "5",
+                               "--runs", "2", "--config", str(cfg))
+        assert code == 1 and "--workers" in err
+
+    def test_zero_workers_means_default(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--queens-size", "5",
+                               "--runs", "2", "--workers", "0")
+        assert code == 0
+        assert "runs=2" in out
 
 
 class TestRatesCommand:
@@ -206,6 +225,47 @@ class TestRatesCommand:
         for block, k in freeze.items():
             assert f"{block} K={'none' if k is None else k}" in out
         assert all(isinstance(k, int) for k in freeze.values())  # all froze
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--quantity", "x_res", "--tail-fraction", "0.9"],
+         ["--quantity", "--tail-fraction"]),
+        (["--tail-fraction", "auto"], ["--tail-fraction"]),
+    ])
+    def test_queens_rates_reject_fit_flags(self, capsys, flags, named):
+        code, out, err = run_cli(capsys, "rates", "--queens-size", "8",
+                                 *flags)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert all(flag in err for flag in named)
+        assert out == ""  # rejected before running
+
+    def test_bad_tail_fraction_rejected(self, capsys):
+        for instance in (["--queens-size", "8"], ["--puzzle", PUZZLE4]):
+            code, out, err = run_cli(capsys, "rates", *instance,
+                                     "--tail-fraction", "banana")
+            assert code == 1
+            assert "banana" in err and out == ""
+
+    def test_trace_rejects_run_flags(self, capsys, tmp_path):
+        trace = tmp_path / "t.csv"
+        run_cli(capsys, "solve", "--puzzle", PUZZLE4, "--seed", "0",
+                "--run-to-stall", "--trace", str(trace))
+        code, out, err = run_cli(capsys, "rates", "--trace", str(trace),
+                                 "--queens-size", "8", "--method", "ddr",
+                                 "--gamma", "0.2", "--seed", "5")
+        assert code == 1
+        for flag in ("--queens-size", "--method", "--gamma", "--seed"):
+            assert flag in err
+        assert out == ""
+        code, _, err = run_cli(capsys, "rates", "--trace", str(trace),
+                               "--circle-line", "--max-iter", "9",
+                               "--seed", "0")
+        assert code == 1
+        for flag in ("--circle-line", "--max-iter", "--seed"):
+            assert flag in err
+        code, out, _ = run_cli(capsys, "rates", "--trace", str(trace),
+                               "--quantity", "x_res", "--tail-fraction", "0.5")
+        assert code == 0 and "quantity=x_res" in out
 
     def test_truncated_trace_is_an_input_error(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drsplit.puzzles import (
@@ -23,6 +27,7 @@ from drsplit.puzzles import (
     validate_queens,
     validate_sudoku,
 )
+from drsplit.splitting import StopPolicy, product_step, run
 
 RNG = np.random.default_rng(7)
 
@@ -262,12 +267,154 @@ class TestProblems:
 
     def test_problems_pickle(self):
         import pickle
-        for prob in (sudoku_problem(parse_sudoku(TEXT4)),
-                     queens_problem(QueensInstance(5))):
+        for prob, solution in (
+                (sudoku_problem(parse_sudoku(TEXT4)), lift_grid(SOLVED4)),
+                (queens_problem(QueensInstance(5)),
+                 lift_board(queens_board([0, 2, 4, 1, 3])))):
             clone = pickle.loads(pickle.dumps(prob))
             x = RNG.uniform(size=prob.ambient_dim)
             for p, q in zip(prob.projections, clone.projections):
                 assert np.array_equal(p(x), q(x))
+            assert prob.feasible(solution) and clone.feasible(solution)
+            for v in (x, solution + 0.6 * RNG.uniform(size=x.size)):
+                assert clone.feasible(v) == prob.feasible(v)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized Problem.feasible against the slow validators
+
+def queens_board(cols):
+    s = len(cols)
+    board = np.zeros((s, s), dtype=int)
+    board[np.arange(s), cols] = 1
+    return board
+
+
+def queens_solution(s):
+    """First s-queens placement in lexicographic order, by backtracking."""
+    def place(cols):
+        if len(cols) == s:
+            return cols
+        i = len(cols)
+        for j in range(s):
+            if all(j != c and abs(j - c) != i - r for r, c in enumerate(cols)):
+                found = place(cols + [j])
+                if found:
+                    return found
+        return None
+    return queens_board(place([]))
+
+
+def solved_by_sdr(inst):
+    """Digit grid of the first seeded sdr run that solves a clued sudoku."""
+    prob = sudoku_problem(inst)
+    step = product_step(prob.projections, "sdr")
+    for seed in range(20):
+        grid = prob.round(run(step, prob.initial_state(seed),
+                              StopPolicy()).candidate)
+        if validate_sudoku(grid, inst)[0]:
+            return grid
+    raise AssertionError("no seeded sdr run solved the instance")
+
+
+def _edit_digit(grid, rng):
+    grid = grid.copy()
+    i, j = rng.integers(grid.shape[0], size=2)
+    grid[i, j] = (grid[i, j] + rng.integers(1, grid.shape[0])) % grid.shape[0]
+    return grid
+
+
+def _move_queen(board, rng):
+    board = board.copy()
+    i = rng.integers(board.shape[0])
+    board[i] = np.roll(board[i], rng.integers(1, board.shape[0]))
+    return board
+
+
+ORACLE_CASES = {f"queens-{s}": ("queens", s) for s in range(4, 13)}
+ORACLE_CASES.update({key: ("bundled", key)
+                     for key in ("4x4", "9x9-37", "9x9-22")})
+ORACLE_CASES.update({"9x9-blank": ("blank", 9), "16x16-blank": ("blank", 16)})
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_case(label):
+    """(problem, solution board or grid, lift, one-cell edit, validator)."""
+    kind, arg = ORACLE_CASES[label]
+    if kind == "queens":
+        inst = QueensInstance(arg)
+        return (queens_problem(inst), queens_solution(arg), lift_board,
+                _move_queen, functools.partial(validate_queens, inst=inst))
+    if kind == "bundled":
+        inst = bundled_sudoku(arg)
+        solution = solved_by_sdr(inst)
+    else:
+        inst = SudokuInstance(arg, ())
+        solution = pattern_solution(arg)
+    return (sudoku_problem(inst), solution, lift_grid, _edit_digit,
+            functools.partial(validate_sudoku, inst=inst))
+
+
+def oracle_candidate(label, kind, seed):
+    """A candidate vector near to or far from the case's solution."""
+    prob, solution, lift, edit, _ = oracle_case(label)
+    rng = np.random.default_rng(seed)
+    n, s = prob.ambient_dim, solution.shape[0]
+    if kind == "solution":
+        return lift(solution)
+    if kind == "noisy":
+        return lift(solution) + rng.uniform(-1.0, 1.0, n) * rng.uniform(0.1, 1)
+    if kind == "edit":
+        return lift(edit(solution, rng))
+    if kind == "rows":
+        return lift(solution[rng.permutation(s)])
+    if kind == "columns":
+        return lift(solution[:, rng.permutation(s)])
+    if kind == "ties":
+        return rng.integers(0, rng.integers(2, 4), n).astype(float)
+    if kind == "nan":
+        v = lift(solution)
+        v[rng.integers(n, size=rng.integers(1, 4))] = np.nan
+        return v
+    return rng.uniform(size=n)
+
+
+ORACLE_KINDS = ("solution", "noisy", "edit", "rows", "columns", "ties",
+                "nan", "uniform")
+
+
+def slow_feasible(label, v):
+    prob, _, _, _, validate = oracle_case(label)
+    return validate(prob.round(v))[0]
+
+
+class TestFeasibilityOracle:
+    @given(st.sampled_from(sorted(ORACLE_CASES)), st.sampled_from(ORACLE_KINDS),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_validators(self, label, kind, seed):
+        v = oracle_candidate(label, kind, seed)
+        assert oracle_case(label)[0].feasible(v) == slow_feasible(label, v)
+
+    @pytest.mark.parametrize("label", sorted(ORACLE_CASES))
+    def test_both_answers_occur(self, label):
+        prob = oracle_case(label)[0]
+        seen = {kind: set() for kind in ORACLE_KINDS}
+        for kind in ORACLE_KINDS:
+            for seed in range(8):
+                v = oracle_candidate(label, kind, seed)
+                ok = prob.feasible(v)
+                assert ok == slow_feasible(label, v)
+                seen[kind].add(ok)
+        assert seen["solution"] == {True}
+        assert seen["uniform"] == {False}
+        assert True in seen["noisy"] and False in seen["noisy"]
+
+    def test_answers_are_plain_bools(self):
+        for label in ("queens-8", "9x9-37"):
+            prob, solution, lift, _, _ = oracle_case(label)
+            assert prob.feasible(lift(solution)) is True
+            assert prob.feasible(np.zeros(prob.ambient_dim)) is False
 
 
 class TestBundled:
