@@ -26,7 +26,9 @@ __all__ = [
 def resolve_workers(requested, runs):
     """Worker count: the request (or cpu count), capped by the DR_THREADS
     environment variable when it holds a positive integer, never more
-    than there are runs."""
+    than there are runs.  0 or None asks for the default."""
+    if requested is not None and requested < 0:
+        raise ValueError(f"workers must be >= 0, got {requested}")
     limit = requested if requested else (os.cpu_count() or 1)
     env = os.environ.get("DR_THREADS")
     if env is not None:

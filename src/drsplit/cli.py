@@ -270,6 +270,8 @@ def _run_instance(kind, inst, args, stop_on_feasible=True,
                   keep_iterates=False):
     method = _resolve_method(args)
     if kind == "circle-line":
+        _reject_ignored(args, ("seed", "tie_break"),
+                        "--circle-line has a fixed start and no argmax")
         # continuous sets: the tracked point can drift through near-feasible
         # positions without the iteration converging, so stop on the z-step
         # stall and classify feasibility there

@@ -13,34 +13,10 @@ import numpy as np
 __all__ = [
     "ClueProjection",
     "GroupProjection",
-    "project_one_hot",
-    "project_one_hot_or_zero",
     "project_unit_sphere",
     "queens_groups",
-    "sudoku_cell_index",
     "sudoku_groups",
 ]
-
-
-def project_one_hot(x):
-    """Nearest unit vector e_i; the first maximal entry wins ties."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    out[int(np.argmax(x))] = 1.0
-    return out
-
-
-def project_one_hot_or_zero(x):
-    """Nearest point among the unit vectors and the zero vector.
-
-    The spike is closer iff max(x) >= 1/2; equality prefers the spike.
-    """
-    x = np.asarray(x, dtype=float)
-    i = int(np.argmax(x))
-    out = np.zeros_like(x)
-    if x[i] >= 0.5:
-        out[i] = 1.0
-    return out
 
 
 def project_unit_sphere(x):
@@ -55,12 +31,7 @@ def project_unit_sphere(x):
 
 
 # ---------------------------------------------------------------------------
-# index groups on the lifted cube / board
-
-def sudoku_cell_index(s, i, j, k):
-    """Flat index of cube cell (row i, column j, digit k)."""
-    return (i * s + j) * s + k
-
+# index-group tables on the lifted cube / board: one group per row
 
 def _check_side(s):
     b = math.isqrt(s)
@@ -70,62 +41,42 @@ def _check_side(s):
 
 
 def sudoku_groups(s, kind):
-    """Index groups of one constraint family on the s^3 cube.
+    """Index table of one constraint family on the s^3 cube, shape (s^2, s).
 
+    The cube cell (row i, column j, digit k) has flat index (i*s + j)*s + k.
     row: fixed (j, k), vary i.  column: fixed (i, k), vary j.
     pillar: fixed (i, j), vary k.  block: one box and digit per group.
-    Every kind partitions the cube into s^2 groups of s cells.
+    Every kind partitions the cube.
     """
     b = _check_side(s)
-    groups = []
-    if kind == "row":
-        for j in range(s):
-            for k in range(s):
-                groups.append(tuple(sudoku_cell_index(s, i, j, k)
-                                    for i in range(s)))
-    elif kind == "column":
-        for i in range(s):
-            for k in range(s):
-                groups.append(tuple(sudoku_cell_index(s, i, j, k)
-                                    for j in range(s)))
-    elif kind == "pillar":
-        for i in range(s):
-            for j in range(s):
-                groups.append(tuple(sudoku_cell_index(s, i, j, k)
-                                    for k in range(s)))
-    elif kind == "block":
-        for k in range(s):
-            for bi in range(b):
-                for bj in range(b):
-                    groups.append(tuple(
-                        sudoku_cell_index(s, i, j, k)
-                        for i in range(bi * b, (bi + 1) * b)
-                        for j in range(bj * b, (bj + 1) * b)))
-    else:
+    cube = np.arange(s ** 3).reshape(s, s, s)
+    tables = {"row": cube.transpose(1, 2, 0),
+              "column": cube.transpose(0, 2, 1),
+              "pillar": cube,
+              # axes (box row, i in box, box column, j in box, k)
+              "block": cube.reshape(b, b, b, b, s).transpose(4, 0, 2, 1, 3)}
+    if kind not in tables:
         raise ValueError(f"unknown sudoku group kind {kind!r}")
-    return groups
+    return tables[kind].reshape(s * s, s)
 
 
 def queens_groups(s, kind):
-    """Index groups on the s x s board (flat index i*s + j)."""
-    groups = []
+    """Index table on the s x s board (flat index i*s + j), one line per
+    row; the 2s - 1 (anti)diagonals are padded on the right with -1."""
+    board = np.arange(s * s).reshape(s, s)
     if kind == "row":
-        for i in range(s):
-            groups.append(tuple(i * s + j for j in range(s)))
-    elif kind == "column":
-        for j in range(s):
-            groups.append(tuple(i * s + j for i in range(s)))
-    elif kind == "antidiag":            # i + j constant
-        for t in range(2 * s - 1):
-            groups.append(tuple(i * s + (t - i) for i in range(s)
-                                if 0 <= t - i < s))
-    elif kind == "diag":                # i - j constant
-        for d in range(-(s - 1), s):
-            groups.append(tuple(i * s + (i - d) for i in range(s)
-                                if 0 <= i - d < s))
-    else:
+        return board
+    if kind == "column":
+        return board.T.copy()
+    if kind not in ("antidiag", "diag"):
         raise ValueError(f"unknown queens group kind {kind!r}")
-    return groups
+    if kind == "antidiag":      # i + j constant: diagonals of the mirror
+        board = board[:, ::-1]
+    o = np.arange(1 - s, s)[:, None]    # line i - j = o holds s - |o| cells
+    c = np.arange(s)
+    i = np.maximum(o, 0) + c
+    return np.where(c < s - np.abs(o),
+                    board[np.minimum(i, s - 1), np.clip(i - o, 0, s - 1)], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,41 +85,41 @@ def queens_groups(s, kind):
 class GroupProjection:
     """Project each index group onto {e_i} (or {e_i} + {0} with allow_zero).
 
-    Groups must be disjoint; coordinates outside every group pass through
-    unchanged.  Groups of different lengths are padded into a rectangular
-    index table so one masked argmax handles the whole family.
+    ``groups`` is a 2-D integer table with one group per row, such as the
+    tables of sudoku_groups and queens_groups, or a list of equal-length
+    tuples.  An entry -1 is padding, which lets groups of different lengths
+    share one table; the tie-breaks read a row in table order, so pad on the
+    right.  Groups must be non-empty and disjoint; coordinates outside every
+    group pass through unchanged.
     """
 
     def __init__(self, groups, n, allow_zero=False, tie_break="lowest",
                  seed=None):
-        groups = [tuple(int(i) for i in g) for g in groups]
         if tie_break not in ("lowest", "random"):
             raise ValueError(f"unknown tie_break {tie_break!r}")
-        seen = set()
-        for g in groups:
-            if not g:
-                raise ValueError("empty index group")
-            for i in g:
-                if not 0 <= i < n:
-                    raise ValueError(f"index {i} out of range for n={n}")
-                if i in seen:
-                    raise ValueError(f"index {i} appears in two groups")
-                seen.add(i)
-        self.groups = groups
+        # a copy in C order: __call__ gathers the table row by row
+        idx = np.array(groups, dtype=np.intp, order="C")
+        if idx.ndim != 2:
+            raise ValueError(f"index table must be 2-D, got shape {idx.shape}")
+        bad = idx[(idx < -1) | (idx >= n)]
+        if bad.size:
+            raise ValueError(f"index {bad[0]} out of range for n={n}")
+        mask = idx >= 0
+        if not mask.any(axis=1).all():
+            raise ValueError("empty index group")
+        counts = np.bincount(idx[mask], minlength=n)
+        twice = np.flatnonzero(counts > 1)
+        if twice.size:
+            raise ValueError(f"index {twice[0]} appears in two groups")
         self.n = n
         self.allow_zero = allow_zero
         self.tie_break = tie_break
         self._rng = np.random.default_rng(seed) if tie_break == "random" \
             else None
-
-        width = max(len(g) for g in groups) if groups else 0
-        self._idx = np.zeros((len(groups), width), dtype=np.intp)
-        self._mask = np.zeros((len(groups), width), dtype=bool)
-        for r, g in enumerate(groups):
-            self._idx[r, :len(g)] = g
-            self._mask[r, :len(g)] = True
-        self._covered = np.fromiter(seen, dtype=np.intp)
-        self._rows = np.arange(len(groups))
+        self._idx = idx
+        self._mask = mask
+        self._covered = np.flatnonzero(counts)      # ascending scatter order
+        self._rows = np.arange(len(idx))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -197,21 +148,23 @@ class ClueProjection:
 
     def __init__(self, s, clues):
         _check_side(s)
-        n = s ** 3
-        values = np.zeros(n)
-        free = np.ones(n, dtype=bool)
-        seen = set()
-        for (i, j, k) in clues:
-            if (i, j) in seen:
-                raise ValueError(f"cell ({i}, {j}) is clued twice")
-            seen.add((i, j))
-            base = sudoku_cell_index(s, i, j, 0)
-            free[base:base + s] = False
-            values[base + k] = 1.0
+        ijk = np.array(clues, dtype=int).reshape(-1, 3)
+        bad = ((ijk < 0) | (ijk >= s)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"clue {tuple(ijk[bad][0].tolist())} out of "
+                             f"range for side {s}")
+        cells = ijk[:, 0] * s + ijk[:, 1]
+        twice = np.flatnonzero(np.bincount(cells, minlength=s * s) > 1)
+        if twice.size:
+            raise ValueError(f"cell {divmod(int(twice[0]), s)} is clued twice")
+        values = np.zeros((s * s, s))          # the pillar view of the cube
+        free = np.ones((s * s, s), dtype=bool)
+        values[cells, ijk[:, 2]] = 1.0
+        free[cells] = False
         self.s = s
         self.clues = tuple(clues)
-        self._values = values
-        self._free = free
+        self._values = values.ravel()
+        self._free = free.ravel()
 
     @property
     def free_mask(self):

@@ -25,8 +25,6 @@ from drsplit.bench import bench_puzzle
 from drsplit.constraints import (
     ClueProjection,
     GroupProjection,
-    project_one_hot,
-    project_one_hot_or_zero,
     project_unit_sphere,
     queens_groups,
     sudoku_groups,
@@ -266,8 +264,10 @@ def test_criterion_9_oracle_property_suite():
     for _ in range(1000):
         d = int(rng.integers(1, 7))
         x = rng.normal(size=d)
-        assert np.allclose(project_one_hot(x), brute_nearest(x, False))
-        assert np.allclose(project_one_hot_or_zero(x), brute_nearest(x, True))
+        for allow_zero in (False, True):
+            one_group = GroupProjection([tuple(range(d))], d,
+                                        allow_zero=allow_zero)
+            assert np.allclose(one_group(x), brute_nearest(x, allow_zero))
 
     m, n = 3, 12
     blocks = [GroupProjection([tuple(range(i, n, 3)) for i in range(3)], n,

@@ -22,6 +22,12 @@ class TestWorkerResolution:
         monkeypatch.setenv("DR_THREADS", "zebra")
         assert resolve_workers(4, runs=8) == 4
 
+    def test_negative_count_rejected(self, monkeypatch):
+        monkeypatch.delenv("DR_THREADS", raising=False)
+        with pytest.raises(ValueError, match="-3"):
+            resolve_workers(-3, runs=8)
+        assert resolve_workers(0, runs=8) == resolve_workers(None, runs=8)
+
 
 class TestBench:
     def test_seeded_batch_is_deterministic(self):

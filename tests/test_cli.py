@@ -95,6 +95,19 @@ class TestSolve:
                                "ddr", "--gamma", "0.2")
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [
+        ("--seed", "5"), ("--tie-break", "random"),
+        ("--seed", "0", "--tie-break", "lowest")])
+    @pytest.mark.parametrize("command", ["solve", "rates"])
+    def test_circle_line_rejects_seed_and_tie_break(self, capsys, command,
+                                                    flags):
+        code, out, err = run_cli(capsys, command, "--circle-line", "--method",
+                                 "ddr", "--gamma", "0.2", *flags)
+        assert code == 1
+        assert out == ""
+        for flag in flags[::2]:
+            assert flag in err
+
     def test_circle_line_sdr_fails(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--circle-line", "--method",
                                "sdr")

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,11 +10,8 @@ from numpy.testing import assert_allclose
 from drsplit.constraints import (
     ClueProjection,
     GroupProjection,
-    project_one_hot,
-    project_one_hot_or_zero,
     project_unit_sphere,
     queens_groups,
-    sudoku_cell_index,
     sudoku_groups,
 )
 
@@ -34,38 +32,43 @@ def brute_nearest(x, allow_zero):
     return cands[int(np.argmin(dists))]
 
 
+def single_group(d, allow_zero):
+    """The projection of a d-vector that is one index group."""
+    return GroupProjection([tuple(range(d))], d, allow_zero=allow_zero)
+
+
 class TestSingleGroupProjections:
     def test_matches_brute_force_on_1000_random_groups(self):
         for _ in range(1000):
             d = int(RNG.integers(1, 7))
             x = RNG.normal(size=d) * RNG.choice([0.1, 1.0, 10.0])
-            assert_allclose(project_one_hot(x), brute_nearest(x, False),
-                            atol=1e-12)
-            assert_allclose(project_one_hot_or_zero(x), brute_nearest(x, True),
-                            atol=1e-12)
+            for allow_zero in (False, True):
+                assert_allclose(single_group(d, allow_zero)(x),
+                                brute_nearest(x, allow_zero), atol=1e-12)
 
     def test_one_hot_picks_first_argmax(self):
-        assert_allclose(project_one_hot(np.array([0.2, 0.4, 0.4])),
+        assert_allclose(single_group(3, False)(np.array([0.2, 0.4, 0.4])),
                         [0.0, 1.0, 0.0])
 
     def test_at_most_one_below_half_gives_zero(self):
-        assert_allclose(project_one_hot_or_zero(np.array([0.2, 0.3])),
+        assert_allclose(single_group(2, True)(np.array([0.2, 0.3])),
                         [0.0, 0.0])
 
     def test_at_most_one_above_half_gives_spike(self):
-        assert_allclose(project_one_hot_or_zero(np.array([0.6, 0.3])),
+        assert_allclose(single_group(2, True)(np.array([0.6, 0.3])),
                         [1.0, 0.0])
 
     def test_at_most_one_boundary_prefers_spike(self):
         # at max exactly 1/2 both candidates are equidistant; spike wins
-        assert_allclose(project_one_hot_or_zero(np.array([0.5, 0.1])),
+        assert_allclose(single_group(2, True)(np.array([0.5, 0.1])),
                         [1.0, 0.0])
 
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_outputs_are_idempotent_binary(self, vals):
         x = np.array(vals)
-        for proj in (project_one_hot, project_one_hot_or_zero):
+        for allow_zero in (False, True):
+            proj = single_group(len(x), allow_zero)
             y = proj(x)
             assert set(np.unique(y)) <= {0.0, 1.0}
             assert np.array_equal(proj(y), y)
@@ -80,24 +83,75 @@ def enumerate_cells(s):
             for i in range(s) for j in range(s) for k in range(s)}
 
 
+def rows(table):
+    """The groups of an index table as tuples, with the -1 padding dropped."""
+    return [tuple(int(i) for i in row if i >= 0) for row in table]
+
+
 def is_partition(groups, n):
-    seen = sorted(itertools.chain.from_iterable(groups))
+    seen = sorted(itertools.chain.from_iterable(rows(groups)))
     return seen == list(range(n))
+
+
+def padded(groups, width):
+    return np.array([list(g) + [-1] * (width - len(g)) for g in groups])
+
+
+def oracle_sudoku_groups(s, kind):
+    """Loop enumeration of one sudoku family, in the builders' order."""
+    c, b, r = enumerate_cells(s), math.isqrt(s), range(s)
+    if kind == "row":
+        return [[c[i, j, k] for i in r] for j in r for k in r]
+    if kind == "column":
+        return [[c[i, j, k] for j in r] for i in r for k in r]
+    if kind == "pillar":
+        return [[c[i, j, k] for k in r] for i in r for j in r]
+    return [[c[i, j, k] for i in range(bi * b, bi * b + b)
+             for j in range(bj * b, bj * b + b)]
+            for k in r for bi in range(b) for bj in range(b)]
+
+
+def oracle_queens_groups(s, kind):
+    """Loop enumeration of one queens family, in the builders' order."""
+    r = range(s)
+    if kind == "row":
+        return [[i * s + j for j in r] for i in r]
+    if kind == "column":
+        return [[i * s + j for i in r] for j in r]
+    if kind == "antidiag":
+        return [[i * s + t - i for i in r if 0 <= t - i < s]
+                for t in range(2 * s - 1)]
+    return [[i * s + i - d for i in r if 0 <= i - d < s]
+            for d in range(1 - s, s)]
+
+
+def test_builders_return_the_oracle_tables():
+    # same groups, same order within a group, padding at the right end
+    for s in (4, 9):
+        for kind in ("row", "column", "pillar", "block"):
+            assert np.array_equal(sudoku_groups(s, kind),
+                                  oracle_sudoku_groups(s, kind))
+    for s in range(4, 10):
+        for kind in ("row", "column", "antidiag", "diag"):
+            assert np.array_equal(queens_groups(s, kind),
+                                  padded(oracle_queens_groups(s, kind), s))
 
 
 class TestSudokuGroups:
     def test_cell_index_formula(self):
+        # the pillar table lists the cube in (i, j, k) order
         cells = enumerate_cells(4)
+        pillar = sudoku_groups(4, "pillar")
         for (i, j, k), idx in cells.items():
-            assert sudoku_cell_index(4, i, j, k) == idx
+            assert pillar[4 * i + j, k] == idx
 
     def test_row_group_at_j0_k0(self):
         # ((i*4)+0)*4+0 for i = 0..3
-        groups = sudoku_groups(4, "row")
-        assert sorted(g for g in groups if 0 in g)[0] == (0, 16, 32, 48)
+        groups = rows(sudoku_groups(4, "row"))
+        assert [g for g in groups if 0 in g] == [(0, 16, 32, 48)]
 
     def test_pillar_group_is_contiguous(self):
-        groups = sudoku_groups(4, "pillar")
+        groups = rows(sudoku_groups(4, "pillar"))
         assert groups[0] == (0, 1, 2, 3)
 
     def test_groups_match_enumeration_oracle(self):
@@ -112,7 +166,7 @@ class TestSudokuGroups:
                 want = {}
                 for (i, j, k), idx in cells.items():
                     want.setdefault(key(i, j, k), []).append(idx)
-                got = {tuple(sorted(g)) for g in sudoku_groups(s, kind)}
+                got = {tuple(sorted(g)) for g in rows(sudoku_groups(s, kind))}
                 assert got == {tuple(sorted(v)) for v in want.values()}
 
     def test_block_groups_match_enumeration_oracle(self):
@@ -121,7 +175,8 @@ class TestSudokuGroups:
             want = {}
             for (i, j, k), idx in enumerate_cells(s).items():
                 want.setdefault((i // b, j // b, k), []).append(idx)
-            got = {tuple(sorted(g)) for g in sudoku_groups(s, "block")}
+            got = {tuple(sorted(g))
+                   for g in rows(sudoku_groups(s, "block"))}
             assert got == {tuple(sorted(v)) for v in want.values()}
 
     def test_each_kind_partitions_the_cube(self):
@@ -129,7 +184,7 @@ class TestSudokuGroups:
             for kind in ("row", "column", "pillar", "block"):
                 groups = sudoku_groups(s, kind)
                 assert len(groups) == s * s
-                assert all(len(g) == s for g in groups)
+                assert all(len(g) == s for g in rows(groups))
                 assert is_partition(groups, s ** 3)
 
     def test_unknown_kind_rejected(self):
@@ -143,11 +198,11 @@ class TestSudokuGroups:
 
 class TestQueensGroups:
     def test_main_diagonal_group(self):
-        groups = queens_groups(4, "diag")
+        groups = rows(queens_groups(4, "diag"))
         assert (0, 5, 10, 15) in {tuple(sorted(g)) for g in groups}
 
     def test_antidiagonal_group(self):
-        groups = queens_groups(4, "antidiag")
+        groups = rows(queens_groups(4, "antidiag"))
         # i + j = 3 runs corner to corner
         assert (3, 6, 9, 12) in {tuple(sorted(g)) for g in groups}
 
@@ -160,12 +215,12 @@ class TestQueensGroups:
                 assert is_partition(groups, s * s)
 
     def test_rows_match_oracle(self):
-        got = {tuple(sorted(g)) for g in queens_groups(4, "row")}
+        got = {tuple(sorted(g)) for g in rows(queens_groups(4, "row"))}
         want = {tuple(4 * i + j for j in range(4)) for i in range(4)}
         assert got == want
 
     def test_diagonal_lengths(self):
-        lens = sorted(len(g) for g in queens_groups(5, "diag"))
+        lens = sorted(len(g) for g in rows(queens_groups(5, "diag")))
         assert lens == [1, 1, 2, 2, 3, 3, 4, 4, 5]
 
 
@@ -175,7 +230,7 @@ class TestQueensGroups:
 class TestGroupProjection:
     def ref_apply(self, groups, x, allow_zero):
         out = x.copy()
-        for g in groups:
+        for g in rows(groups):
             out[list(g)] = brute_nearest(x[list(g)], allow_zero)
         return out
 
@@ -199,11 +254,11 @@ class TestGroupProjection:
     def test_group_sums(self):
         proj = GroupProjection(sudoku_groups(4, "row"), 64, allow_zero=False)
         y = proj(RNG.normal(size=64))
-        for g in sudoku_groups(4, "row"):
+        for g in rows(sudoku_groups(4, "row")):
             assert y[list(g)].sum() == 1.0
         amo = GroupProjection(queens_groups(4, "antidiag"), 16, allow_zero=True)
         y = amo(RNG.uniform(-1, 1, size=16))
-        for g in queens_groups(4, "antidiag"):
+        for g in rows(queens_groups(4, "antidiag")):
             assert y[list(g)].sum() in (0.0, 1.0)
 
     def test_identity_off_groups(self):
@@ -226,6 +281,26 @@ class TestGroupProjection:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
             GroupProjection([(0, 9)], 4)
+        with pytest.raises(ValueError):
+            GroupProjection([(0, -2)], 4)
+
+    def test_padding_entries_are_skipped(self):
+        padded_proj = GroupProjection([(0, 1), (2, -1)], 4, allow_zero=True)
+        x = np.array([0.2, 0.9, 0.7, 5.0])
+        assert_allclose(padded_proj(x), [0.0, 1.0, 1.0, 5.0])
+        assert_allclose(padded_proj(np.array([0.1, 0.2, 0.3, 0.4])),
+                        [0.0, 0.0, 0.0, 0.4])
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            GroupProjection([(0, 1), (-1, -1)], 4)
+
+    def test_table_must_be_two_dimensional(self):
+        for table in ((0, 1, 2), [[(0, 1)], [(2, 3)]]):
+            with pytest.raises(ValueError, match="2-D"):
+                GroupProjection(table, 4)
+        with pytest.raises(ValueError):             # ragged rows
+            GroupProjection([(0, 1), (2,)], 4)
 
     def test_random_tie_break_is_seeded_and_valid(self):
         groups = [(0, 1, 2, 3)]
@@ -276,12 +351,18 @@ class TestClueProjection:
         assert np.array_equal(proj(proj(x)), proj(x))
         mask = proj.free_mask
         assert mask.sum() == 64 - 4
-        assert not mask[sudoku_cell_index(4, 1, 2, 0):
-                        sudoku_cell_index(4, 1, 2, 3) + 1].any()
+        cells = enumerate_cells(4)
+        assert not mask[[cells[1, 2, k] for k in range(4)]].any()
 
     def test_duplicate_cell_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="clued twice"):
             ClueProjection(4, [(0, 0, 1), (0, 0, 2)])
+
+    @pytest.mark.parametrize("clue", [(-1, 0, 2), (0, -1, 2), (0, 0, -1),
+                                      (4, 0, 2), (0, 4, 2), (0, 0, 4)])
+    def test_out_of_range_clue_rejected(self, clue):
+        with pytest.raises(ValueError, match="out of range"):
+            ClueProjection(4, [(1, 1, 1), clue])
 
 
 class TestCircleProjection:

@@ -8,6 +8,14 @@ runs that keep snapshots (seed 0, and the circle/line pair), the residuals
 against the final iterate.  Any change to the arithmetic of a step, the
 consensus average or a projection changes a digest; a refactor must not.
 
+PINNED_RANDOM_TIES covers tie_break="random" (tie_seed 0) from seed 0,
+once from the uniform start and once from that start rounded to 0/1.  The
+uniform-start digests equal the lowest-index ones: no exact tie there
+changes a winner.  The 0/1 start meets exact ties from the first step, so
+its digests differ from the lowest-index runs and pin the tie-break
+stream, which draws one uniform per cell of each projection's padded index
+table.
+
 The digests are of the raw float64 bytes.  The z-step and residual norms
 go through numpy's dot product, so a BLAS build with a different
 summation order can move their last bits.
@@ -38,9 +46,9 @@ METHODS = {
 }
 
 PROBLEMS = {
-    "4x4": lambda: sudoku_problem(bundled_sudoku("4x4")),
-    "9x9-37": lambda: sudoku_problem(bundled_sudoku("9x9-37")),
-    "queens-8": lambda: queens_problem(QueensInstance(8)),
+    "4x4": lambda **ties: sudoku_problem(bundled_sudoku("4x4"), **ties),
+    "9x9-37": lambda **ties: sudoku_problem(bundled_sudoku("9x9-37"), **ties),
+    "queens-8": lambda **ties: queens_problem(QueensInstance(8), **ties),
 }
 
 PINNED = {
@@ -136,6 +144,25 @@ PINNED = {
     ],
 }
 
+PINNED_RANDOM_TIES = {
+    "ddr0.2.queens-8": [
+        "4254100eb489f2123a24cd5b4942c5abd6d99e990288f9146c5ab5761ac9e2e0",
+        "3cab4b33041a665618faf071bfab54241b6246ec01866345c58525e9b3fc6d80",
+    ],
+    "sdr.4x4": [
+        "7b48e4887b33853ef6103fcd632b577c31f309d4ad0a6c4f4c38f246a7043e4c",
+        "5d19a14816d17634e30f947800e9e32b217b4a6131414d76119955cc6f3e9977",
+    ],
+    "sdr.9x9-37": [
+        "01f9d4171b312a59a0ef8bada6497f97965ac7ec45709c6bba0a760973ec413a",
+        "9338d1f3fe2541739f9bd72858d561e88ab131f4b7b9e2c4077e08a578ef7000",
+    ],
+    "sdr.queens-8": [
+        "7ae4a8598e87f5c275990ef8fbfc5637dd1674cdd37c5956ba89106bde4ff263",
+        "76b6734de5b692d88d1e5c20f6f0da1f0496b85f28cad4be27dd9dd9445567ed",
+    ],
+}
+
 
 def digest(res, snapshots):
     h = hashlib.sha256(f"{res.outcome} {res.iterations}".encode())
@@ -152,11 +179,14 @@ def digest(res, snapshots):
     return h.hexdigest()
 
 
-def puzzle_digest(name, method, seed):
-    problem = PROBLEMS[name]()
+def puzzle_digest(name, method, seed, binary_start=False, **ties):
+    problem = PROBLEMS[name](**ties)
     kind, gamma = METHODS[method]
+    z0 = problem.initial_state(seed)
+    if binary_start:
+        z0 = np.round(z0)
     res = run(product_step(problem.projections, kind, gamma=gamma),
-              problem.initial_state(seed), POLICY, feasible=problem.feasible,
+              z0, POLICY, feasible=problem.feasible,
               keep_iterates=seed == 0)
     return digest(res, seed == 0)
 
@@ -180,3 +210,19 @@ def test_puzzle_trajectories_are_pinned(name, method):
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_circle_line_trajectory_is_pinned(method):
     assert [circle_line_digest(method)] == PINNED[f"{method}.circle-line"]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_RANDOM_TIES))
+def test_random_tie_trajectories_are_pinned(key):
+    method, name = key.rsplit(".", 1)
+    got = [puzzle_digest(name, method, 0, binary_start=start,
+                         tie_break="random", tie_seed=0)
+           for start in (False, True)]
+    assert got == PINNED_RANDOM_TIES[key]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_RANDOM_TIES))
+def test_binary_start_meets_ties(key):
+    method, name = key.rsplit(".", 1)
+    lowest = puzzle_digest(name, method, 0, binary_start=True)
+    assert lowest != PINNED_RANDOM_TIES[key][1]
