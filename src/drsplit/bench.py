@@ -1,6 +1,11 @@
 """Seeded benchmark batches over puzzle instances, with an optional
 process pool.  Run i always uses seed base_seed + i, so a batch is
 reproducible regardless of how it was parallelized.
+
+Under the lowest-index tie-break each worker builds one problem and steps
+its share of the seeds together, through `splitting.run_batch`.  Random
+ties give each run's projections their own seeded stream, which rows of a
+shared batch would interleave, so those runs go one by one through `run`.
 """
 
 import csv
@@ -12,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .puzzles import build_problem
-from .splitting import FEASIBLE, product_step, run
+from .splitting import FEASIBLE, product_step, run, run_batch
 
 __all__ = [
     "BenchRecord",
@@ -21,6 +26,15 @@ __all__ = [
     "read_bench_csv",
     "resolve_workers",
 ]
+
+
+# Bytes of one (rows, blocks, n) float64 state a batch may hold, which caps
+# its rows by the problem's size: 512 queens-8 runs, 35 9x9 runs.  A step
+# makes several arrays of that size at once, and each pool worker holds
+# its own batch.  Twice this budget held 750 queens-8 runs in one batch and
+# raised the pooled queens table's peak RSS by 8%; larger batches step
+# faster, since more runs share each call's fixed cost.
+BATCH_BYTES = 2 ** 20
 
 
 def resolve_workers(requested, runs):
@@ -114,7 +128,8 @@ def read_bench_csv(path):
 
 
 def _bench_one(task):
-    """Worker body; module level so it pickles into a process pool."""
+    """Worker body of one random-tie run; module level so it pickles into
+    a process pool."""
     instance, method, gamma, policy, tie_break, run_id, seed = task
     problem = build_problem(instance, tie_break=tie_break, tie_seed=seed)
     step = product_step(problem.projections, method, gamma=gamma)
@@ -122,23 +137,57 @@ def _bench_one(task):
     res = run(step, problem.initial_state(seed), policy,
               feasible=problem.feasible)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    return BenchRecord(run_id=run_id, seed=seed, outcome=res.outcome,
-                       iterations=res.iterations, wall_ms=wall_ms)
+    return [BenchRecord(run_id=run_id, seed=seed, outcome=res.outcome,
+                        iterations=res.iterations, wall_ms=wall_ms)]
+
+
+def _bench_batch(task):
+    """Worker body of a lowest-index tie-break share: one problem, its
+    seeds stepped by `run_batch` in as few equal batches as BATCH_BYTES
+    allows.  A record's wall_ms is its share of its batch's stepping time.
+    """
+    instance, method, gamma, policy, run_ids, seeds = task
+    problem = build_problem(instance)
+    step = product_step(problem.projections, method, gamma=gamma)
+    rows = max(1, BATCH_BYTES // (8 * problem.n_blocks * problem.ambient_dim))
+    n_batches = -(-len(seeds) // rows)
+    records = []
+    for b in range(n_batches):
+        batch = seeds[b::n_batches]
+        z0s = np.stack([problem.initial_state(seed) for seed in batch])
+        results = run_batch(step, z0s, policy, problem.feasible)
+        records += [BenchRecord(run_id=run_id, seed=seed, outcome=outcome,
+                                iterations=iterations, wall_ms=wall_s * 1e3)
+                    for run_id, seed, (outcome, iterations, wall_s)
+                    in zip(run_ids[b::n_batches], batch, results)]
+    return records
 
 
 def bench_puzzle(instance, method, gamma, policy, runs, base_seed=0,
                  workers=None, tie_break="lowest"):
-    """Run the same instance from `runs` consecutive seeds.  Each run
-    builds its problem with its own seed as the tie-break seed."""
+    """Run the same instance from `runs` consecutive seeds.  Under the
+    lowest-index tie-break, worker w of n steps runs w, w + n, ... as one
+    batch; under random ties each run builds its problem with its own
+    seed as the tie-break seed."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     t0 = time.perf_counter()
     n_workers = resolve_workers(workers, runs)
-    tasks = [(instance, method, gamma, policy, tie_break, i, base_seed + i)
-             for i in range(runs)]
+    run_ids = list(range(runs))
+    seeds = [base_seed + i for i in run_ids]
+    if tie_break == "lowest":
+        work = _bench_batch
+        tasks = [(instance, method, gamma, policy, run_ids[w::n_workers],
+                  seeds[w::n_workers]) for w in range(n_workers)]
+    else:
+        work = _bench_one
+        tasks = [(instance, method, gamma, policy, tie_break, i, seed)
+                 for i, seed in zip(run_ids, seeds)]
     if n_workers == 1:
-        records = [_bench_one(t) for t in tasks]
+        shares = [work(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(_bench_one, tasks))
+            shares = list(pool.map(work, tasks))
+    records = sorted((r for share in shares for r in share),
+                     key=lambda r: r.run_id)
     return BenchReport(records, batch_wall_s=time.perf_counter() - t0)

@@ -91,6 +91,10 @@ class GroupProjection:
     share one table; the tie-breaks read a row in table order, so pad on the
     right.  Groups must be non-empty and disjoint; coordinates outside every
     group pass through unchanged.
+
+    A call projects one vector of shape (n,) or each row of a (runs, n)
+    batch; each row comes out as it would alone, except that a random
+    tie-break draws the whole batch's uniforms from one stream.
     """
 
     def __init__(self, groups, n, allow_zero=False, tie_break="lowest",
@@ -123,28 +127,38 @@ class GroupProjection:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        vals = np.where(self._mask, x[self._idx], -np.inf)
+        gathered = x[:, self._idx] if x.ndim > 1 else x[self._idx]
+        vals = np.where(self._mask, gathered, -np.inf)
         if self._rng is None:
-            amax = np.argmax(vals, axis=1)
+            amax = np.argmax(vals, axis=-1)
         else:
-            vmax = vals.max(axis=1, keepdims=True)
+            vmax = vals.max(axis=-1, keepdims=True)
             ties = vals == vmax
             keys = np.where(ties, self._rng.random(vals.shape), -1.0)
-            amax = np.argmax(keys, axis=1)
+            amax = np.argmax(keys, axis=-1)
         out = x.copy()
-        out[self._covered] = 0.0
         winners = self._idx[self._rows, amax]
+        if x.ndim == 1:
+            out[self._covered] = 0.0
+            flat, rows = out, self._rows
+        else:       # a batch as one vector: flat indices into the C copy
+            out[:, self._covered] = 0.0
+            flat = out.reshape(-1)
+            winners = (winners + self.n * np.arange(len(x))[:, None]).ravel()
+            vals = vals.reshape(-1, vals.shape[-1])
+            amax = amax.ravel()
+            rows = np.arange(len(vals))
         if self.allow_zero:
-            spike = vals[self._rows, amax] >= 0.5
-            out[winners[spike]] = 1.0
-        else:
-            out[winners] = 1.0
+            winners = winners[vals[rows, amax] >= 0.5]
+        flat[winners] = 1.0
         return out
 
 
 class ClueProjection:
     """Affine clamp of clued pillars: cell (i, j) fixed to digit k means the
-    pillar (i, j, :) is replaced by e_k; everything else passes through."""
+    pillar (i, j, :) is replaced by e_k; everything else passes through.
+    A call clamps one vector of shape (n,) or each row of a (runs, n) batch.
+    """
 
     def __init__(self, s, clues):
         _check_side(s)
@@ -163,15 +177,15 @@ class ClueProjection:
         free[cells] = False
         self.s = s
         self.clues = tuple(clues)
-        self._values = values.ravel()
         self._free = free.ravel()
+        self._fixed = np.flatnonzero(~self._free)
+        self._fixed_values = values.ravel()[self._fixed]
 
     @property
     def free_mask(self):
         return self._free.copy()
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = x.copy()
-        out[~self._free] = self._values[~self._free]
+        out = np.array(x, dtype=float)
+        out[..., self._fixed] = self._fixed_values
         return out

@@ -18,6 +18,7 @@ import numpy as np
 from .constraints import (
     ClueProjection,
     GroupProjection,
+    _check_side,
     project_unit_sphere,
     queens_groups,
     sudoku_groups,
@@ -66,10 +67,10 @@ class InvalidInstanceError(ValueError):
 
 
 def _box_side(s):
-    b = math.isqrt(s)
-    if s < 4 or b * b != s:
-        raise InvalidInstanceError(f"size {s} must be a perfect square >= 4")
-    return b
+    try:
+        return _check_side(s)
+    except ValueError as exc:
+        raise InvalidInstanceError(str(exc)) from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,9 +138,11 @@ def parse_sudoku(text):
         raise ParseError(
             f"line {rows[-1][0]}: expected {s} rows to match the "
             f"{s}-entry first row, got {len(rows)}", line=rows[-1][0])
-    b = math.isqrt(s)
-    if s < 4 or b * b != s:
-        raise ParseError(f"side {s} is not a perfect square >= 4")
+    try:
+        _check_side(s)
+    except ValueError as exc:
+        raise ParseError(f"line {rows[0][0]}: {exc}",
+                         line=rows[0][0]) from None
     clues = []
     for i, (lineno, raw) in enumerate(rows):
         matches = list(_TOKEN.finditer(raw))
@@ -265,9 +268,17 @@ def validate_queens(board, inst):
 # ---------------------------------------------------------------------------
 # problem assembly
 
-def _distinct(keys):
-    """True when no key repeats (keys are small non-negative ints)."""
-    return bool(np.count_nonzero(np.bincount(keys.ravel())) == keys.size)
+def _distinct(keys, span):
+    """True when no key repeats in a (lines, m) table of ints in [0, span).
+    For a (runs, lines, m) batch, one bool per run from one bincount, with
+    run r's keys shifted to [r * span, (r + 1) * span)."""
+    if keys.ndim == 2:
+        return bool(np.count_nonzero(np.bincount(keys.ravel())) == keys.size)
+    runs = len(keys)
+    keys = keys.reshape(runs, -1) + span * np.arange(runs)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=runs * span)
+    used = np.bincount(np.flatnonzero(counts) // span, minlength=runs)
+    return used == keys.shape[1]
 
 
 def _sudoku_line_keys(s):
@@ -281,10 +292,16 @@ def _sudoku_line_keys(s):
 def sudoku_feasible(v, s, line_keys, clue_cells, clue_digits):
     """``validate_sudoku(round_cube(v, s), inst)[0]`` without the Python
     loops: the rounded grid holds the clue digit at every clue cell (flat
-    indices `clue_cells`) and each digit once per row, column and box."""
-    g = np.asarray(v).reshape(s, s, s).argmax(axis=2).ravel()
-    return (not np.count_nonzero(g[clue_cells] != clue_digits)
-            and _distinct(g + line_keys))
+    indices `clue_cells`) and each digit once per row, column and box.
+    v is one cube of shape (s**3,), answered by a bool, or a (runs, s**3)
+    batch, answered by a bool array."""
+    v = np.asarray(v)
+    g = v.reshape(v.shape[:-1] + (s * s, s)).argmax(axis=-1)
+    if v.ndim == 1:
+        return (not np.count_nonzero(g[clue_cells] != clue_digits)
+                and _distinct(g + line_keys, 3 * s * s))
+    return ((g[:, clue_cells] == clue_digits).all(axis=1)
+            & _distinct(g[:, None, :] + line_keys, 3 * s * s))
 
 
 def _queens_line_keys(s):
@@ -299,9 +316,12 @@ def queens_feasible(v, s, line_keys):
     """``validate_queens(round_board(v, s), inst)[0]`` without the Python
     loops: rounding puts one queen per row, at column cols[i], so the
     board is valid iff the columns, the antidiagonals i + j and the
-    diagonals i - j are each distinct."""
-    cols = np.asarray(v).reshape(s, s).argmax(axis=1)
-    return _distinct(cols + line_keys)
+    diagonals i - j are each distinct.  v is one board of shape (s*s,),
+    answered by a bool, or a (runs, s*s) batch, answered by a bool array.
+    """
+    v = np.asarray(v)
+    cols = v.reshape(v.shape[:-1] + (1, s, s)).argmax(axis=-1)
+    return _distinct(cols + line_keys, 5 * s)
 
 
 @dataclasses.dataclass

@@ -11,13 +11,16 @@ A many-set problem runs the same two-set steps on the product space
 (Gravel & Elser's "divide and concur"): z has one row per constraint set,
 the first set is the consensus diagonal, reached by the row mean, whose
 single row broadcasts against z, and the second is the product of the
-sets, each applied to its own row.
+sets, each applied to its own row.  A batch of product-space runs adds a
+leading run axis, z of shape (runs, blocks, n), which the same steps
+carry through when the set projections accept (runs, n) rows.
 """
 
 import csv
 import dataclasses
 import functools
 import math
+import time
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "product_step",
     "read_trace_csv",
     "run",
+    "run_batch",
     "two_set_step",
 ]
 
@@ -101,13 +105,18 @@ def two_set_step(pa, pb, method, gamma=None):
 
 
 def _consensus(z):
-    return z.mean(axis=0)
+    """Mean of the block rows of z (blocks, n); for a (runs, blocks, n)
+    batch, each run's mean as a (runs, 1, n) array that broadcasts
+    against z."""
+    return z.mean(axis=0) if z.ndim == 2 else z.mean(axis=1, keepdims=True)
 
 
 def _stacked(blocks, z):
     out = np.empty_like(z)
+    # block-major views: (blocks, n), or (blocks, runs, n) for a batch
+    z_rows, out_rows = z.swapaxes(0, -2), out.swapaxes(0, -2)
     for i, proj in enumerate(blocks):
-        out[i] = proj(z[i])
+        out_rows[i] = proj(z_rows[i])
     return out
 
 
@@ -310,3 +319,64 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
                 break
     return RunResult(outcome=outcome, iterations=k, z=z, x=x, u=u,
                      candidate=candidate, trace=trace)
+
+
+def _row_norms(d):
+    """np.linalg.norm of each row of d, bit for bit: the norm of a vector
+    is the square root of its BLAS dot with itself, which a batched sum of
+    squares would not reproduce."""
+    return np.sqrt([row.dot(row) for row in d])
+
+
+def run_batch(step, z0s, policy, feasible):
+    """Iterate a product-space step over a batch of runs at once.
+
+    z0s has shape (runs, blocks, n), one start per run; `step` and
+    `feasible` must accept the leading run axis, as the steps of
+    `product_step` over the projections of a `Problem`, and its
+    `feasible`, do.  Each run stops by the rule of `run`, at the same
+    iteration and with the same outcome, and leaves the batch then; the
+    runs still active are stepped as one array.  No trace is kept.
+
+    Returns one (outcome, iterations, wall_s) tuple per run, in input
+    order.  wall_s is the run's share of the batch's stepping time: each
+    iteration's wall time is split evenly among the runs active in it, so
+    the shares of one batch sum to its stepping wall time.
+    """
+    z = np.array(z0s, dtype=float)
+    if z.ndim != 3:
+        raise ValueError(f"z0s must have shape (runs, blocks, n), got "
+                         f"{z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("initial state contains non-finite entries")
+    outcomes = [MAX_ITER] * len(z)
+    iterations = [policy.max_iter] * len(z)
+    wall = np.zeros(len(z))
+    active = np.arange(len(z))
+    t = time.perf_counter()
+    k = 0
+    while active.size and k < policy.max_iter:
+        k += 1
+        z_new = step(z)[0]
+        steps = _row_norms((z_new - z).reshape(len(z), -1))
+        finite = np.isfinite(steps)
+        stop = ~finite
+        found = np.zeros(len(z), dtype=bool)
+        if k >= policy.min_iter:
+            stalled = finite & (steps <= policy.z_step_tol)
+            asked = finite if policy.stop_on_feasible else stalled
+            if asked.any():     # the mean of z going into the step
+                found[asked] = feasible(z[asked].mean(axis=1))
+            stop |= found | stalled
+        for r in np.flatnonzero(stop):
+            iterations[active[r]] = k
+            outcomes[active[r]] = (NON_FINITE if not finite[r] else
+                                   FEASIBLE if found[r] else STALLED)
+        stepped = active
+        if stop.any():
+            z_new, active = z_new[~stop], active[~stop]
+        z = z_new
+        now = time.perf_counter()
+        wall[stepped] += (now - t) / len(stepped)
+        t = now
+    return list(zip(outcomes, iterations, wall.tolist()))

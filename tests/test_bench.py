@@ -4,8 +4,8 @@ import pytest
 import drsplit.bench
 from drsplit.bench import BenchReport, bench_puzzle, read_bench_csv, resolve_workers
 from drsplit.cli import main
-from drsplit.puzzles import QueensInstance, bundled_sudoku
-from drsplit.splitting import StopPolicy
+from drsplit.puzzles import QueensInstance, build_problem, bundled_sudoku
+from drsplit.splitting import StopPolicy, product_step, run
 
 
 class TestWorkerResolution:
@@ -41,15 +41,38 @@ class TestBench:
                                                      for r in b.records]
 
     def test_parallel_equals_serial(self):
-        inst = QueensInstance(5)
-        a = bench_puzzle(inst, "sdr", None, StopPolicy(), runs=6, base_seed=0,
-                         workers=1)
-        b = bench_puzzle(inst, "sdr", None, StopPolicy(), runs=6, base_seed=0,
-                         workers=2)
-        assert [(r.run_id, r.seed, r.outcome, r.iterations)
-                for r in a.records] == \
-               [(r.run_id, r.seed, r.outcome, r.iterations)
-                for r in b.records]
+        # 7 runs split unevenly: worker 0 steps 4 of them, worker 1 three
+        for inst, runs in [(QueensInstance(5), 6), (QueensInstance(6), 7),
+                           (bundled_sudoku("4x4"), 7)]:
+            a = bench_puzzle(inst, "sdr", None, StopPolicy(), runs=runs,
+                             base_seed=0, workers=1)
+            b = bench_puzzle(inst, "sdr", None, StopPolicy(), runs=runs,
+                             base_seed=0, workers=2)
+            assert [(r.run_id, r.seed, r.outcome, r.iterations)
+                    for r in a.records] == \
+                   [(r.run_id, r.seed, r.outcome, r.iterations)
+                    for r in b.records]
+            assert [r.run_id for r in b.records] == list(range(runs))
+
+    def test_batched_records_equal_single_runs(self):
+        inst = QueensInstance(6)
+        rep = bench_puzzle(inst, "sdr", None, StopPolicy(), runs=7,
+                           base_seed=3, workers=1)
+        prob = build_problem(inst)
+        step = product_step(prob.projections, "sdr")
+        want = []
+        for seed in range(3, 10):
+            res = run(step, prob.initial_state(seed), StopPolicy(),
+                      feasible=prob.feasible)
+            want.append((seed, res.outcome, res.iterations))
+        assert [(r.seed, r.outcome, r.iterations) for r in rep.records] \
+            == want
+
+    def test_lowest_tie_batch_builds_one_problem_per_worker(self,
+                                                           build_calls):
+        bench_puzzle(QueensInstance(5), "sdr", None, StopPolicy(), runs=7,
+                     base_seed=0, workers=1)
+        assert build_calls == [("lowest", None)]
 
     def test_seeds_offset_from_base(self):
         inst = QueensInstance(4)
@@ -76,10 +99,14 @@ class TestBench:
             assert rep.median_iterations == float(np.median(iters))
 
     def test_batch_wall_time_is_reported(self):
-        rep = bench_puzzle(QueensInstance(5), "sdr", None, StopPolicy(),
-                           runs=3, base_seed=0, workers=1)
-        # a serial batch runs every record inside its own wall time
-        assert rep.batch_wall_s >= sum(r.wall_ms for r in rep.records) / 1e3
+        for tie_break in ("lowest", "random"):
+            rep = bench_puzzle(QueensInstance(5), "sdr", None, StopPolicy(),
+                               runs=3, base_seed=0, workers=1,
+                               tie_break=tie_break)
+            assert all(r.wall_ms > 0 for r in rep.records)
+            # a serial batch runs every record inside its own wall time
+            assert rep.batch_wall_s >= \
+                sum(r.wall_ms for r in rep.records) / 1e3
         text = rep.summary()
         assert text.endswith(f" batch_wall_s={rep.batch_wall_s:.2f}")
         assert "total_wall_s=" in text

@@ -14,6 +14,7 @@ from drsplit.constraints import (
     queens_groups,
     sudoku_groups,
 )
+from drsplit.puzzles import bundled_sudoku
 
 RNG = np.random.default_rng(99)
 
@@ -363,6 +364,76 @@ class TestClueProjection:
     def test_out_of_range_clue_rejected(self, clue):
         with pytest.raises(ValueError, match="out of range"):
             ClueProjection(4, [(1, 1, 1), clue])
+
+
+# ---------------------------------------------------------------------------
+# a leading run axis: each batch row equals the single-vector call, bitwise
+
+def batch_rows(n, rows, seed):
+    """(rows, n) batch mixing uniform, tie-heavy, NaN-holed and 0/1 rows."""
+    rng = np.random.default_rng(seed)
+    out = rng.uniform(-0.5, 1.5, size=(rows, n))
+    for r in range(rows):
+        kind = rng.integers(4)
+        if kind == 1:       # few distinct values: exact ties in every group
+            out[r] = rng.integers(0, 3, n) / 2.0
+        elif kind == 2:
+            out[r, rng.integers(n, size=rng.integers(1, 4))] = np.nan
+        elif kind == 3:     # already a 0/1 point, as a solved run's block
+            out[r] = rng.integers(0, 2, n).astype(float)
+    return out
+
+
+BATCH_TABLES = {
+    **{f"sudoku-{s}-{kind}": (sudoku_groups(s, kind), s ** 3, False)
+       for s in (4, 9) for kind in ("row", "column", "pillar", "block")},
+    **{f"queens-{s}-{kind}": (queens_groups(s, kind), s * s,
+                              kind in ("antidiag", "diag"))
+       for s in (5, 8) for kind in ("row", "column", "antidiag", "diag")},
+    "queens-8-diag-one-hot": (queens_groups(8, "diag"), 64, False),
+    "queens-8-row-or-zero": (queens_groups(8, "row"), 64, True),
+}
+
+
+def assert_rows_match(proj, batch):
+    # a strided (runs, n) view, as a product-space block slice is
+    stacked = np.stack([batch, batch[::-1]], axis=1)[:, 0]
+    got = proj(stacked)
+    assert got.shape == batch.shape
+    want = np.stack([proj(row) for row in batch])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestRunAxis:
+    @given(st.sampled_from(sorted(BATCH_TABLES)), st.integers(1, 9),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_group_projection_rows_equal_single_calls(self, label, rows,
+                                                      seed):
+        table, n, allow_zero = BATCH_TABLES[label]
+        proj = GroupProjection(table, n, allow_zero=allow_zero)
+        assert_rows_match(proj, batch_rows(n, rows, seed))
+
+    @given(st.sampled_from(["4x4", "9x9-37", "9x9-22"]), st.integers(1, 9),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_clue_projection_rows_equal_single_calls(self, key, rows, seed):
+        inst = bundled_sudoku(key)
+        proj = ClueProjection(inst.size, inst.clues)
+        assert_rows_match(proj, batch_rows(inst.size ** 3, rows, seed))
+
+    def test_padding_and_uncovered_coordinates_per_row(self):
+        proj = GroupProjection([(0, 1), (2, -1)], 5, allow_zero=True)
+        batch = np.array([[0.2, 0.9, 0.7, 5.0, -1.0],
+                          [0.1, 0.2, 0.3, 0.4, 2.0]])
+        assert_allclose(proj(batch), [[0.0, 1.0, 1.0, 5.0, -1.0],
+                                      [0.0, 0.0, 0.0, 0.4, 2.0]])
+
+    def test_single_vector_shape_is_kept(self):
+        proj = GroupProjection(queens_groups(5, "diag"), 25, allow_zero=True)
+        assert proj(RNG.normal(size=25)).shape == (25,)
+        clue = ClueProjection(4, [(0, 0, 2)])
+        assert clue(RNG.normal(size=64)).shape == (64,)
 
 
 class TestCircleProjection:

@@ -85,9 +85,11 @@ class TestParsing:
         assert e.value.line == 2
 
     def test_non_square_side_rejected(self):
-        bad = "\n".join([" ".join(["."] * 5)] * 5) + "\n"
-        with pytest.raises(ParseError):
+        bad = "\n" + "\n".join([" ".join(["."] * 5)] * 5) + "\n"
+        with pytest.raises(ParseError) as e:
             parse_sudoku(bad)
+        assert e.value.line == 2
+        assert str(e.value) == "line 2: side 5 must be a perfect square >= 4"
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError):
@@ -113,7 +115,8 @@ class TestParsing:
 
 class TestSudokuInstance:
     def test_rejects_bad_size(self):
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(InvalidInstanceError,
+                           match="side 5 must be a perfect square >= 4"):
             SudokuInstance(5, ())
         with pytest.raises(InvalidInstanceError):
             SudokuInstance(3, ())
@@ -409,6 +412,17 @@ class TestFeasibilityOracle:
         assert seen["solution"] == {True}
         assert seen["uniform"] == {False}
         assert True in seen["noisy"] and False in seen["noisy"]
+
+    @given(st.sampled_from(sorted(ORACLE_CASES)),
+           st.lists(st.sampled_from(ORACLE_KINDS), min_size=1, max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_answers_each_row(self, label, kinds, seed):
+        batch = np.stack([oracle_candidate(label, kind, seed + r)
+                          for r, kind in enumerate(kinds)])
+        got = oracle_case(label)[0].feasible(batch)
+        assert got.dtype == bool and got.shape == (len(kinds),)
+        assert got.tolist() == [slow_feasible(label, v) for v in batch]
 
     def test_answers_are_plain_bools(self):
         for label in ("queens-8", "9x9-37"):

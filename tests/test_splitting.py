@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drsplit.constraints import project_unit_sphere
@@ -26,6 +30,8 @@ from drsplit.splitting import (
     product_step,
     read_trace_csv,
     run,
+    _row_norms,
+    run_batch,
     two_set_step,
 )
 
@@ -290,6 +296,109 @@ class TestRun:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             run(product_step(prob.projections, "sdr"), bad, StopPolicy())
+
+
+# ---------------------------------------------------------------------------
+# the batched run against `run`, seed by seed
+
+BATCH_PROBLEMS = {
+    "4x4": lambda: sudoku_problem(bundled_sudoku("4x4")),
+    "9x9-37": lambda: sudoku_problem(bundled_sudoku("9x9-37")),
+    "queens-5": lambda: queens_problem(QueensInstance(5)),
+    "queens-8": lambda: queens_problem(QueensInstance(8)),
+}
+BATCH_METHODS = [("sdr", None), ("ddr", 0.2), ("ddr", np.inf),
+                 ("sdr-switched", None), ("altproj", None)]
+BATCH_POLICIES = [
+    StopPolicy(max_iter=150),
+    StopPolicy(max_iter=40, min_iter=0),
+    StopPolicy(max_iter=6, min_iter=2),
+    StopPolicy(max_iter=150, min_iter=0, z_step_tol=1e-6,
+               stop_on_feasible=False),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def batch_problem(key):
+    return BATCH_PROBLEMS[key]()
+
+
+def batch_against_run(key, method, gamma, policy, z0s):
+    """(run_batch's results, run's (outcome, iterations) per row)."""
+    prob = batch_problem(key)
+    step = product_step(prob.projections, method, gamma=gamma)
+    got = run_batch(step, z0s, policy, prob.feasible)
+    want = [(r.outcome, r.iterations) for r in
+            (run(step, z0, policy, feasible=prob.feasible) for z0 in z0s)]
+    return got, want
+
+
+def starts(key, seeds):
+    prob = batch_problem(key)
+    return np.stack([prob.initial_state(seed) for seed in seeds])
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize("key", sorted(BATCH_PROBLEMS))
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
+    def test_each_seed_as_run(self, key, method, gamma):
+        got, want = batch_against_run(key, method, gamma, BATCH_POLICIES[0],
+                                      starts(key, range(5)))
+        assert [(o, k) for o, k, _ in got] == want
+
+    @given(st.sampled_from(sorted(BATCH_PROBLEMS)),
+           st.sampled_from(BATCH_METHODS),
+           st.sampled_from(range(len(BATCH_POLICIES))),
+           st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_each_seed_as_run_under_every_policy(self, key, method, policy,
+                                                 seeds):
+        got, want = batch_against_run(key, *method, BATCH_POLICIES[policy],
+                                      starts(key, seeds))
+        assert [(o, k) for o, k, _ in got] == want
+
+    def test_rows_leave_at_their_own_iteration(self):
+        got, want = batch_against_run("queens-8", "sdr", None,
+                                      BATCH_POLICIES[0],
+                                      starts("queens-8", range(8)))
+        assert [(o, k) for o, k, _ in got] == want
+        assert len({k for _, k, _ in got}) > 2
+        assert {o for o, _, _ in got} == {FEASIBLE, MAX_ITER}
+
+    def test_non_finite_row_leaves_alone(self):
+        z0s = starts("queens-8", range(6))
+        z0s[2] = 1e308              # finite, but its first step overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = batch_against_run("queens-8", "sdr", None,
+                                          BATCH_POLICIES[0], z0s)
+        assert [(o, k) for o, k, _ in got] == want
+        assert got[2][:2] == (NON_FINITE, 1)
+        assert sum(o == FEASIBLE for o, _, _ in got) >= 3
+
+    def test_row_norms_are_numpys_norms(self):
+        d = np.concatenate([RNG.normal(size=(20, 3645)) * 1e-9,
+                            RNG.normal(size=(20, 3645)),
+                            np.full((1, 3645), np.inf)])
+        want = [np.linalg.norm(row) for row in d]
+        assert np.array_equal(_row_norms(d), want)
+        assert np.array_equal(_row_norms(d[:, :5]),
+                              [np.linalg.norm(row) for row in d[:, :5]])
+
+    def test_wall_shares_are_positive(self):
+        got = run_batch(product_step(batch_problem("4x4").projections, "sdr"),
+                        starts("4x4", range(4)), StopPolicy(),
+                        batch_problem("4x4").feasible)
+        assert all(wall > 0 for _, _, wall in got)
+
+    def test_bad_starts_rejected(self):
+        prob = batch_problem("4x4")
+        step = product_step(prob.projections, "sdr")
+        with pytest.raises(ValueError, match="shape"):
+            run_batch(step, prob.initial_state(0), StopPolicy(), prob.feasible)
+        z0s = starts("4x4", range(2))
+        z0s[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            run_batch(step, z0s, StopPolicy(), prob.feasible)
 
 
 class TestTrace:
