@@ -40,6 +40,21 @@ def _check_side(s):
     return b
 
 
+def _check_clues(s, clues):
+    """Clue triples (i, j, k) as an (m, 3) integer array.  Each entry
+    must lie in 0..s-1, and no cell may be clued twice."""
+    ijk = np.array(clues, dtype=int).reshape(len(clues), 3)
+    bad = ((ijk < 0) | (ijk >= s)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"clue {tuple(ijk[bad][0].tolist())} out of "
+                         f"range for side {s}")
+    twice = np.flatnonzero(
+        np.bincount(ijk[:, 0] * s + ijk[:, 1], minlength=s * s) > 1)
+    if twice.size:
+        raise ValueError(f"cell {divmod(int(twice[0]), s)} is clued twice")
+    return ijk
+
+
 def sudoku_groups(s, kind):
     """Index table of one constraint family on the s^3 cube, shape (s^2, s).
 
@@ -121,35 +136,41 @@ class GroupProjection:
         self._rng = np.random.default_rng(seed) if tie_break == "random" \
             else None
         self._idx = idx
-        self._mask = mask
-        self._covered = np.flatnonzero(counts)      # ascending scatter order
-        self._rows = np.arange(len(idx))
+        self._flat = idx.ravel()
+        self._starts = np.arange(0, idx.size, idx.shape[1])    # row starts
+        # None when the table has no padding / covers every coordinate
+        self._pad = None if mask.all() else ~mask
+        self._covered = None if counts.all() else np.flatnonzero(counts)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        gathered = x[:, self._idx] if x.ndim > 1 else x[self._idx]
-        vals = np.where(self._mask, gathered, -np.inf)
+        vals = x[:, self._idx] if x.ndim > 1 else x[self._idx]
+        if self._pad is not None:
+            np.copyto(vals, -np.inf, where=self._pad)
         if self._rng is None:
-            amax = np.argmax(vals, axis=-1)
+            amax = vals.argmax(axis=-1)
         else:
-            vmax = vals.max(axis=-1, keepdims=True)
-            ties = vals == vmax
+            ties = vals == vals.max(axis=-1, keepdims=True)
+            if self._pad is not None:       # padding never wins a tie
+                np.copyto(ties, False, where=self._pad)
             keys = np.where(ties, self._rng.random(vals.shape), -1.0)
-            amax = np.argmax(keys, axis=-1)
-        out = x.copy()
-        winners = self._idx[self._rows, amax]
+            amax = keys.argmax(axis=-1)
+        if self._covered is None:
+            out = np.zeros(x.shape)
+        else:
+            out = x.copy()
+            out[..., self._covered] = 0.0
+        at = self._starts + amax        # the winners' flat table positions
+        winners = self._flat[at]
         if x.ndim == 1:
-            out[self._covered] = 0.0
-            flat, rows = out, self._rows
-        else:       # a batch as one vector: flat indices into the C copy
-            out[:, self._covered] = 0.0
+            flat = out
+        else:       # a batch as one vector: flat indices into the C copies
             flat = out.reshape(-1)
-            winners = (winners + self.n * np.arange(len(x))[:, None]).ravel()
-            vals = vals.reshape(-1, vals.shape[-1])
-            amax = amax.ravel()
-            rows = np.arange(len(vals))
+            shift = np.arange(len(x))[:, None]
+            winners = (winners + self.n * shift).ravel()
+            at = (at + self._idx.size * shift).ravel()
         if self.allow_zero:
-            winners = winners[vals[rows, amax] >= 0.5]
+            winners = winners[vals.reshape(-1)[at] >= 0.5]
         flat[winners] = 1.0
         return out
 
@@ -162,15 +183,8 @@ class ClueProjection:
 
     def __init__(self, s, clues):
         _check_side(s)
-        ijk = np.array(clues, dtype=int).reshape(-1, 3)
-        bad = ((ijk < 0) | (ijk >= s)).any(axis=1)
-        if bad.any():
-            raise ValueError(f"clue {tuple(ijk[bad][0].tolist())} out of "
-                             f"range for side {s}")
+        ijk = _check_clues(s, clues)
         cells = ijk[:, 0] * s + ijk[:, 1]
-        twice = np.flatnonzero(np.bincount(cells, minlength=s * s) > 1)
-        if twice.size:
-            raise ValueError(f"cell {divmod(int(twice[0]), s)} is clued twice")
         values = np.zeros((s * s, s))          # the pillar view of the cube
         free = np.ones((s * s, s), dtype=bool)
         values[cells, ijk[:, 2]] = 1.0

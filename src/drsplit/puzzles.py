@@ -18,6 +18,7 @@ import numpy as np
 from .constraints import (
     ClueProjection,
     GroupProjection,
+    _check_clues,
     _check_side,
     project_unit_sphere,
     queens_groups,
@@ -66,9 +67,11 @@ class InvalidInstanceError(ValueError):
     """Structurally valid input describing an inconsistent instance."""
 
 
-def _box_side(s):
+def _instance_check(check, *args):
+    """Run one of the constraints module's checks, raising its ValueError
+    as InvalidInstanceError."""
     try:
-        return _check_side(s)
+        return check(*args)
     except ValueError as exc:
         raise InvalidInstanceError(str(exc)) from None
 
@@ -81,19 +84,11 @@ class SudokuInstance:
     clues: tuple
 
     def __post_init__(self):
-        b = _box_side(self.size)
-        s = self.size
+        b = _instance_check(_check_side, self.size)
         norm = []
-        seen_cells = set()
         marks = set()
-        for clue in self.clues:
-            i, j, k = (int(v) for v in clue)
-            if not (0 <= i < s and 0 <= j < s and 0 <= k < s):
-                raise InvalidInstanceError(
-                    f"clue ({i}, {j}, {k}) out of range for size {s}")
-            if (i, j) in seen_cells:
-                raise InvalidInstanceError(f"cell ({i}, {j}) clued twice")
-            seen_cells.add((i, j))
+        for i, j, k in _instance_check(_check_clues, self.size,
+                                       self.clues).tolist():
             for mark in (("row", i, k), ("column", j, k),
                          ("box", i // b, j // b, k)):
                 if mark in marks:

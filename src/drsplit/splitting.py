@@ -54,6 +54,7 @@ NON_FINITE = "non-finite"
 METHODS = ("sdr", "ddr", "sdr-switched", "altproj")
 
 _COLUMNS = ("z_step", "objective", "z_res", "x_res", "u_mismatch")
+_CHUNK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +108,9 @@ def two_set_step(pa, pb, method, gamma=None):
 def _consensus(z):
     """Mean of the block rows of z (blocks, n); for a (runs, blocks, n)
     batch, each run's mean as a (runs, 1, n) array that broadcasts
-    against z."""
-    return z.mean(axis=0) if z.ndim == 2 else z.mean(axis=1, keepdims=True)
+    against z.  This is z.mean's own sum and division, bit for bit,
+    without its argument handling."""
+    return np.add.reduce(z, axis=-2, keepdims=z.ndim == 3) / z.shape[-2]
 
 
 def _stacked(blocks, z):
@@ -148,13 +150,17 @@ class StopPolicy:
 
 
 class IterationTrace:
-    """Per-iteration columns.  z_step and objective are recorded as the
-    run goes.  The reference columns compare every iterate with the last:
-    z_res and x_res are Frobenius distances, and u_mismatch (iterations x
-    blocks) counts the coordinates of each block's u that differ (exact
-    float inequality) from its final u, which makes finite termination of
-    combinatorial blocks directly visible.  They are given to the
-    constructor or filled from the run's (z, x, u) snapshots.
+    """Per-iteration columns.  z_step is recorded as the run goes, and so
+    is objective, unless the run keeps (z, x, u) snapshots: it is then
+    derived from them when first read.  The reference columns compare
+    every iterate with the last: z_res and x_res are Frobenius distances,
+    and u_mismatch (iterations x blocks) counts the coordinates of each
+    block's u that differ (exact float inequality) from its final u, which
+    makes finite termination of combinatorial blocks directly visible.
+    They are given to the constructor or filled from the snapshots.
+
+    Snapshots are copied into preallocated chunks holding about 1 MiB of
+    z each (_CHUNK_BYTES), which the reference columns read chunk by chunk.
     """
 
     def __init__(self, n_blocks=1, **columns):
@@ -162,44 +168,69 @@ class IterationTrace:
         if unknown:
             raise ValueError(f"unknown trace columns {sorted(unknown)}")
         self.n_blocks = int(n_blocks)
-        self._table = {"z_step": [], "objective": []}
+        self._table = {"z_step": []}
         self._table.update((name, list(v)) for name, v in columns.items())
-        self._iterates = ([], [], [])
+        self._chunks = []       # (z, x, u) arrays with a leading row axis
+        self._filled = 0        # rows in use in the last chunk
 
     def __len__(self):
         return len(self._table["z_step"])
 
     def append(self, z_step, objective, iterates=None):
-        """Record one iteration; `iterates` is its (z, x, u) snapshot."""
+        """Record one iteration; `iterates` is its (z, x, u) snapshot, and
+        an objective of None is left to be derived from the snapshots."""
         self._table["z_step"].append(float(z_step))
-        self._table["objective"].append(float(objective))
-        if iterates is not None:
-            for kept, a in zip(self._iterates, iterates):
-                kept.append(np.array(a, dtype=float))
+        if objective is not None:
+            self._table.setdefault("objective", []).append(float(objective))
+        if iterates is None:
+            return
+        if not self._chunks or self._filled == len(self._chunks[-1][0]):
+            rows = max(1, _CHUNK_BYTES // np.asarray(iterates[0]).nbytes)
+            self._chunks.append(tuple(np.empty((rows,) + np.shape(a))
+                                      for a in iterates))
+            self._filled = 0
+        for kept, a in zip(self._chunks[-1], iterates):
+            kept[self._filled] = a
+        self._filled += 1
+
+    def _snapshots(self):
+        """The kept snapshots as (z, x, u) chunks with a leading iteration
+        axis, in order."""
+        if not self._chunks:
+            raise ValueError(
+                "no iterate snapshots recorded; rerun with keep_iterates")
+        *full, last = self._chunks
+        return full + [tuple(a[:self._filled] for a in last)]
 
     def set_reference(self):
         """Take the final snapshot as the reference and fill z_res, x_res
         and u_mismatch."""
-        zs, xs, us = self._iterates
-        if not zs:
-            raise ValueError(
-                "no iterate snapshots recorded; rerun with keep_iterates")
-        self._table["z_res"] = np.array(
-            [float(np.linalg.norm(zz - zs[-1])) for zz in zs])
-        self._table["x_res"] = np.array(
-            [float(np.linalg.norm(xx - xs[-1])) for xx in xs])
-        u_ref = np.atleast_2d(us[-1])
-        self._table["u_mismatch"] = np.array(
-            [np.count_nonzero(np.atleast_2d(uu) != u_ref, axis=1)
-             for uu in us], dtype=float)
+        chunks = self._snapshots()
+        z_ref, x_ref, u_ref = (a[-1] for a in chunks[-1])
+        u_ref = np.atleast_2d(u_ref)
+        z_res, x_res, mismatch = [], [], []
+        for zs, xs, us in chunks:
+            m = len(zs)
+            z_res.append(_row_norms((zs - z_ref).reshape(m, -1)))
+            x_res.append(_row_norms((xs - x_ref).reshape(m, -1)))
+            mismatch.append(np.count_nonzero(
+                us.reshape((m,) + u_ref.shape) != u_ref, axis=-1))
+        self._table["z_res"] = np.concatenate(z_res)
+        self._table["x_res"] = np.concatenate(x_res)
+        self._table["u_mismatch"] = np.concatenate(mismatch).astype(float)
 
     def residuals(self, name):
-        """Column `name` as a float array; a missing reference column is
-        filled from the snapshots on first use."""
+        """Column `name` as a float array; a missing objective or reference
+        column is filled from the snapshots on first use."""
         if name not in _COLUMNS:
             raise ValueError(f"unknown residual quantity {name!r}")
         if name not in self._table:
-            self.set_reference()
+            if name == "objective":
+                self._table[name] = [_objective(x, u)
+                                     for _, xs, us in self._snapshots()
+                                     for x, u in zip(xs, us)]
+            else:
+                self.set_reference()
         return np.asarray(self._table[name], dtype=float)
 
     @property
@@ -212,11 +243,14 @@ class IterationTrace:
 
     def to_csv(self, path):
         """Write one row per iteration; floats use repr for an exact round
-        trip, and reference columns no snapshot can fill are nan."""
-        if self._iterates[0] and "z_res" not in self._table:
-            self.set_reference()
+        trip, and columns that were not recorded and that no snapshot can
+        fill are nan."""
+        if self._chunks:        # fill what the snapshots can
+            for name in ("objective", "z_res"):
+                self.residuals(name)
         n = len(self)
-        cols = {"z_res": np.full(n, np.nan), "x_res": np.full(n, np.nan),
+        cols = {"objective": np.full(n, np.nan), "z_res": np.full(n, np.nan),
+                "x_res": np.full(n, np.nan),
                 "u_mismatch": np.full((n, self.n_blocks), np.nan),
                 **self._table}
         header = (["k", "z_step", "z_res", "x_res"]
@@ -272,6 +306,20 @@ class RunResult:
     trace: IterationTrace
 
 
+def _objective(x, u):
+    """Half the squared spread of u: about its row mean for a
+    product-space state, about x for a two-set one."""
+    if u.ndim == 2:
+        return 0.5 * float(np.sum((u - u.mean(axis=0)) ** 2))
+    return 0.5 * float(np.sum((u - x) ** 2))
+
+
+def _candidate(z, x):
+    """The rounding candidate of a step from z: the consensus average of z
+    for a product-space state, the step's x for a two-set one."""
+    return _consensus(z) if z.ndim == 2 else x
+
+
 def run(step, z0, policy, feasible=None, keep_iterates=False):
     """Iterate a step function under a stop policy.
 
@@ -282,7 +330,8 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
     (when stop_on_feasible), else a z step at or below z_step_tol, which is
     FEASIBLE or STALLED depending on the candidate; exhausting max_iter is
     always MAX_ITER.  The first z step that is not finite ends the run as
-    NON_FINITE, whatever min_iter says.
+    NON_FINITE, whatever min_iter says.  The candidate is formed only where
+    the oracle reads it, and once more for the result.
     """
     z = np.array(z0, dtype=float)
     if not np.all(np.isfinite(z)):
@@ -292,33 +341,38 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
     k = 0
     while k < policy.max_iter:
         k += 1
-        pre_mean = z.mean(axis=0) if z.ndim == 2 else None
         z_new, x, u = step(z)
-        candidate = x if pre_mean is None else pre_mean
-        step_size = float(np.linalg.norm(z_new - z))
-        if u.ndim == 2:
-            objective = 0.5 * float(np.sum((u - u.mean(axis=0)) ** 2))
+        step_size = _norm(z_new - z)
+        if keep_iterates:       # the objective is read from the snapshots
+            trace.append(step_size, None, (z_new, x, u))
         else:
-            objective = 0.5 * float(np.sum((u - x) ** 2))
-        trace.append(step_size, objective,
-                     (z_new, x, u) if keep_iterates else None)
-        z = z_new
+            trace.append(step_size, _objective(x, u))
+        z_in, z = z, z_new
         if not math.isfinite(step_size):
             outcome = NON_FINITE
             break
-        if k >= policy.min_iter:
-            if (policy.stop_on_feasible and feasible is not None
-                    and feasible(candidate)):
+        if k < policy.min_iter:
+            continue
+        stalled = step_size <= policy.z_step_tol
+        if feasible is not None and (policy.stop_on_feasible or stalled):
+            candidate = _candidate(z_in, x)
+            if feasible(candidate):
                 outcome = FEASIBLE
                 break
-            if step_size <= policy.z_step_tol:
-                if feasible is not None and feasible(candidate):
-                    outcome = FEASIBLE
-                else:
-                    outcome = STALLED
-                break
+        if stalled:
+            outcome = STALLED
+            break
+    if outcome != FEASIBLE:     # a feasible exit has just formed it
+        candidate = _candidate(z_in, x)
     return RunResult(outcome=outcome, iterations=k, z=z, x=x, u=u,
                      candidate=candidate, trace=trace)
+
+
+def _norm(d):
+    """np.linalg.norm(d) as a float, bit for bit: the square root of the
+    BLAS dot of the flattened d with itself."""
+    d = d.ravel(order="K")
+    return math.sqrt(d.dot(d))
 
 
 def _row_norms(d):
@@ -366,7 +420,7 @@ def run_batch(step, z0s, policy, feasible):
             stalled = finite & (steps <= policy.z_step_tol)
             asked = finite if policy.stop_on_feasible else stalled
             if asked.any():     # the mean of z going into the step
-                found[asked] = feasible(z[asked].mean(axis=1))
+                found[asked] = feasible(_consensus(z)[asked, 0])
             stop |= found | stalled
         for r in np.flatnonzero(stop):
             iterations[active[r]] = k

@@ -330,6 +330,105 @@ class TestGroupProjection:
         assert_allclose(proj(np.array([0.7, 0.7, 0.7])), [1.0, 0.0, 0.0])
 
 
+# ---------------------------------------------------------------------------
+# every table shape against a per-group loop: padded and unpadded tables,
+# tables that cover all or only some coordinates, single vectors and
+# strided or Fortran-ordered batches, both tie-breaks, allow_zero on and off
+
+def first_argmax(v):
+    """Index of the first NaN, else of the first largest entry (the rule of
+    np.argmax), found by a plain loop."""
+    for i, a in enumerate(v):
+        if a != a:
+            return i
+    best = 0
+    for i, a in enumerate(v):
+        if a > v[best]:
+            best = i
+    return best
+
+
+def loop_project(table, x, allow_zero, draws=None):
+    """One group at a time.  With `draws` (one uniform per table cell, as
+    the random tie-break draws them), the tie winner is the entry with the
+    largest draw among the real entries equal to the group's maximum; a
+    group holding a NaN has no such entry, and its first entry wins."""
+    out = x.copy()
+    for r, row in enumerate(np.asarray(table)):
+        g = [int(i) for i in row if i >= 0]
+        v = [float(x[i]) for i in g]
+        k = first_argmax(v)
+        if draws is not None:
+            top = v[k]
+            ties = [i for i, a in enumerate(v) if a == top]
+            k = max(ties, key=lambda i: draws[r][i]) if ties else 0
+        for i in g:
+            out[i] = 0.0
+        if not allow_zero or v[k] >= 0.5:
+            out[g[k]] = 1.0
+    return out
+
+
+ORACLE_TABLES = {
+    "unpadded-full": (sudoku_groups(4, "block"), 64),
+    "padded-full": (queens_groups(6, "diag"), 36),
+    "unpadded-partial": (sudoku_groups(4, "row")[::3], 64),
+    "padded-partial": (queens_groups(6, "antidiag")[1::2], 36),
+    "ragged-partial": (padded([(0, 1, 2), (5,), (7, 9)], 3), 12),
+}
+
+
+def layouts(batch):
+    """The batch as a strided block slice and as a Fortran-ordered copy."""
+    return (np.stack([batch, batch[::-1]], axis=1)[:, 0],
+            np.asfortranarray(batch))
+
+
+class TestGroupProjectionAgainstLoop:
+    @given(st.sampled_from(sorted(ORACLE_TABLES)), st.booleans(),
+           st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_lowest_ties(self, label, allow_zero, rows, seed):
+        table, n = ORACLE_TABLES[label]
+        proj = GroupProjection(table, n, allow_zero=allow_zero)
+        batch = batch_rows(n, rows, seed)
+        want = np.stack([loop_project(table, row, allow_zero)
+                         for row in batch])
+        for row, w in zip(batch, want):
+            assert np.array_equal(proj(row), w, equal_nan=True)
+        for view in layouts(batch):
+            assert np.array_equal(proj(view), want, equal_nan=True)
+
+    @given(st.sampled_from(sorted(ORACLE_TABLES)), st.booleans(),
+           st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_random_ties(self, label, allow_zero, rows, seed):
+        table, n = ORACLE_TABLES[label]
+        proj = GroupProjection(table, n, allow_zero=allow_zero,
+                               tie_break="random", seed=seed)
+        draws = np.random.default_rng(seed)
+        shape = np.shape(table)
+        batch = batch_rows(n, rows, seed)
+        batch[0, ::2] = -np.inf         # groups whose real entries tie at -inf
+        for row in batch:
+            want = loop_project(table, row, allow_zero, draws.random(shape))
+            assert np.array_equal(proj(row), want, equal_nan=True)
+        for view in layouts(batch):
+            u = draws.random((rows,) + shape)
+            want = np.stack([loop_project(table, row, allow_zero, u[r])
+                             for r, row in enumerate(batch)])
+            assert np.array_equal(proj(view), want, equal_nan=True)
+
+    def test_padding_never_wins_a_random_tie(self):
+        proj = GroupProjection([(0, 1, -1), (2, -1, -1)], 4,
+                               tie_break="random", seed=1)
+        x = np.array([-np.inf, -np.inf, 0.3, 7.0])
+        for _ in range(20):
+            y = proj(x)
+            assert y[3] == 7.0
+            assert y[:2].sum() == 1.0 and y[2] == 1.0
+
+
 class TestClueProjection:
     def test_clamps_full_pillar(self):
         # one clue (i=0, j=0, digit 2) on a 4-cube

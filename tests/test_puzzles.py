@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from drsplit.constraints import ClueProjection
 from drsplit.puzzles import (
     CircleLineInstance,
     InvalidInstanceError,
@@ -130,6 +131,18 @@ class TestSudokuInstance:
     def test_rejects_duplicate_cell(self):
         with pytest.raises(InvalidInstanceError):
             SudokuInstance(4, ((0, 0, 1), (0, 0, 2)))
+
+    @pytest.mark.parametrize("clues", [((0, 0, 4),), ((1, 1, 1), (-1, 0, 2)),
+                                       ((0, 0, 1), (0, 0, 2)),
+                                       ((2, 3, 0), (1, 1, 1), (2, 3, 1))])
+    def test_clue_errors_are_the_projections(self, clues):
+        # one check serves both: the instance re-raises the projection's
+        # error as InvalidInstanceError
+        with pytest.raises(ValueError) as want:
+            ClueProjection(4, clues)
+        with pytest.raises(InvalidInstanceError) as got:
+            SudokuInstance(4, clues)
+        assert str(got.value) == str(want.value)
 
     def test_rejects_pairwise_conflicts(self):
         # same digit twice in one column

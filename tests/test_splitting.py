@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from drsplit import splitting
 from drsplit.constraints import project_unit_sphere
 from drsplit.puzzles import (
     Hyperplane,
@@ -30,6 +31,8 @@ from drsplit.splitting import (
     product_step,
     read_trace_csv,
     run,
+    _consensus,
+    _norm,
     _row_norms,
     run_batch,
     two_set_step,
@@ -383,6 +386,15 @@ class TestRunBatch:
         assert np.array_equal(_row_norms(d), want)
         assert np.array_equal(_row_norms(d[:, :5]),
                               [np.linalg.norm(row) for row in d[:, :5]])
+        for a in (d, d[:, :5], d.T, d[:20].reshape(4, 5, 3645)):
+            assert _norm(a) == float(np.linalg.norm(a))
+
+    def test_consensus_is_numpys_mean(self):
+        z = RNG.normal(size=(6, 5, 729)) * RNG.choice([1e-9, 1.0, 1e9],
+                                                      size=(6, 5, 1))
+        assert np.array_equal(_consensus(z), z.mean(axis=1, keepdims=True))
+        for zz in (z[0], z[:, 2], z[0].T):
+            assert _consensus(zz).tobytes() == zz.mean(axis=0).tobytes()
 
     def test_wall_shares_are_positive(self):
         got = run_batch(product_step(batch_problem("4x4").projections, "sdr"),
@@ -489,3 +501,154 @@ class TestTrace:
         want = 0.5 * np.sum((u - u.mean(axis=0)) ** 2)
         assert_allclose(obj[-1], want, atol=1e-12)
         assert np.all(obj >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the snapshot store and the loop against per-iteration oracles: a step
+# wrapper keeps its own copy of every (z_in, z, x, u), and the oracles are
+# the formulas the run loop and the trace used on one array at a time
+
+def recorded(step):
+    kept = []
+
+    def rec(z):
+        z_new, x, u = step(z)
+        kept.append(tuple(np.array(a, dtype=float) for a in (z, z_new, x, u)))
+        return z_new, x, u
+    return rec, kept
+
+
+def oracle_objective(x, u):
+    if u.ndim == 2:
+        return 0.5 * float(np.sum((u - u.mean(axis=0)) ** 2))
+    return 0.5 * float(np.sum((u - x) ** 2))
+
+
+def oracle_reference(kept):
+    """z_res, x_res and u_mismatch, one np.linalg.norm / count_nonzero
+    per snapshot."""
+    _, zs, xs, us = zip(*kept)
+    u_ref = np.atleast_2d(us[-1])
+    return (np.array([float(np.linalg.norm(zz - zs[-1])) for zz in zs]),
+            np.array([float(np.linalg.norm(xx - xs[-1])) for xx in xs]),
+            np.array([np.count_nonzero(np.atleast_2d(uu) != u_ref, axis=1)
+                      for uu in us], dtype=float))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SNAPSHOT_POLICY = StopPolicy(max_iter=150, min_iter=150,
+                             stop_on_feasible=False)
+SNAPSHOT_PROBLEMS = {
+    "4x4": lambda: sudoku_problem(bundled_sudoku("4x4")),
+    "9x9-37": lambda: sudoku_problem(bundled_sudoku("9x9-37")),
+    "queens-8": lambda: queens_problem(QueensInstance(8)),
+}
+
+
+def snapshot_case(name, method, gamma):
+    """(step, start, feasible) of one problem, or of the circle/line pair."""
+    if name == "circle-line":
+        inst = circle_line_instance()
+        return (two_set_step(inst.line.project, inst.project_circle, method,
+                             gamma=gamma), inst.z0, inst.feasible)
+    prob = SNAPSHOT_PROBLEMS[name]()
+    return (product_step(prob.projections, method, gamma=gamma),
+            prob.initial_state(1), prob.feasible)
+
+
+def poisoned(step, at):
+    """The step, with one coordinate of its z set to inf from call `at`."""
+    calls = []
+
+    def bad(z):
+        calls.append(None)
+        z_new, x, u = step(z)
+        if len(calls) >= at:
+            z_new = z_new.copy()
+            z_new.flat[3] = np.inf
+        return z_new, x, u
+    return bad
+
+
+class TestSnapshotStore:
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
+    @pytest.mark.parametrize("name", sorted(SNAPSHOT_PROBLEMS)
+                             + ["circle-line"])
+    def test_objective_from_snapshots_is_the_running_one(self, name, method,
+                                                         gamma):
+        step, z0, feasible = snapshot_case(name, method, gamma)
+        rec, kept = recorded(step)
+        kept_run = run(rec, z0, SNAPSHOT_POLICY, feasible=feasible,
+                       keep_iterates=True)
+        plain = run(step, z0, SNAPSHOT_POLICY, feasible=feasible)
+        got = kept_run.trace.residuals("objective")
+        assert same_bits(got, plain.trace.residuals("objective"))
+        assert same_bits(got, [oracle_objective(x, u)
+                               for _, _, x, u in kept])
+
+    @pytest.mark.parametrize("rows", [None, 1, 7, 10])
+    @pytest.mark.parametrize("name", ["4x4", "9x9-37", "circle-line"])
+    def test_chunked_reference_is_the_per_snapshot_one(self, monkeypatch,
+                                                       name, rows):
+        step, z0, feasible = snapshot_case(name, "sdr", None)
+        if rows is not None:    # 150 iterations: 150 chunks of 1, 21 of 7
+            # and a last one holding 3, or 15 full chunks of 10
+            monkeypatch.setattr(splitting, "_CHUNK_BYTES",
+                                rows * np.asarray(z0, dtype=float).nbytes)
+        rec, kept = recorded(step)
+        res = run(rec, z0, SNAPSHOT_POLICY, feasible=feasible,
+                  keep_iterates=True)
+        assert res.iterations == len(kept) == 150
+        for name_, want in zip(("z_res", "x_res", "u_mismatch"),
+                               oracle_reference(kept)):
+            assert same_bits(res.trace.residuals(name_), want), name_
+
+    @pytest.mark.parametrize("rows", [None, 4])
+    def test_chunked_reference_of_a_non_finite_run(self, monkeypatch, rows):
+        prob = SNAPSHOT_PROBLEMS["9x9-37"]()
+        z0 = prob.initial_state(2)
+        if rows is not None:
+            monkeypatch.setattr(splitting, "_CHUNK_BYTES", rows * z0.nbytes)
+        rec, kept = recorded(poisoned(
+            product_step(prob.projections, "sdr"), at=38))
+        with np.errstate(invalid="ignore"):
+            res = run(rec, z0, StopPolicy(), feasible=prob.feasible,
+                      keep_iterates=True)
+            want = oracle_reference(kept)
+            got = [res.trace.residuals(name_)
+                   for name_ in ("z_res", "x_res", "u_mismatch")]
+        assert res.outcome == NON_FINITE and res.iterations == 38
+        assert np.isfinite(want[1]).all() and np.isinf(want[0][:-1]).all()
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+        assert same_bits(res.trace.residuals("objective"),
+                         [oracle_objective(x, u) for _, _, x, u in kept])
+
+    @pytest.mark.parametrize("policy", [
+        StopPolicy(), StopPolicy(max_iter=60, min_iter=0),
+        StopPolicy(max_iter=150, min_iter=0, z_step_tol=1e-6,
+                   stop_on_feasible=False),
+        StopPolicy(max_iter=30, min_iter=30)])
+    @pytest.mark.parametrize("name", ["queens-8", "9x9-37"])
+    def test_candidate_is_the_mean_going_into_the_last_step(self, name,
+                                                            policy):
+        step, z0, feasible = snapshot_case(name, "ddr", 0.2)
+        rec, kept = recorded(step)
+        res = run(rec, z0, policy, feasible=feasible)
+        assert same_bits(res.candidate, kept[-1][0].mean(axis=0))
+
+    def test_candidate_of_a_non_finite_run(self):
+        step, z0, feasible = snapshot_case("queens-8", "sdr", None)
+        rec, kept = recorded(poisoned(step, at=5))
+        res = run(rec, z0, StopPolicy(), feasible=feasible)
+        assert res.outcome == NON_FINITE and res.iterations == 5
+        assert same_bits(res.candidate, kept[-1][0].mean(axis=0))
+
+    def test_candidate_of_a_two_set_run_is_x(self):
+        step, z0, feasible = snapshot_case("circle-line", "ddr", 0.2)
+        res = run(step, z0, StopPolicy(), feasible=feasible)
+        assert res.candidate is res.x
