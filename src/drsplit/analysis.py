@@ -34,7 +34,6 @@ __all__ = [
     "is_semi_simple",
     "numerical_rank",
     "principal_angles",
-    "spectral_radius",
     "sudoku_product_projectors",
     "sudoku_subspace_bases",
     "theoretical_rate",
@@ -170,10 +169,6 @@ def friedrichs_angle(basis_a, basis_b, intersection_tol=1e-10):
         raise ValueError(
             "subspaces coincide along every direction; no angle remains")
     return float(separated[0])
-
-
-def spectral_radius(matrix):
-    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
 def numerical_rank(matrix, reference=None):

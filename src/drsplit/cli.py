@@ -382,9 +382,10 @@ def _cmd_rates(args):
             freeze = {"z": detect_finite_termination(trace, "z")}
             for i in range(trace.n_blocks):
                 freeze[f"u{i}"] = detect_finite_termination(trace, f"u{i}")
+            orbit = "none" if res.orbit_k is None else res.orbit_k
             print("finite termination: " + ", ".join(
                 f"{block} K={'none' if k is None else k}"
-                for block, k in freeze.items()))
+                for block, k in freeze.items()) + f", orbit_k={orbit}")
             if args.out:
                 ks = np.arange(1, len(trace) + 1)
                 render_rate_plot(args.out,
@@ -394,7 +395,7 @@ def _cmd_rates(args):
             if args.report:
                 _write_report(args.report, {
                     "outcome": res.outcome, "iterations": res.iterations,
-                    "finite_termination": freeze})
+                    "finite_termination": freeze, "orbit_k": res.orbit_k})
             return 0
         theory = theoretical_rate(kind, method, args.gamma)
 

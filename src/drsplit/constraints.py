@@ -147,14 +147,16 @@ class GroupProjection:
         vals = x[:, self._idx] if x.ndim > 1 else x[self._idx]
         if self._pad is not None:
             np.copyto(vals, -np.inf, where=self._pad)
-        if self._rng is None:
-            amax = vals.argmax(axis=-1)
-        else:
-            ties = vals == vals.max(axis=-1, keepdims=True)
+        amax = vals.argmax(axis=-1)     # the first NaN, else lowest tie
+        if self._rng is not None:
+            top = vals.max(axis=-1, keepdims=True)
+            ties = vals == top
             if self._pad is not None:       # padding never wins a tie
                 np.copyto(ties, False, where=self._pad)
             keys = np.where(ties, self._rng.random(vals.shape), -1.0)
-            amax = keys.argmax(axis=-1)
+            # a group holding a NaN has no tie: its first NaN wins
+            amax = np.where(np.isnan(top[..., 0]), amax,
+                            keys.argmax(axis=-1))
         if self._covered is None:
             out = np.zeros(x.shape)
         else:

@@ -39,8 +39,6 @@ __all__ = [
     "bundled_sudoku",
     "circle_line_instance",
     "format_grid",
-    "format_sudoku",
-    "lift_board",
     "lift_grid",
     "parse_sudoku",
     "queens_feasible",
@@ -174,10 +172,6 @@ def format_grid(grid):
     return "\n".join(lines) + "\n"
 
 
-def format_sudoku(inst):
-    return format_grid(inst.clue_grid())
-
-
 # ---------------------------------------------------------------------------
 # lifting and rounding
 
@@ -194,10 +188,6 @@ def lift_grid(grid):
 def round_cube(v, s):
     """Digit grid from a cube vector: largest entry per pillar wins."""
     return np.asarray(v).reshape(s, s, s).argmax(axis=2)
-
-
-def lift_board(board):
-    return np.asarray(board, dtype=float).ravel().copy()
 
 
 def round_board(x, s):

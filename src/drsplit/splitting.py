@@ -14,6 +14,13 @@ single row broadcasts against z, and the second is the product of the
 sets, each applied to its own row.  A batch of product-space runs adds a
 leading run axis, z of shape (runs, blocks, n), which the same steps
 carry through when the set projections accept (runs, n) rows.
+
+A product-space step over lowest-index-tie `GroupProjection`s and
+`ClueProjection`s is a function of z alone.  Once such a run's iterate
+equals, bit for bit, the one two steps back (a fixed point or a 2-cycle),
+everything after it repeats with period 2, so `run` replays the two
+phases instead of stepping and `run_batch` works out the row's exit at
+once.  Any other step is stepped in full.
 """
 
 import csv
@@ -25,6 +32,7 @@ import time
 import numpy as np
 
 from .analysis import ddr_affine_rate
+from .constraints import ClueProjection, GroupProjection
 
 __all__ = [
     "FEASIBLE",
@@ -122,10 +130,25 @@ def _stacked(blocks, z):
     return out
 
 
+class _PureStep(functools.partial):
+    """A step whose output is a function of z alone: no random stream, no
+    state.  The run loops replay its exact orbits (see `_orbit_exit`)."""
+
+
+def _is_pure(block):
+    return (isinstance(block, ClueProjection)
+            or (isinstance(block, GroupProjection)
+                and block.tie_break == "lowest"))
+
+
 def product_step(blocks, method, gamma=None):
-    """Bind a list of set projections into a single product-space step."""
-    return two_set_step(_consensus, functools.partial(_stacked, list(blocks)),
+    """Bind a list of set projections into a single product-space step.
+    When every block is a lowest-index-tie `GroupProjection` or a
+    `ClueProjection`, the step is marked as a function of z alone."""
+    blocks = list(blocks)
+    step = two_set_step(_consensus, functools.partial(_stacked, blocks),
                         method, gamma)
+    return _PureStep(step) if all(map(_is_pure, blocks)) else step
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +320,10 @@ def read_trace_csv(path):
 
 @dataclasses.dataclass
 class RunResult:
+    """A finished run.  orbit_k is the iteration at which z_k first equalled
+    z_{k-2} bit for bit; None when no orbit closed or the step was stepped
+    in full."""
+
     outcome: str
     iterations: int
     z: np.ndarray
@@ -304,6 +331,7 @@ class RunResult:
     u: np.ndarray
     candidate: np.ndarray
     trace: IterationTrace
+    orbit_k: int = None
 
 
 def _objective(x, u):
@@ -320,6 +348,23 @@ def _candidate(z, x):
     return _consensus(z) if z.ndim == 2 else x
 
 
+def _orbit_exit(policy, first, step_size, found):
+    """(outcome, iterations) of a run whose every iteration from `first` on
+    repeats, with period 2, one of two phases of equal step size.
+    found(k) says whether iteration k's candidate is feasible; it is
+    called for at most two iterations, one of each phase."""
+    first = max(first, policy.min_iter)
+    if first > policy.max_iter:
+        return MAX_ITER, policy.max_iter
+    if step_size <= policy.z_step_tol:
+        return (FEASIBLE if found(first) else STALLED), first
+    if policy.stop_on_feasible:
+        for k in range(first, min(first + 2, policy.max_iter + 1)):
+            if found(k):
+                return FEASIBLE, k
+    return MAX_ITER, policy.max_iter
+
+
 def run(step, z0, policy, feasible=None, keep_iterates=False):
     """Iterate a step function under a stop policy.
 
@@ -332,40 +377,63 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
     always MAX_ITER.  The first z step that is not finite ends the run as
     NON_FINITE, whatever min_iter says.  The candidate is formed only where
     the oracle reads it, and once more for the result.
+
+    For a step of `product_step` that is a function of z alone, an iterate
+    equal to the one two steps back closes an orbit: after one more step
+    the two phases are known, and the rest of the run replays them, trace
+    rows and snapshots included, with the exit from `_orbit_exit`.
     """
     z = np.array(z0, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("initial state contains non-finite entries")
     trace = IterationTrace(n_blocks=z.shape[0] if z.ndim == 2 else 1)
+    pure = isinstance(step, _PureStep)
     outcome = MAX_ITER
+    orbit_k = phases = z_back = step_back = None
     k = 0
     while k < policy.max_iter:
         k += 1
         z_new, x, u = step(z)
         step_size = _norm(z_new - z)
-        if keep_iterates:       # the objective is read from the snapshots
-            trace.append(step_size, None, (z_new, x, u))
-        else:
-            trace.append(step_size, _objective(x, u))
+        # a run that keeps snapshots reads the objective from them
+        objective = None if keep_iterates else _objective(x, u)
+        trace.append(step_size, objective,
+                     (z_new, x, u) if keep_iterates else None)
         z_in, z = z, z_new
         if not math.isfinite(step_size):
             outcome = NON_FINITE
             break
-        if k < policy.min_iter:
-            continue
-        stalled = step_size <= policy.z_step_tol
-        if feasible is not None and (policy.stop_on_feasible or stalled):
-            candidate = _candidate(z_in, x)
-            if feasible(candidate):
-                outcome = FEASIBLE
+        if orbit_k is not None:     # the orbit's second phase
+            phases.append((z_in, (z, x, u), objective))
+        elif pure and step_size == step_back and np.array_equal(z, z_back):
+            orbit_k, phases = k, [(z_in, (z, x, u), objective)]
+        if k >= policy.min_iter:
+            stalled = step_size <= policy.z_step_tol
+            if feasible is not None and (policy.stop_on_feasible or stalled):
+                if feasible(_candidate(z_in, x)):
+                    outcome = FEASIBLE
+                    break
+            if stalled:
+                outcome = STALLED
                 break
-        if stalled:
-            outcome = STALLED
+        if orbit_k is not None and orbit_k < k:     # both phases known
             break
-    if outcome != FEASIBLE:     # a feasible exit has just formed it
-        candidate = _candidate(z_in, x)
+        z_back, step_back = z_in, step_size
+    if outcome == MAX_ITER and orbit_k is not None and orbit_k < k:
+        # iteration j repeats iteration orbit_k + (j - orbit_k) % 2
+        def found(j):
+            z_j, (_, x_j, _), _ = phases[(j - orbit_k) % 2]
+            return feasible is not None and feasible(_candidate(z_j, x_j))
+        outcome, end = _orbit_exit(policy, k + 1, step_size, found)
+        for j in range(k + 1, end + 1):
+            _, iterates, objective = phases[(j - orbit_k) % 2]
+            trace.append(step_size, objective,
+                         iterates if keep_iterates else None)
+        k = end
+        z_in, (z, x, u), _ = phases[(k - orbit_k) % 2]
     return RunResult(outcome=outcome, iterations=k, z=z, x=x, u=u,
-                     candidate=candidate, trace=trace)
+                     candidate=_candidate(z_in, x), trace=trace,
+                     orbit_k=orbit_k)
 
 
 def _norm(d):
@@ -390,7 +458,11 @@ def run_batch(step, z0s, policy, feasible):
     `product_step` over the projections of a `Problem`, and its
     `feasible`, do.  Each run stops by the rule of `run`, at the same
     iteration and with the same outcome, and leaves the batch then; the
-    runs still active are stepped as one array.  No trace is kept.
+    runs still active are stepped as one array.  A run whose iterate closes
+    an orbit, as in `run`, leaves with its exit from `_orbit_exit` one step
+    later: only the rows whose step size repeats keep a copy of their z,
+    which the next step is compared against, so the batch holds no second
+    state.  No trace is kept.
 
     Returns one (outcome, iterations, wall_s) tuple per run, in input
     order.  wall_s is the run's share of the batch's stepping time: each
@@ -403,10 +475,15 @@ def run_batch(step, z0s, policy, feasible):
                          f"{z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("initial state contains non-finite entries")
+    pure = isinstance(step, _PureStep)
     outcomes = [MAX_ITER] * len(z)
     iterations = [policy.max_iter] * len(z)
     wall = np.zeros(len(z))
     active = np.arange(len(z))
+    # each active row's previous step size, and a copy of the z going into
+    # the last step of each run whose step size repeated there, by run
+    steps_back = np.full(len(z), np.nan)
+    held = {}
     t = time.perf_counter()
     k = 0
     while active.size and k < policy.max_iter:
@@ -426,9 +503,24 @@ def run_batch(step, z0s, policy, feasible):
             iterations[active[r]] = k
             outcomes[active[r]] = (NON_FINITE if not finite[r] else
                                    FEASIBLE if found[r] else STALLED)
+        for run_id, z_back in held.items():
+            r = np.searchsorted(active, run_id)
+            if stop[r] or not np.array_equal(z_new[r], z_back):
+                continue
+            # iterations k + 1, k + 3, ... start from z_new[r], and
+            # k + 2, k + 4, ... from z[r]
+            outcomes[run_id], iterations[run_id] = _orbit_exit(
+                policy, k + 1, steps[r],
+                lambda j: feasible(_consensus((z, z_new)[(j - k) % 2][r])))
+            stop[r] = True
+        if pure:    # these rows check z_{k+1} == z_{k-1} at k + 1
+            held = {active[r]: z[r].copy()
+                    for r in np.flatnonzero(~stop & (steps == steps_back))}
         stepped = active
+        keep = ~stop
+        steps_back = steps[keep]
         if stop.any():
-            z_new, active = z_new[~stop], active[~stop]
+            z_new, active = z_new[keep], active[keep]
         z = z_new
         now = time.perf_counter()
         wall[stepped] += (now - t) / len(stepped)

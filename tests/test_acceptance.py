@@ -18,7 +18,6 @@ from drsplit.analysis import (
     detect_finite_termination,
     fit_linear_rate,
     numerical_rank,
-    spectral_radius,
     sudoku_product_projectors,
 )
 from drsplit.bench import bench_puzzle
@@ -35,7 +34,6 @@ from drsplit.puzzles import (
     SudokuInstance,
     bundled_sudoku,
     circle_line_instance,
-    format_sudoku,
     parse_sudoku,
     queens_problem,
     sudoku_problem,
@@ -50,6 +48,8 @@ from drsplit.splitting import (
     run,
     two_set_step,
 )
+
+from helpers import format_sudoku, spectral_radius
 
 RATE = np.sqrt(5.0) / 5.0
 

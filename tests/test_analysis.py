@@ -17,7 +17,6 @@ from drsplit.analysis import (
     is_semi_simple,
     numerical_rank,
     principal_angles,
-    spectral_radius,
     sudoku_product_projectors,
     sudoku_subspace_bases,
     theoretical_rate,
@@ -25,6 +24,8 @@ from drsplit.analysis import (
 from drsplit.puzzles import bundled_sudoku, queens_problem, sudoku_problem
 from drsplit.puzzles import QueensInstance
 from drsplit.splitting import IterationTrace, StopPolicy, product_step, run
+
+from helpers import spectral_radius
 
 RNG = np.random.default_rng(2024)
 

@@ -238,6 +238,19 @@ class TestRatesCommand:
         for block, k in freeze.items():
             assert f"{block} K={'none' if k is None else k}" in out
         assert all(isinstance(k, int) for k in freeze.values())  # all froze
+        # the run stalls, at min_iter, before its iterate repeats
+        assert rec["orbit_k"] is None and ", orbit_k=none\n" in out
+
+    def test_queens_rates_report_the_closed_orbit(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        code, out, _ = run_cli(capsys, "rates", "--queens-size", "8",
+                               "--seed", "2", "--max-iter", "300",
+                               "--min-iter", "300", "--report", str(report))
+        assert code == 0
+        rec = json.loads(report.read_text())
+        assert rec["iterations"] == 300
+        assert rec["finite_termination"]["z"] == 55
+        assert rec["orbit_k"] == 57 and "orbit_k=57" in out
 
     @pytest.mark.parametrize("flags, named", [
         (["--quantity", "x_res", "--tail-fraction", "0.9"],

@@ -351,17 +351,16 @@ def first_argmax(v):
 def loop_project(table, x, allow_zero, draws=None):
     """One group at a time.  With `draws` (one uniform per table cell, as
     the random tie-break draws them), the tie winner is the entry with the
-    largest draw among the real entries equal to the group's maximum; a
-    group holding a NaN has no such entry, and its first entry wins."""
+    largest draw among the real entries equal to the group's maximum.  A
+    group holding a NaN spikes its first NaN under either rule."""
     out = x.copy()
     for r, row in enumerate(np.asarray(table)):
         g = [int(i) for i in row if i >= 0]
         v = [float(x[i]) for i in g]
         k = first_argmax(v)
-        if draws is not None:
-            top = v[k]
-            ties = [i for i, a in enumerate(v) if a == top]
-            k = max(ties, key=lambda i: draws[r][i]) if ties else 0
+        if draws is not None and v[k] == v[k]:
+            ties = [i for i, a in enumerate(v) if a == v[k]]
+            k = max(ties, key=lambda i: draws[r][i])
         for i in g:
             out[i] = 0.0
         if not allow_zero or v[k] >= 0.5:
@@ -418,6 +417,17 @@ class TestGroupProjectionAgainstLoop:
             want = np.stack([loop_project(table, row, allow_zero, u[r])
                              for r, row in enumerate(batch)])
             assert np.array_equal(proj(view), want, equal_nan=True)
+
+    @pytest.mark.parametrize("tie_break", ["lowest", "random"])
+    def test_a_nan_group_spikes_its_first_nan(self, tie_break):
+        proj = GroupProjection([(0, 1, 2, -1), (3, 4, 5, 6)], 7,
+                               tie_break=tie_break, seed=3)
+        x = np.array([0.9, np.nan, np.nan, 0.2, 0.7, 0.7, np.nan])
+        for _ in range(10):
+            assert np.array_equal(proj(x), [0, 1, 0, 0, 0, 0, 1])
+            assert np.array_equal(proj(np.stack([x, x[::-1]])),
+                                  [[0, 1, 0, 0, 0, 0, 1],
+                                   [1, 0, 0, 0, 1, 0, 0]])
 
     def test_padding_never_wins_a_random_tie(self):
         proj = GroupProjection([(0, 1, -1), (2, -1, -1)], 4,

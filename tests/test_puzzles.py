@@ -17,8 +17,6 @@ from drsplit.puzzles import (
     bundled_sudoku,
     circle_line_instance,
     format_grid,
-    format_sudoku,
-    lift_board,
     lift_grid,
     parse_sudoku,
     queens_problem,
@@ -29,6 +27,8 @@ from drsplit.puzzles import (
     validate_sudoku,
 )
 from drsplit.splitting import StopPolicy, product_step, run
+
+from helpers import format_sudoku, lift_board
 
 RNG = np.random.default_rng(7)
 

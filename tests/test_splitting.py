@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drsplit import splitting
-from drsplit.constraints import project_unit_sphere
+from drsplit.constraints import GroupProjection, project_unit_sphere
 from drsplit.puzzles import (
     Hyperplane,
     QueensInstance,
@@ -307,18 +307,22 @@ class TestRun:
 BATCH_PROBLEMS = {
     "4x4": lambda: sudoku_problem(bundled_sudoku("4x4")),
     "9x9-37": lambda: sudoku_problem(bundled_sudoku("9x9-37")),
-    "queens-5": lambda: queens_problem(QueensInstance(5)),
-    "queens-8": lambda: queens_problem(QueensInstance(8)),
+    **{f"queens-{s}": functools.partial(queens_problem, QueensInstance(s))
+       for s in range(5, 11)},
 }
 BATCH_METHODS = [("sdr", None), ("ddr", 0.2), ("ddr", np.inf),
                  ("sdr-switched", None), ("altproj", None)]
+# min_iter 0, 100 and max_iter; feasibility stops on and off; odd and even
+# max_iter.  Queens orbits close from iteration 4 (altproj) to past 250.
+GRID_POLICIES = [StopPolicy(max_iter=m, min_iter=lo, stop_on_feasible=on)
+                 for m in (150, 151) for lo in (0, 100, m)
+                 for on in (True, False)]
 BATCH_POLICIES = [
-    StopPolicy(max_iter=150),
     StopPolicy(max_iter=40, min_iter=0),
     StopPolicy(max_iter=6, min_iter=2),
     StopPolicy(max_iter=150, min_iter=0, z_step_tol=1e-6,
                stop_on_feasible=False),
-]
+] + GRID_POLICIES
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,7 +349,15 @@ class TestRunBatch:
     @pytest.mark.parametrize("key", sorted(BATCH_PROBLEMS))
     @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
     def test_each_seed_as_run(self, key, method, gamma):
-        got, want = batch_against_run(key, method, gamma, BATCH_POLICIES[0],
+        got, want = batch_against_run(key, method, gamma, GRID_POLICIES[2],
+                                      starts(key, range(5)))
+        assert [(o, k) for o, k, _ in got] == want
+
+    @pytest.mark.parametrize("key", sorted(BATCH_PROBLEMS))
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
+    @pytest.mark.parametrize("policy", [GRID_POLICIES[i] for i in (7, 10)])
+    def test_each_seed_as_run_on_the_grid(self, key, method, gamma, policy):
+        got, want = batch_against_run(key, method, gamma, policy,
                                       starts(key, range(5)))
         assert [(o, k) for o, k, _ in got] == want
 
@@ -353,7 +365,7 @@ class TestRunBatch:
            st.sampled_from(BATCH_METHODS),
            st.sampled_from(range(len(BATCH_POLICIES))),
            st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_each_seed_as_run_under_every_policy(self, key, method, policy,
                                                  seeds):
         got, want = batch_against_run(key, *method, BATCH_POLICIES[policy],
@@ -362,7 +374,7 @@ class TestRunBatch:
 
     def test_rows_leave_at_their_own_iteration(self):
         got, want = batch_against_run("queens-8", "sdr", None,
-                                      BATCH_POLICIES[0],
+                                      StopPolicy(max_iter=150),
                                       starts("queens-8", range(8)))
         assert [(o, k) for o, k, _ in got] == want
         assert len({k for _, k, _ in got}) > 2
@@ -373,7 +385,7 @@ class TestRunBatch:
         z0s[2] = 1e308              # finite, but its first step overflows
         with np.errstate(over="ignore", invalid="ignore"):
             got, want = batch_against_run("queens-8", "sdr", None,
-                                          BATCH_POLICIES[0], z0s)
+                                          StopPolicy(max_iter=150), z0s)
         assert [(o, k) for o, k, _ in got] == want
         assert got[2][:2] == (NON_FINITE, 1)
         assert sum(o == FEASIBLE for o, _, _ in got) >= 3
@@ -411,6 +423,135 @@ class TestRunBatch:
         z0s[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             run_batch(step, z0s, StopPolicy(), prob.feasible)
+
+
+# ---------------------------------------------------------------------------
+# exact orbits: a step of `product_step` over lowest-tie projections is a
+# function of z alone, so its runs are replayed once z_k equals z_{k-2};
+# the same step behind a lambda is stepped in full, and the two runs must
+# agree bit for bit
+
+def stepped_in_full(step):
+    return lambda z: step(z)
+
+
+def snapshots(trace):
+    return [np.concatenate(arrays) for arrays in zip(*trace._snapshots())]
+
+
+def assert_same_run(a, b, keep, tmp):
+    assert (a.outcome, a.iterations) == (b.outcome, b.iterations)
+    for name in ("z", "x", "u", "candidate"):
+        assert same_bits(getattr(a, name), getattr(b, name)), name
+    columns = (splitting._COLUMNS if keep else ("z_step", "objective"))
+    for name in columns:
+        assert same_bits(a.trace.residuals(name),
+                         b.trace.residuals(name)), name
+    if keep:
+        for got, want in zip(snapshots(a.trace), snapshots(b.trace)):
+            assert same_bits(got, want)
+    a.trace.to_csv(tmp / "a.csv")
+    b.trace.to_csv(tmp / "b.csv")
+    assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
+
+
+def replay_against_full(key, method, gamma, policy, seed, keep, tmp):
+    prob = batch_problem(key)
+    step = product_step(prob.projections, method, gamma=gamma)
+    z0 = prob.initial_state(seed)
+    fast = run(step, z0, policy, feasible=prob.feasible, keep_iterates=keep)
+    full = run(stepped_in_full(step), z0, policy, feasible=prob.feasible,
+               keep_iterates=keep)
+    assert full.orbit_k is None
+    assert_same_run(fast, full, keep, tmp)
+    return fast
+
+
+class TestOrbitReplay:
+    @given(st.sampled_from(sorted(BATCH_PROBLEMS)),
+           st.sampled_from(BATCH_METHODS),
+           st.sampled_from(GRID_POLICIES), st.integers(0, 40),
+           st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_replay_is_full_stepping(self, tmp_path_factory, key, method,
+                                     policy, seed, keep):
+        replay_against_full(key, *method, policy, seed, keep,
+                            tmp_path_factory.mktemp("csv"))
+
+    # (problem, method, seed, policy, where the orbit closes, outcome)
+    CASES = [
+        ("queens-8", "sdr", 2, StopPolicy(max_iter=151), "before",
+         FEASIBLE),
+        ("queens-5", "altproj", 0, StopPolicy(max_iter=150), "before",
+         STALLED),
+        ("queens-6", "sdr-switched", 5, StopPolicy(max_iter=150), "before",
+         MAX_ITER),
+        ("queens-8", "sdr", 0,
+         StopPolicy(max_iter=301, min_iter=301, stop_on_feasible=False),
+         "before", FEASIBLE),
+        ("queens-6", "sdr-switched", 5, StopPolicy(max_iter=151, min_iter=0),
+         "after", MAX_ITER),
+        ("queens-6", "sdr-switched", 5,
+         StopPolicy(max_iter=150, min_iter=0, stop_on_feasible=False),
+         "after", MAX_ITER),
+    ]
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("case", CASES)
+    def test_orbits_before_and_after_min_iter(self, tmp_path, case, keep):
+        key, method, seed, policy, when, outcome = case
+        res = replay_against_full(key, method, None, policy, seed, keep,
+                                  tmp_path)
+        assert res.outcome == outcome
+        assert res.orbit_k is not None and res.orbit_k + 1 < res.iterations
+        assert (res.orbit_k < policy.min_iter) == (when == "before")
+
+    def test_closed_orbits_are_not_stepped(self, monkeypatch):
+        calls = []
+        project = GroupProjection.__call__
+
+        def counted(self, x):
+            calls.append(None)
+            return project(self, x)
+        monkeypatch.setattr(GroupProjection, "__call__", counted)
+        prob = batch_problem("queens-5")
+        step = product_step(prob.projections, "altproj")
+        policy = StopPolicy(max_iter=10 ** 5, min_iter=10 ** 5,
+                            stop_on_feasible=False)
+        z0s = starts("queens-5", range(4))
+        got = run_batch(step, z0s, policy, prob.feasible)
+        assert len(calls) <= 4 * 8          # every orbit closes by k = 7
+        assert [(o, k) for o, k, _ in got] == [(STALLED, 10 ** 5)] * 4
+        del calls[:]
+        res = run(step, z0s[0], policy, feasible=prob.feasible)
+        assert len(calls) == 4 * (res.orbit_k + 1)
+        assert (res.outcome, res.iterations) == (STALLED, 10 ** 5)
+        assert len(res.trace) == 10 ** 5
+
+    def test_random_ties_are_stepped_in_full(self):
+        prob = queens_problem(QueensInstance(5), tie_break="random",
+                              tie_seed=0)
+        step = product_step(prob.projections, "altproj")
+        res = run(step, prob.initial_state(0), GRID_POLICIES[-1],
+                  feasible=prob.feasible)
+        assert res.orbit_k is None and res.iterations == 151
+        lowest = batch_problem("queens-5")
+        assert run(product_step(lowest.projections, "altproj"),
+                   lowest.initial_state(0), GRID_POLICIES[-1],
+                   feasible=lowest.feasible).orbit_k == 4
+
+    def test_wrapped_and_two_set_steps_are_stepped_in_full(self):
+        prob = batch_problem("queens-5")
+        step = product_step(prob.projections, "altproj")
+        blocks = [stepped_in_full(p) for p in prob.projections]
+        for other in (stepped_in_full(step), product_step(blocks, "altproj")):
+            res = run(other, prob.initial_state(0), GRID_POLICIES[-1],
+                      feasible=prob.feasible)
+            assert res.orbit_k is None and res.iterations == 151
+        inst = circle_line_instance()
+        res = run(two_set_step(inst.line.project, inst.project_circle,
+                               "sdr"), inst.z0, GRID_POLICIES[-1])
+        assert res.orbit_k is None
 
 
 class TestTrace:
