@@ -21,11 +21,16 @@ equals, bit for bit, the one two steps back (a fixed point or a 2-cycle),
 everything after it repeats with period 2, so `run` replays the two
 phases instead of stepping and `run_batch` works out the row's exit at
 once.  Any other step is stepped in full.
+
+Such a run's snapshots need not all be held either: a trace keeps the
+newest within a fixed budget and recomputes the older ones, bit for bit,
+by stepping again from the start.
 """
 
 import csv
 import dataclasses
 import functools
+import itertools
 import math
 import time
 
@@ -63,6 +68,9 @@ METHODS = ("sdr", "ddr", "sdr-switched", "altproj")
 
 _COLUMNS = ("z_step", "objective", "z_res", "x_res", "u_mismatch")
 _CHUNK_BYTES = 1 << 20
+# Snapshots a replayable run holds at most (plus one chunk); a 16x16 step
+# keeps 352 KiB, so about 90 steps, and a 9x9 rate run stays under it.
+_SNAPSHOT_BYTES = 32 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +191,12 @@ class IterationTrace:
     They are given to the constructor or filled from the snapshots.
 
     Snapshots are copied into preallocated chunks holding about 1 MiB of
-    z each (_CHUNK_BYTES), which the reference columns read chunk by chunk.
+    z each (_CHUNK_BYTES), which the derived columns read chunk by chunk.
+    When `run` hands the trace its start and a step that is a function of z
+    alone, the trace holds about _SNAPSHOT_BYTES of the newest snapshots:
+    a new chunk then reuses the oldest one's arrays, and the snapshots it
+    held are recomputed by stepping from the start whenever a derived
+    column is filled, which costs one step per evicted iteration.
     """
 
     def __init__(self, n_blocks=1, **columns):
@@ -195,6 +208,9 @@ class IterationTrace:
         self._table.update((name, list(v)) for name, v in columns.items())
         self._chunks = []       # (z, x, u) arrays with a leading row axis
         self._filled = 0        # rows in use in the last chunk
+        self._evicted = 0       # snapshots dropped from the front
+        self._replay = None     # (z0, step) that recomputes them
+        self._orbit_k = None    # the run's orbit_k, for the replay
 
     def __len__(self):
         return len(self._table["z_step"])
@@ -208,9 +224,15 @@ class IterationTrace:
         if iterates is None:
             return
         if not self._chunks or self._filled == len(self._chunks[-1][0]):
-            rows = max(1, _CHUNK_BYTES // np.asarray(iterates[0]).nbytes)
-            self._chunks.append(tuple(np.empty((rows,) + np.shape(a))
-                                      for a in iterates))
+            held = sum(a.nbytes for chunk in self._chunks for a in chunk)
+            if self._replay is not None and held >= _SNAPSHOT_BYTES:
+                chunk = self._chunks.pop(0)
+                self._evicted += len(chunk[0])
+            else:
+                rows = max(1, _CHUNK_BYTES // np.asarray(iterates[0]).nbytes)
+                chunk = tuple(np.empty((rows,) + np.shape(a))
+                              for a in iterates)
+            self._chunks.append(chunk)
             self._filled = 0
         for kept, a in zip(self._chunks[-1], iterates):
             kept[self._filled] = a
@@ -218,29 +240,60 @@ class IterationTrace:
 
     def _snapshots(self):
         """The kept snapshots as (z, x, u) chunks with a leading iteration
-        axis, in order."""
+        axis, in order; the first `_evicted` iterations are not among
+        them."""
         if not self._chunks:
             raise ValueError(
                 "no iterate snapshots recorded; rerun with keep_iterates")
         *full, last = self._chunks
         return full + [tuple(a[:self._filled] for a in last)]
 
+    def _replayed(self):
+        """The evicted snapshots as one-row chunks, recomputed by stepping
+        from the start; past an exact orbit, as in `run`, iteration k
+        repeats iteration k - 2 from orbit_k + 2 on."""
+        if not self._evicted:
+            return
+        z, step = self._replay
+        back = last = None      # the snapshots of iterations k - 2, k - 1
+        for k in range(1, self._evicted + 1):
+            if self._orbit_k is not None and k > self._orbit_k + 1:
+                row = back
+            else:
+                row = step(z)
+                z = row[0]
+            back, last = last, row
+            yield tuple(a[None] for a in row)
+
+    def _fill(self, objective=False, reference=False):
+        """Derive the objective and/or the reference columns in one pass
+        over every snapshot, the evicted ones replayed."""
+        if not (objective or reference):
+            return
+        kept = self._snapshots()
+        z_ref, x_ref, u_ref = (a[-1] for a in kept[-1])
+        u_ref = np.atleast_2d(u_ref)
+        obj, z_res, x_res, mismatch = [], [], [], []
+        for zs, xs, us in itertools.chain(self._replayed(), kept):
+            m = len(zs)
+            if objective:
+                obj.extend(_objective(x, u) for x, u in zip(xs, us))
+            if reference:
+                z_res.append(_row_norms((zs - z_ref).reshape(m, -1)))
+                x_res.append(_row_norms((xs - x_ref).reshape(m, -1)))
+                mismatch.append(np.count_nonzero(
+                    us.reshape((m,) + u_ref.shape) != u_ref, axis=-1))
+        if objective:
+            self._table["objective"] = obj
+        if reference:
+            self._table["z_res"] = np.concatenate(z_res)
+            self._table["x_res"] = np.concatenate(x_res)
+            self._table["u_mismatch"] = np.concatenate(mismatch).astype(float)
+
     def set_reference(self):
         """Take the final snapshot as the reference and fill z_res, x_res
         and u_mismatch."""
-        chunks = self._snapshots()
-        z_ref, x_ref, u_ref = (a[-1] for a in chunks[-1])
-        u_ref = np.atleast_2d(u_ref)
-        z_res, x_res, mismatch = [], [], []
-        for zs, xs, us in chunks:
-            m = len(zs)
-            z_res.append(_row_norms((zs - z_ref).reshape(m, -1)))
-            x_res.append(_row_norms((xs - x_ref).reshape(m, -1)))
-            mismatch.append(np.count_nonzero(
-                us.reshape((m,) + u_ref.shape) != u_ref, axis=-1))
-        self._table["z_res"] = np.concatenate(z_res)
-        self._table["x_res"] = np.concatenate(x_res)
-        self._table["u_mismatch"] = np.concatenate(mismatch).astype(float)
+        self._fill(reference=True)
 
     def residuals(self, name):
         """Column `name` as a float array; a missing objective or reference
@@ -248,12 +301,8 @@ class IterationTrace:
         if name not in _COLUMNS:
             raise ValueError(f"unknown residual quantity {name!r}")
         if name not in self._table:
-            if name == "objective":
-                self._table[name] = [_objective(x, u)
-                                     for _, xs, us in self._snapshots()
-                                     for x, u in zip(xs, us)]
-            else:
-                self.set_reference()
+            self._fill(objective=name == "objective",
+                       reference=name != "objective")
         return np.asarray(self._table[name], dtype=float)
 
     @property
@@ -268,9 +317,9 @@ class IterationTrace:
         """Write one row per iteration; floats use repr for an exact round
         trip, and columns that were not recorded and that no snapshot can
         fill are nan."""
-        if self._chunks:        # fill what the snapshots can
-            for name in ("objective", "z_res"):
-                self.residuals(name)
+        if self._chunks:        # fill what the snapshots can, in one pass
+            self._fill(objective="objective" not in self._table,
+                       reference="z_res" not in self._table)
         n = len(self)
         cols = {"objective": np.full(n, np.nan), "z_res": np.full(n, np.nan),
                 "x_res": np.full(n, np.nan),
@@ -388,6 +437,8 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
         raise ValueError("initial state contains non-finite entries")
     trace = IterationTrace(n_blocks=z.shape[0] if z.ndim == 2 else 1)
     pure = isinstance(step, _PureStep)
+    if pure and keep_iterates:      # the trace may recompute old snapshots
+        trace._replay = (z.copy(), step)
     outcome = MAX_ITER
     orbit_k = phases = z_back = step_back = None
     k = 0
@@ -431,6 +482,7 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
                          iterates if keep_iterates else None)
         k = end
         z_in, (z, x, u), _ = phases[(k - orbit_k) % 2]
+    trace._orbit_k = orbit_k
     return RunResult(outcome=outcome, iterations=k, z=z, x=x, u=u,
                      candidate=_candidate(z_in, x), trace=trace,
                      orbit_k=orbit_k)
@@ -446,8 +498,11 @@ def _norm(d):
 def _row_norms(d):
     """np.linalg.norm of each row of d, bit for bit: the norm of a vector
     is the square root of its BLAS dot with itself, which a batched sum of
-    squares would not reproduce."""
-    return np.sqrt([row.dot(row) for row in d])
+    squares would not reproduce.  A stack of (1, n) @ (n, 1) products is
+    one such dot per row; like the norm's, its rows must be contiguous,
+    since a strided dot sums in another order."""
+    d = np.ascontiguousarray(d)
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 def run_batch(step, z0s, policy, feasible):

@@ -6,10 +6,12 @@ the suite output doubles as a report.
 
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from drsplit import splitting
 from drsplit.analysis import (
     auto_tail_fraction,
     build_sudoku_linearization,
@@ -118,19 +120,28 @@ def test_criterion_2_optional_sixteen(rate_study):
                          for c in cells))
     prob = sudoku_problem(SudokuInstance(16, clues))
     policy = StopPolicy(max_iter=3000, min_iter=100, stop_on_feasible=False)
-    slopes = []
+    slopes, peaks = [], []
     for seed in range(3):
+        # the snapshot store is bounded: a run and its reference residuals
+        # stay within the budget plus a chunk and the replay's few states
+        tracemalloc.start()
         res = run(product_step(prob.projections, "sdr"),
                   prob.initial_state(seed), policy, feasible=prob.feasible,
                   keep_iterates=True)
+        if res.outcome == FEASIBLE:
+            res.trace.set_reference()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
         if res.outcome != FEASIBLE:
             continue
-        res.trace.set_reference()
         tf = auto_tail_fraction(res.trace, "z_res")
         slopes.append(fit_linear_rate(res.trace, "z_res", tf).slope)
     ok = slopes and all(abs(s - RATE) < 0.02 for s in slopes)
-    report("2 (s=16)", bool(ok),
-           f"slopes={['%.5f' % s for s in slopes]} all within 0.02")
+    bound = 1.5 * splitting._SNAPSHOT_BYTES
+    report("2 (s=16)", bool(ok) and max(peaks) < bound,
+           f"slopes={['%.5f' % s for s in slopes]} all within 0.02; "
+           f"traced peaks {[f'{p / 2**20:.1f}' for p in peaks]} MiB "
+           f"< {bound / 2**20:.0f} MiB")
 
 
 def test_criterion_3_linearized_spectrum():

@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drsplit import splitting
+from drsplit.analysis import (
+    InsufficientDataError,
+    auto_tail_fraction,
+    detect_finite_termination,
+    fit_linear_rate,
+)
 from drsplit.constraints import GroupProjection, project_unit_sphere
 from drsplit.puzzles import (
     Hyperplane,
@@ -401,6 +407,19 @@ class TestRunBatch:
         for a in (d, d[:, :5], d.T, d[:20].reshape(4, 5, 3645)):
             assert _norm(a) == float(np.linalg.norm(a))
 
+    # a queens-8 batch's step differences (375 or 512 x 320), a 9x9 run's
+    # (20 x 3645), a 16x16 run's (1 x 20480), single-coordinate rows, and
+    # strided rows, whose dot would sum in another order if not copied
+    @pytest.mark.parametrize("shape", [(375, 320), (512, 320), (20, 3645),
+                                       (1, 20480), (7, 1), (3, 2)])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-3, 1.0, 1e8])
+    def test_row_norms_at_batch_shapes_and_scales(self, shape, scale):
+        d = RNG.normal(size=shape) * scale
+        for a in (d, d[:, ::2], d[::-1]):
+            want = np.array([np.linalg.norm(row) for row in a])
+            assert same_bits(_row_norms(a), want)
+            assert all(_norm(row) == w for row, w in zip(a[:4], want))
+
     def test_consensus_is_numpys_mean(self):
         z = RNG.normal(size=(6, 5, 729)) * RNG.choice([1e-9, 1.0, 1e9],
                                                       size=(6, 5, 1))
@@ -436,6 +455,9 @@ def stepped_in_full(step):
 
 
 def snapshots(trace):
+    """The kept snapshots, which are all of them only while none were
+    evicted (see TestSnapshotBudget for traces that were)."""
+    assert trace._evicted == 0
     return [np.concatenate(arrays) for arrays in zip(*trace._snapshots())]
 
 
@@ -793,3 +815,124 @@ class TestSnapshotStore:
         step, z0, feasible = snapshot_case("circle-line", "ddr", 0.2)
         res = run(step, z0, StopPolicy(), feasible=feasible)
         assert res.candidate is res.x
+
+
+# ---------------------------------------------------------------------------
+# the snapshot budget: a run of a step that depends on z alone keeps only
+# its newest snapshots, and everything read off its trace is recomputed,
+# bit for bit, from the start; a budget of one or two chunks of 7 rows
+# evicts nearly all of a 150-step run
+
+BUDGET_METHODS = [("sdr", None), ("ddr", 0.2), ("sdr-switched", None),
+                  ("altproj", None)]
+
+
+def budgeted(monkeypatch, z0, iterates, chunks, rows=7):
+    """Set the chunk size to `rows` snapshots and the budget to `chunks`
+    chunks; `iterates` is one snapshot's (z, x, u)."""
+    monkeypatch.setattr(splitting, "_CHUNK_BYTES", rows * z0.nbytes)
+    monkeypatch.setattr(splitting, "_SNAPSHOT_BYTES",
+                        chunks * rows * sum(a.nbytes for a in iterates))
+
+
+def held_rows(trace):
+    return sum(len(zs) for zs, _, _ in trace._snapshots())
+
+
+def fitted(trace, quantity):
+    try:
+        return fit_linear_rate(trace, quantity,
+                               auto_tail_fraction(trace, quantity)).slope
+    except InsufficientDataError as exc:
+        return str(exc)
+
+
+def readings(res, path, csv_first):
+    """Everything read off a run: the CSV (which fills the objective and
+    the reference columns in one pass) either before or after every
+    column (the objective alone first, then the reference), then the
+    fitted slopes and the freeze indices."""
+    trace = res.trace
+    if csv_first:
+        trace.to_csv(path)
+    columns = [trace.residuals(name) for name in splitting._COLUMNS]
+    if not csv_first:
+        trace.to_csv(path)
+    freeze = [detect_finite_termination(trace, "z")] + [
+        detect_finite_termination(trace, f"u{i}")
+        for i in range(trace.n_blocks)]
+    arrays = [res.z, res.x, res.u, res.candidate] + columns
+    return (arrays, (res.outcome, res.iterations, path.read_bytes(),
+                     fitted(trace, "z_res"), fitted(trace, "x_res"), freeze))
+
+
+def assert_same_readings(a, b):
+    (arrays_a, rest_a), (arrays_b, rest_b) = a, b
+    for i, (got, want) in enumerate(zip(arrays_a, arrays_b)):
+        assert same_bits(got, want), i
+    assert rest_a == rest_b
+
+
+class TestSnapshotBudget:
+    @pytest.mark.parametrize("chunks", [1, 2])
+    @pytest.mark.parametrize("method,gamma", BUDGET_METHODS)
+    @pytest.mark.parametrize("name", sorted(SNAPSHOT_PROBLEMS))
+    def test_budgeted_trace_is_the_unbudgeted_one(self, monkeypatch, tmp_path,
+                                                  name, method, gamma,
+                                                  chunks):
+        step, z0, feasible = snapshot_case(name, method, gamma)
+        full = run(step, z0, SNAPSHOT_POLICY, feasible=feasible,
+                   keep_iterates=True)
+        assert full.trace._evicted == 0
+        want = readings(full, tmp_path / "full.csv", csv_first=False)
+        budgeted(monkeypatch, z0, (full.z, full.x, full.u), chunks)
+        for csv_first in (True, False):
+            res = run(step, z0, SNAPSHOT_POLICY, feasible=feasible,
+                      keep_iterates=True)
+            assert held_rows(res.trace) <= (chunks + 1) * 7
+            assert res.trace._evicted + held_rows(res.trace) == 150
+            assert_same_readings(readings(res, tmp_path / "budget.csv",
+                                          csv_first), want)
+
+    @pytest.mark.parametrize("case", [
+        ("queens-8", "sdr", 0, 301), ("queens-6", "sdr-switched", 5, 151),
+        ("queens-5", "altproj", 0, 150)])
+    def test_evicted_prefix_past_an_orbit(self, monkeypatch, tmp_path, case):
+        key, method, seed, steps = case
+        prob = batch_problem(key)
+        step = product_step(prob.projections, method)
+        z0 = prob.initial_state(seed)
+        policy = StopPolicy(max_iter=steps, min_iter=steps,
+                            stop_on_feasible=False)
+        full = run(stepped_in_full(step), z0, policy, feasible=prob.feasible,
+                   keep_iterates=True)
+        budgeted(monkeypatch, z0, (full.z, full.x, full.u), chunks=1)
+        res = run(step, z0, policy, feasible=prob.feasible,
+                  keep_iterates=True)
+        assert full.trace._evicted == 0
+        assert res.orbit_k is not None
+        assert res.orbit_k + 1 < res.trace._evicted
+        assert_same_readings(readings(res, tmp_path / "a.csv", False),
+                             readings(full, tmp_path / "b.csv", False))
+
+    def test_other_steps_keep_every_snapshot(self, monkeypatch):
+        prob = batch_problem("queens-8")
+        z0 = prob.initial_state(0)
+        pure = product_step(prob.projections, "sdr")
+        res = run(pure, z0, SNAPSHOT_POLICY, keep_iterates=True)
+        budgeted(monkeypatch, z0, (res.z, res.x, res.u), chunks=1)
+        ties = queens_problem(QueensInstance(8), tie_break="random",
+                              tie_seed=0)
+        blocks = [stepped_in_full(p) for p in prob.projections]
+        inst = circle_line_instance()
+        for step, start in [
+                (product_step(ties.projections, "sdr"), z0),
+                (stepped_in_full(pure), z0),
+                (product_step(blocks, "sdr"), z0),
+                (two_set_step(inst.line.project, inst.project_circle,
+                              "sdr"), inst.z0)]:
+            res = run(step, start, SNAPSHOT_POLICY, keep_iterates=True)
+            assert res.trace._evicted == 0
+            assert held_rows(res.trace) == len(res.trace) == 150
+        res = run(pure, z0, SNAPSHOT_POLICY, keep_iterates=True)
+        assert res.trace._evicted > 0
