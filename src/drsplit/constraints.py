@@ -109,7 +109,9 @@ class GroupProjection:
 
     A call projects one vector of shape (n,) or each row of a (runs, n)
     batch; each row comes out as it would alone, except that a random
-    tie-break draws the whole batch's uniforms from one stream.
+    tie-break draws the whole batch's uniforms from one stream.  With
+    ``out``, a C-contiguous array of x's shape, the result is written there
+    and returned; it must not overlap x.
     """
 
     def __init__(self, groups, n, allow_zero=False, tie_break="lowest",
@@ -137,14 +139,21 @@ class GroupProjection:
             else None
         self._idx = idx
         self._flat = idx.ravel()
+        # groups that are consecutive runs of every coordinate (sudoku
+        # pillars, queens rows) are read as a reshape view, not gathered
+        self._consecutive = idx.size == n and np.array_equal(
+            self._flat, np.arange(n))
         self._starts = np.arange(0, idx.size, idx.shape[1])    # row starts
         # None when the table has no padding / covers every coordinate
         self._pad = None if mask.all() else ~mask
         self._covered = None if counts.all() else np.flatnonzero(counts)
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
         x = np.asarray(x, dtype=float)
-        vals = x[:, self._idx] if x.ndim > 1 else x[self._idx]
+        if self._consecutive:
+            vals = x.reshape(x.shape[:-1] + self._idx.shape)
+        else:
+            vals = x[:, self._idx] if x.ndim > 1 else x[self._idx]
         if self._pad is not None:
             np.copyto(vals, -np.inf, where=self._pad)
         amax = vals.argmax(axis=-1)     # the first NaN, else lowest tie
@@ -157,10 +166,11 @@ class GroupProjection:
             # a group holding a NaN has no tie: its first NaN wins
             amax = np.where(np.isnan(top[..., 0]), amax,
                             keys.argmax(axis=-1))
+        out = _output(x, out)
         if self._covered is None:
-            out = np.zeros(x.shape)
+            out.fill(0.0)
         else:
-            out = x.copy()
+            out[...] = x
             out[..., self._covered] = 0.0
         at = self._starts + amax        # the winners' flat table positions
         winners = self._flat[at]
@@ -201,7 +211,23 @@ class ClueProjection:
     def free_mask(self):
         return self._free.copy()
 
-    def __call__(self, x):
-        out = np.array(x, dtype=float)
+    def __call__(self, x, out=None):
+        """Clamp x; with ``out``, a C-contiguous float array of x's shape,
+        write the result there and return it."""
+        x = np.asarray(x)
+        out = _output(x, out)
+        out[...] = x
         out[..., self._fixed] = self._fixed_values
         return out
+
+
+def _output(x, out):
+    """`out`, checked to be a C-contiguous float array of the array x's
+    shape, or a new one: the projections write through flat indices."""
+    if out is None:
+        return np.empty(x.shape)
+    if out.shape != x.shape or out.dtype != float \
+            or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float array of the "
+                         "input's shape")
+    return out

@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 import time
 
 import numpy as np
@@ -77,17 +78,37 @@ _SNAPSHOT_BYTES = 32 << 20
 # steps: a product-space first projection returns one row, which the
 # broadcasts below tile to the state's shape (a no-op on two-set states)
 
+# Each expression is evaluated in its written order, the later operations
+# in place on the first one's fresh array, which has z's shape: the same
+# bits as the plain expression, with fewer arrays made.
+
+def _reflect(x, z):
+    """2x - z."""
+    r = 2.0 * x
+    if r.shape != z.shape:      # a consensus row
+        return r - z
+    r -= z
+    return r
+
+
+def _update(z, u, x):
+    """z + u - x."""
+    t = z + u
+    t -= x
+    return t
+
+
 def dr_step(pa, pb, z):
     x = pa(z)
-    u = pb(2.0 * x - z)
-    return z + u - x, x, u
+    u = pb(_reflect(x, z))
+    return _update(z, u, x), x, u
 
 
 def dr_step_switched(pa, pb, z):
     """Same update with the projection order reversed."""
     x = pb(z)
-    u = np.broadcast_to(pa(2.0 * x - z), x.shape).copy()
-    return z + u - x, x, u
+    u = np.broadcast_to(pa(_reflect(x, z)), x.shape).copy()
+    return _update(z, u, x), x, u
 
 
 def ddr_step(pa, pb, gamma, z):
@@ -95,9 +116,11 @@ def ddr_step(pa, pb, gamma, z):
     lam = ddr_affine_rate(gamma)
     if lam == 1.0:
         return dr_step(pa, pb, z)
-    x = z + lam * (pa(z) - z)
-    u = pb(2.0 * x - z)
-    return z + u - x, x, u
+    x = pa(z) - z
+    x *= lam
+    x += z      # z + lam * (pa(z) - z): addition commutes, bit for bit
+    u = pb(_reflect(x, z))
+    return _update(z, u, x), x, u
 
 
 def ap_step(pa, pb, z):
@@ -129,13 +152,43 @@ def _consensus(z):
     return np.add.reduce(z, axis=-2, keepdims=z.ndim == 3) / z.shape[-2]
 
 
-def _stacked(blocks, z):
-    out = np.empty_like(z)
-    # block-major views: (blocks, n), or (blocks, runs, n) for a batch
-    z_rows, out_rows = z.swapaxes(0, -2), out.swapaxes(0, -2)
-    for i, proj in enumerate(blocks):
-        out_rows[i] = proj(z_rows[i])
-    return out
+class _Stacked:
+    """The product of the set projections: each block's projection of its
+    own row(s) of z, as z's shape.
+
+    The result is a view of one block-major array, (blocks, n), or (blocks,
+    runs, n) for a batch, in whose contiguous slices the projections of
+    this module write in place; any other callable's result is copied in.
+    A call reuses the previous call's array when nothing else holds it or
+    a view of it any more, so a run that drops each u (`run_batch`) writes
+    warm memory instead of faulting in fresh pages on every step.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+        self._in_place = [isinstance(p, (GroupProjection, ClueProjection))
+                          for p in self.blocks]
+        self._slab = None
+        self._unshared = None   # the slab's reference count when unshared
+
+    def _slab_for(self, shape):
+        # every view of the slab holds a reference to it, so the count is
+        # back at its value of when the slab was new once they are gone
+        if self._slab is None or self._slab.shape != shape or \
+                sys.getrefcount(self._slab) != self._unshared:
+            self._slab = np.empty(shape)
+            self._unshared = sys.getrefcount(self._slab)
+        return self._slab
+
+    def __call__(self, z):
+        z_rows = z.swapaxes(0, -2)
+        slab = self._slab_for(z_rows.shape)
+        for i, proj in enumerate(self.blocks):
+            if self._in_place[i]:
+                proj(z_rows[i], out=slab[i])
+            else:
+                slab[i] = proj(z_rows[i])
+        return slab.swapaxes(0, -2)
 
 
 class _PureStep(functools.partial):
@@ -154,8 +207,7 @@ def product_step(blocks, method, gamma=None):
     When every block is a lowest-index-tie `GroupProjection` or a
     `ClueProjection`, the step is marked as a function of z alone."""
     blocks = list(blocks)
-    step = two_set_step(_consensus, functools.partial(_stacked, blocks),
-                        method, gamma)
+    step = two_set_step(_consensus, _Stacked(blocks), method, gamma)
     return _PureStep(step) if all(map(_is_pure, blocks)) else step
 
 
@@ -488,21 +540,36 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
                      orbit_k=orbit_k)
 
 
+# Step norms sum a vector's squares as BLAS dots over consecutive blocks of
+# this many elements, added in order.  A dot this short runs on one thread,
+# so the bits do not depend on the machine's BLAS thread count, and a
+# vector of at most one block has np.linalg.norm's bits.
+_DOT_BLOCK = 8192
+
+
 def _norm(d):
-    """np.linalg.norm(d) as a float, bit for bit: the square root of the
-    BLAS dot of the flattened d with itself."""
+    """The Frobenius norm of d as a float: the square root of the sum, in
+    order, of the BLAS dots of the flattened d's blocks with themselves."""
     d = d.ravel(order="K")
-    return math.sqrt(d.dot(d))
+    total = d[:_DOT_BLOCK].dot(d[:_DOT_BLOCK])
+    for i in range(_DOT_BLOCK, d.size, _DOT_BLOCK):
+        block = d[i:i + _DOT_BLOCK]
+        total += block.dot(block)
+    return math.sqrt(total)
 
 
 def _row_norms(d):
-    """np.linalg.norm of each row of d, bit for bit: the norm of a vector
-    is the square root of its BLAS dot with itself, which a batched sum of
-    squares would not reproduce.  A stack of (1, n) @ (n, 1) products is
-    one such dot per row; like the norm's, its rows must be contiguous,
-    since a strided dot sums in another order."""
+    """`_norm` of each row of d, bit for bit, which a batched sum of
+    squares would not reproduce.  A stack of (1, m) @ (m, 1) products is
+    one dot per row; like the norm's, its rows must be contiguous, since a
+    strided dot sums in another order."""
     d = np.ascontiguousarray(d)
-    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    block = d[:, :_DOT_BLOCK]
+    total = (block[:, None, :] @ block[:, :, None])[:, 0, 0]
+    for i in range(_DOT_BLOCK, d.shape[1], _DOT_BLOCK):
+        block = d[:, i:i + _DOT_BLOCK]
+        total += (block[:, None, :] @ block[:, :, None])[:, 0, 0]
+    return np.sqrt(total)
 
 
 def run_batch(step, z0s, policy, feasible):
@@ -539,12 +606,14 @@ def run_batch(step, z0s, policy, feasible):
     # the last step of each run whose step size repeated there, by run
     steps_back = np.full(len(z), np.nan)
     held = {}
+    diff_rows = np.empty(z.shape)   # the step differences, reused
     t = time.perf_counter()
     k = 0
     while active.size and k < policy.max_iter:
         k += 1
         z_new = step(z)[0]
-        steps = _row_norms((z_new - z).reshape(len(z), -1))
+        diff = np.subtract(z_new, z, out=diff_rows[:len(z)])
+        steps = _row_norms(diff.reshape(len(z), -1))
         finite = np.isfinite(steps)
         stop = ~finite
         found = np.zeros(len(z), dtype=bool)

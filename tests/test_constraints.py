@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -374,6 +375,9 @@ ORACLE_TABLES = {
     "unpadded-partial": (sudoku_groups(4, "row")[::3], 64),
     "padded-partial": (queens_groups(6, "antidiag")[1::2], 36),
     "ragged-partial": (padded([(0, 1, 2), (5,), (7, 9)], 3), 12),
+    # consecutive runs of every coordinate, read as a reshape view
+    "consecutive-pillar": (sudoku_groups(4, "pillar"), 64),
+    "consecutive-row": (queens_groups(6, "row"), 36),
 }
 
 
@@ -381,6 +385,17 @@ def layouts(batch):
     """The batch as a strided block slice and as a Fortran-ordered copy."""
     return (np.stack([batch, batch[::-1]], axis=1)[:, 0],
             np.asfortranarray(batch))
+
+
+def into_slab(proj, x):
+    """proj(x, out=) into the middle slice of a block-major buffer of three
+    x-shaped slices, as a product step writes one block; the slices on
+    either side must keep their fill."""
+    slab = np.full((3,) + x.shape, 7.0)
+    got = proj(x, out=slab[1])
+    assert got.base is slab
+    assert (slab[[0, 2]] == 7.0).all()
+    return slab[1]
 
 
 class TestGroupProjectionAgainstLoop:
@@ -395,8 +410,11 @@ class TestGroupProjectionAgainstLoop:
                          for row in batch])
         for row, w in zip(batch, want):
             assert np.array_equal(proj(row), w, equal_nan=True)
+            assert np.array_equal(into_slab(proj, row), w, equal_nan=True)
         for view in layouts(batch):
             assert np.array_equal(proj(view), want, equal_nan=True)
+            assert np.array_equal(into_slab(proj, view), want,
+                                  equal_nan=True)
 
     @given(st.sampled_from(sorted(ORACLE_TABLES)), st.booleans(),
            st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
@@ -413,10 +431,14 @@ class TestGroupProjectionAgainstLoop:
             want = loop_project(table, row, allow_zero, draws.random(shape))
             assert np.array_equal(proj(row), want, equal_nan=True)
         for view in layouts(batch):
-            u = draws.random((rows,) + shape)
-            want = np.stack([loop_project(table, row, allow_zero, u[r])
-                             for r, row in enumerate(batch)])
-            assert np.array_equal(proj(view), want, equal_nan=True)
+            for call in (proj, functools.partial(into_slab, proj)):
+                u = draws.random((rows,) + shape)
+                want = np.stack([loop_project(table, row, allow_zero, u[r])
+                                 for r, row in enumerate(batch)])
+                assert np.array_equal(call(view), want, equal_nan=True)
+        row = batch[-1]
+        want = loop_project(table, row, allow_zero, draws.random(shape))
+        assert np.array_equal(into_slab(proj, row), want, equal_nan=True)
 
     @pytest.mark.parametrize("tie_break", ["lowest", "random"])
     def test_a_nan_group_spikes_its_first_nan(self, tie_break):
@@ -464,6 +486,14 @@ class TestClueProjection:
         cells = enumerate_cells(4)
         assert not mask[[cells[1, 2, k] for k in range(4)]].any()
 
+    def test_out_writes_its_slice(self):
+        inst = bundled_sudoku("9x9-37")
+        proj = ClueProjection(inst.size, inst.clues)
+        batch = batch_rows(729, 4, 5)
+        for x in (batch, batch[0], layouts(batch)[0]):
+            assert np.array_equal(into_slab(proj, x), proj(x),
+                                  equal_nan=True)
+
     def test_duplicate_cell_rejected(self):
         with pytest.raises(ValueError, match="clued twice"):
             ClueProjection(4, [(0, 0, 1), (0, 0, 2)])
@@ -473,6 +503,17 @@ class TestClueProjection:
     def test_out_of_range_clue_rejected(self, clue):
         with pytest.raises(ValueError, match="out of range"):
             ClueProjection(4, [(1, 1, 1), clue])
+
+
+@pytest.mark.parametrize("proj", [
+    ClueProjection(4, [(0, 0, 2)]),
+    GroupProjection(sudoku_groups(4, "row"), 64)])
+def test_out_must_be_a_contiguous_float_array_of_the_shape(proj):
+    x = RNG.normal(size=(2, 64))
+    for out in (np.empty((2, 2, 64))[:, 0], np.empty((2, 63)),
+                np.empty((2, 64), dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            proj(x, out=out)
 
 
 # ---------------------------------------------------------------------------

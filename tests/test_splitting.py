@@ -1,4 +1,7 @@
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from numpy.testing import assert_allclose
 from drsplit import splitting
 from drsplit.analysis import (
     InsufficientDataError,
+    ddr_affine_rate,
     auto_tail_fraction,
     detect_finite_termination,
     fit_linear_rate,
@@ -409,16 +413,48 @@ class TestRunBatch:
 
     # a queens-8 batch's step differences (375 or 512 x 320), a 9x9 run's
     # (20 x 3645), a 16x16 run's (1 x 20480), single-coordinate rows, and
-    # strided rows, whose dot would sum in another order if not copied
+    # strided rows, whose dot would sum in another order if not copied;
+    # rows longer than 8192 are summed block by block
     @pytest.mark.parametrize("shape", [(375, 320), (512, 320), (20, 3645),
                                        (1, 20480), (7, 1), (3, 2)])
     @pytest.mark.parametrize("scale", [1e-12, 1e-3, 1.0, 1e8])
     def test_row_norms_at_batch_shapes_and_scales(self, shape, scale):
         d = RNG.normal(size=shape) * scale
         for a in (d, d[:, ::2], d[::-1]):
-            want = np.array([np.linalg.norm(row) for row in a])
+            want = np.array([blockwise_norm(row) for row in a])
             assert same_bits(_row_norms(a), want)
             assert all(_norm(row) == w for row, w in zip(a[:4], want))
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 20480, 78125])
+    def test_norms_sum_blocks_of_8192_in_order(self, n):
+        d = RNG.normal(size=(3, n))
+        want = [blockwise_norm(row) for row in d]
+        if n <= 8192:
+            assert want == [np.linalg.norm(row) for row in d]
+        assert same_bits(_row_norms(d), want)
+        assert [_norm(row) for row in d] == want
+        assert _norm(d) == blockwise_norm(d.ravel())
+        assert _norm(d.T) == blockwise_norm(d.T.ravel(order="K"))
+
+    # 16x16 and 25x25 states: OpenBLAS runs one dot of more than 10000
+    # elements on several threads, which sums in another order
+    @pytest.mark.parametrize("n", [20480, 78125])
+    def test_norm_bits_do_not_depend_on_blas_threads(self, n):
+        code = ("import sys, numpy as np\n"
+                "from drsplit.splitting import _norm, _row_norms\n"
+                f"d = np.random.default_rng(3).normal(size=(4, {n}))\n"
+                "norms = [_norm(row) for row in d] + [_norm(d)]\n"
+                "sys.stdout.write((np.array(norms).tobytes()\n"
+                "                  + _row_norms(d).tobytes()).hex())\n")
+        src = os.path.dirname(os.path.dirname(splitting.__file__))
+        out = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": src}
+            out.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+        assert len(out) == 1
 
     def test_consensus_is_numpys_mean(self):
         z = RNG.normal(size=(6, 5, 729)) * RNG.choice([1e-9, 1.0, 1e9],
@@ -442,6 +478,102 @@ class TestRunBatch:
         z0s[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             run_batch(step, z0s, StopPolicy(), prob.feasible)
+
+
+# ---------------------------------------------------------------------------
+# the product step against what it replaces, kept here as the oracle: each
+# block's projection assigned into a stacked output, and each step written
+# as one plain expression
+
+def stacked_oracle(blocks, z):
+    out = np.empty_like(z)
+    z_rows, out_rows = z.swapaxes(0, -2), out.swapaxes(0, -2)
+    for i, proj in enumerate(blocks):
+        out_rows[i] = proj(z_rows[i])
+    return out
+
+
+def oracle_step(blocks, method, gamma, z):
+    pa, pb = _consensus, functools.partial(stacked_oracle, blocks)
+    if method == "altproj":
+        u = pb(z)
+        x = pa(u)
+        return np.broadcast_to(x, u.shape).copy(), x, u
+    if method == "sdr-switched":
+        x = pb(z)
+        u = np.broadcast_to(pa(2.0 * x - z), x.shape).copy()
+        return z + u - x, x, u
+    lam = 1.0 if method == "sdr" else ddr_affine_rate(gamma)
+    x = pa(z) if lam == 1.0 else z + lam * (pa(z) - z)
+    u = pb(2.0 * x - z)
+    return z + u - x, x, u
+
+
+def wrapped(blocks, which):
+    """The blocks with those at the indices `which` behind a lambda."""
+    return [(lambda v, p=p: p(v)) if i in which else p
+            for i, p in enumerate(blocks)]
+
+
+def assert_steps_are_the_oracle(blocks, twins, method, gamma, z, steps=25):
+    """Step z with product_step over `blocks` and with the oracle over
+    `twins` (the same projections, or equally seeded copies)."""
+    step = product_step(blocks, method, gamma=gamma)
+    for _ in range(steps):
+        got, want = step(z), oracle_step(twins, method, gamma, z)
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+        z = want[0]
+
+
+class TestStackedAgainstBlockLoop:
+    @pytest.mark.parametrize("key", sorted(BATCH_PROBLEMS))
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
+    def test_steps_are_the_per_block_assignment(self, key, method, gamma):
+        prob = batch_problem(key)
+        blocks = prob.projections
+        last = len(blocks) - 1
+        for which in (set(), {0, last}, set(range(last + 1))):
+            for z in (starts(key, range(3)), prob.initial_state(7)):
+                stacked = splitting._Stacked(wrapped(blocks, which))
+                assert same_bits(stacked(z), stacked_oracle(blocks, z))
+                assert_steps_are_the_oracle(wrapped(blocks, which), blocks,
+                                            method, gamma, z)
+
+    def test_a_held_result_is_never_written_again(self):
+        prob = batch_problem("9x9-37")
+        stacked = splitting._Stacked(prob.projections)
+        zs = starts("9x9-37", range(4))
+        u = stacked(zs[:2])
+        row = stacked(zs[2:])[1]       # a view that outlives its parent
+        want = u.copy(), row.copy()
+        for z in (zs[:2], zs[2:], zs[1:3]):
+            new = stacked(z)
+            assert not np.shares_memory(new, u)
+            assert not np.shares_memory(new, row)
+        assert same_bits(u, want[0]) and same_bits(row, want[1])
+
+    def test_a_dropped_result_is_written_again(self):
+        prob = batch_problem("queens-8")
+        stacked = splitting._Stacked(prob.projections)
+        zs = starts("queens-8", range(3))
+        where = stacked(zs).__array_interface__["data"][0]
+        again = stacked(zs[::-1])
+        assert again.__array_interface__["data"][0] == where
+        assert same_bits(again, stacked_oracle(prob.projections, zs[::-1]))
+
+    @pytest.mark.parametrize("build", [
+        lambda **kw: sudoku_problem(bundled_sudoku("4x4"), **kw),
+        lambda **kw: queens_problem(QueensInstance(6), **kw)])
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
+    def test_random_tie_steps_are_the_per_block_assignment(self, build,
+                                                            method, gamma):
+        prob, twin = (build(tie_break="random", tie_seed=5)
+                      for _ in range(2))
+        for z in (np.stack([prob.initial_state(s) for s in range(3)]),
+                  prob.initial_state(7)):
+            assert_steps_are_the_oracle(prob.projections, twin.projections,
+                                        method, gamma, z)
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +664,9 @@ class TestOrbitReplay:
         calls = []
         project = GroupProjection.__call__
 
-        def counted(self, x):
+        def counted(self, x, out=None):
             calls.append(None)
-            return project(self, x)
+            return project(self, x, out=out)
         monkeypatch.setattr(GroupProjection, "__call__", counted)
         prob = batch_problem("queens-5")
         step = product_step(prob.projections, "altproj")
@@ -696,6 +828,16 @@ def oracle_reference(kept):
             np.array([float(np.linalg.norm(xx - xs[-1])) for xx in xs]),
             np.array([np.count_nonzero(np.atleast_2d(uu) != u_ref, axis=1)
                       for uu in us], dtype=float))
+
+
+def blockwise_norm(v):
+    """The square root of the sum, in order, of np.dot of each 8192-element
+    block of the 1-D v with itself: np.linalg.norm(v) up to one block."""
+    v = np.ascontiguousarray(v)
+    total = np.dot(v[:8192], v[:8192])
+    for i in range(8192, len(v), 8192):
+        total += np.dot(v[i:i + 8192], v[i:i + 8192])
+    return np.sqrt(total)
 
 
 def same_bits(a, b):
