@@ -23,7 +23,6 @@ __all__ = [
     "BenchRecord",
     "BenchReport",
     "bench_puzzle",
-    "read_bench_csv",
     "resolve_workers",
 ]
 
@@ -116,15 +115,6 @@ class BenchReport:
             for r in self.records:
                 writer.writerow([r.run_id, r.seed, r.outcome, r.iterations,
                                  repr(float(r.wall_ms))])
-
-
-def read_bench_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    records = [BenchRecord(run_id=int(r[0]), seed=int(r[1]), outcome=r[2],
-                           iterations=int(r[3]), wall_ms=float(r[4]))
-               for r in rows[1:]]
-    return BenchReport(records)
 
 
 def _bench_one(task):

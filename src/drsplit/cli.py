@@ -175,10 +175,12 @@ _CONFIG_TYPES = {
 
 def _apply_config(args):
     """Fill parse results from a key=value file; flags keep priority
-    because only still-unset (None) values are overwritten."""
+    because only still-unset (None) values are overwritten, and the file's
+    gamma goes with its method=ddr when a flag overrides that."""
     path = Path(args.config)
     if not path.exists():
         raise CliError(f"config file {args.config!r} not found")
+    given = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -190,6 +192,11 @@ def _apply_config(args):
         key = key.replace("-", "_")
         if key not in _CONFIG_TYPES or not hasattr(args, key):
             raise CliError(f"{args.config}:{lineno}: unknown key {key!r}")
+        given.setdefault(key, (lineno, value))
+    file_method = given.get("method", (0, None))[1]
+    if file_method == "ddr" and args.method not in (None, "ddr"):
+        given.pop("gamma", None)
+    for key, (lineno, value) in given.items():
         if getattr(args, key) is None:
             try:
                 setattr(args, key, _CONFIG_TYPES[key](value))
@@ -237,6 +244,8 @@ def _resolve_method(args):
         raise CliError(f"unknown method {method!r}; choose from {METHODS}")
     if method == "ddr" and args.gamma is None:
         raise CliError("--gamma is required for the damped method (ddr)")
+    if method != "ddr":
+        _reject_ignored(args, ("gamma",), f"method {method} is undamped")
     return method
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "bundled_sudoku",
     "circle_line_instance",
     "format_grid",
-    "lift_grid",
     "parse_sudoku",
     "queens_feasible",
     "queens_problem",
@@ -174,16 +173,6 @@ def format_grid(grid):
 
 # ---------------------------------------------------------------------------
 # lifting and rounding
-
-def lift_grid(grid):
-    """Indicator cube of a (possibly partial) digit grid, flattened."""
-    grid = np.asarray(grid)
-    s = grid.shape[0]
-    v = np.zeros(s ** 3)
-    ii, jj = np.nonzero(grid >= 0)
-    v[(ii * s + jj) * s + grid[ii, jj]] = 1.0
-    return v
-
 
 def round_cube(v, s):
     """Digit grid from a cube vector: largest entry per pillar wins."""

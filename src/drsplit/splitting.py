@@ -15,16 +15,14 @@ sets, each applied to its own row.  A batch of product-space runs adds a
 leading run axis, z of shape (runs, blocks, n), which the same steps
 carry through when the set projections accept (runs, n) rows.
 
+One loop, `_iterate`, steps every run: `run_batch` is that loop over a
+batch, and `run` is its batch of one, whose `_Recorder` keeps the trace.
 A product-space step over lowest-index-tie `GroupProjection`s and
-`ClueProjection`s is a function of z alone.  Once such a run's iterate
+`ClueProjection`s is a function of z alone: once such a run's iterate
 equals, bit for bit, the one two steps back (a fixed point or a 2-cycle),
-everything after it repeats with period 2, so `run` replays the two
-phases instead of stepping and `run_batch` works out the row's exit at
-once.  Any other step is stepped in full.
-
-Such a run's snapshots need not all be held either: a trace keeps the
-newest within a fixed budget and recomputes the older ones, bit for bit,
-by stepping again from the start.
+the rest repeats with period 2, so the loop works out the run's exit at
+once; and a trace keeps only its newest snapshots within a fixed budget,
+recomputing the older ones, bit for bit, from the start.
 """
 
 import csv
@@ -160,7 +158,7 @@ class _Stacked:
     runs, n) for a batch, in whose contiguous slices the projections of
     this module write in place; any other callable's result is copied in.
     A call reuses the previous call's array when nothing else holds it or
-    a view of it any more, so a run that drops each u (`run_batch`) writes
+    a view of it any more, so a loop that drops each u (`_iterate`) writes
     warm memory instead of faulting in fresh pages on every step.
     """
 
@@ -193,7 +191,7 @@ class _Stacked:
 
 class _PureStep(functools.partial):
     """A step whose output is a function of z alone: no random stream, no
-    state.  The run loops replay its exact orbits (see `_orbit_exit`)."""
+    state.  The run loop ends its exact orbits early (see `_iterate`)."""
 
 
 def _is_pure(block):
@@ -438,15 +436,14 @@ class RunResult:
 def _objective(x, u):
     """Half the squared spread of u: about its row mean for a
     product-space state, about x for a two-set one."""
-    if u.ndim == 2:
-        return 0.5 * float(np.sum((u - u.mean(axis=0)) ** 2))
-    return 0.5 * float(np.sum((u - x) ** 2))
+    spread = u - (u.mean(axis=0) if u.ndim == 2 else x)
+    return 0.5 * float(np.sum(spread ** 2))
 
 
 def _candidate(z, x):
-    """The rounding candidate of a step from z: the consensus average of z
-    for a product-space state, the step's x for a two-set one."""
-    return _consensus(z) if z.ndim == 2 else x
+    """A batch's rounding candidates: the mean of the block rows of z going
+    into the step for product-space states, the step's x for two-set ones."""
+    return _consensus(z)[:, 0] if z.ndim == 3 else x
 
 
 def _orbit_exit(policy, first, step_size, found):
@@ -466,8 +463,166 @@ def _orbit_exit(policy, first, step_size, found):
     return MAX_ITER, policy.max_iter
 
 
+# Step norms sum a vector's squares as BLAS dots over consecutive blocks of
+# this many elements, added in order.  A dot this short runs on one thread,
+# so the bits do not depend on the machine's BLAS thread count, and a
+# vector of at most one block has np.linalg.norm's bits.
+_DOT_BLOCK = 8192
+
+
+def _row_norms(d):
+    """The Frobenius norm of each row of d, as floats: the square root of
+    the sum, in order, of the BLAS dots of its contiguous blocks (a strided
+    dot sums in another order): ndarray.dot for one row, else a stack of
+    (1, m) @ (m, 1) products, whose fixed cost is a few microseconds more."""
+    d = np.ascontiguousarray(d)
+    if len(d) == 1:
+        row = d[0]
+        total = row[:_DOT_BLOCK].dot(row[:_DOT_BLOCK])
+        for i in range(_DOT_BLOCK, len(row), _DOT_BLOCK):
+            total += row[i:i + _DOT_BLOCK].dot(row[i:i + _DOT_BLOCK])
+        return [math.sqrt(total)]   # sqrt is correctly rounded, as np.sqrt
+    block = d[:, :_DOT_BLOCK]
+    total = (block[:, None, :] @ block[:, :, None])[:, 0, 0]
+    for i in range(_DOT_BLOCK, d.shape[1], _DOT_BLOCK):
+        block = d[:, i:i + _DOT_BLOCK]
+        total += (block[:, None, :] @ block[:, :, None])[:, 0, 0]
+    return np.sqrt(total).tolist()
+
+
+def _iterate(step, z, policy, feasible, record=None):
+    """The one loop over iterations: step the batch z (runs, ...) under
+    `policy`, drop each run when it stops, and return each run's (outcome,
+    iterations, wall_s), wall_s being its share of the stepping time.
+
+    `feasible` maps candidate rows to one bool each, or is None.  For a
+    `_PureStep`, a row whose z_k equals z_{k-2} bit for bit (the z going
+    into the previous step is held by reference) has closed an orbit at k
+    and leaves with its exit from `_orbit_exit`.  `record`, the
+    `_Recorder` of a batch of one, is called with each step's size, and
+    `record.orbit(k, end)` when the run's orbit closes at k.
+    """
+    if not np.all(np.isfinite(z)):
+        raise ValueError("initial state contains non-finite entries")
+    pure = isinstance(step, _PureStep)
+    outcomes = [MAX_ITER] * len(z)
+    iterations = [policy.max_iter] * len(z)
+    wall = np.zeros(len(z))
+    active = np.arange(len(z))
+    # the previous iteration's step sizes, the z going into it, and each
+    # active row's row in that z if rows left since
+    back = [math.nan] * len(z)
+    z_back = back_rows = None
+    diff = np.empty(z.shape)        # the step differences, reused
+    t = time.perf_counter()         # when the active set last changed
+    k = 0
+    while k < policy.max_iter:
+        k += 1
+        out = step(z)
+        # only a two-set candidate needs x; dropping u at once lets
+        # `_Stacked` reuse its array
+        z_new, x = out[0], out[1] if z.ndim == 2 else None
+        del out
+        np.subtract(z_new, z, out=diff)
+        steps = _row_norms(diff.reshape(len(diff), -1))
+        if record is not None:
+            record(steps[0])
+        # the stop rule as {row: (outcome, k)}, most often decided on the
+        # floats: no row ends while the steps have a finite sum and, from
+        # min_iter on, neither the oracle nor a stall is due
+        exits = {}
+        if not sum(steps) < math.inf or k >= policy.min_iter and (
+                policy.stop_on_feasible or min(steps) <= policy.z_step_tol):
+            norms = np.array(steps)
+            finite = norms < np.inf         # neither inf nor nan
+            exits = dict.fromkeys((~finite).nonzero()[0].tolist(),
+                                  (NON_FINITE, k))
+            if k >= policy.min_iter:
+                stalled = finite & (norms <= policy.z_step_tol)
+                exits.update(dict.fromkeys(stalled.nonzero()[0].tolist(),
+                                           (STALLED, k)))
+                asked = (finite if policy.stop_on_feasible
+                         else stalled).nonzero()[0]
+                if asked.size and feasible is not None:
+                    exits.update((r, (FEASIBLE, k)) for r, ok in zip(
+                        asked.tolist(), feasible(_candidate(z, x)[asked]))
+                        if ok)
+        # a repeated step size is the cheap test for z_k == z_{k-2}
+        for r in [r for r, (s, s_back) in enumerate(zip(steps, back))
+                  if s == s_back] if pure and any(
+                      map(float.__eq__, steps, back)) else ():
+            if not np.array_equal(z_new[r], z_back[
+                    r if back_rows is None else back_rows[r]]):
+                continue
+            if r not in exits:  # k + 1, k + 3, ... start from z_new[r]
+                exits[r] = _orbit_exit(
+                    policy, k + 1, steps[r],
+                    lambda j: feasible is not None and feasible(_candidate(
+                        (z, z_new)[(j - k) % 2][r:r + 1], None))[0])
+            if record is not None:
+                record.orbit(k, exits[r][1])
+        z_back, back, back_rows, z = z, steps, None, z_new
+        if exits:
+            now = time.perf_counter()
+            wall[active] += (now - t) / len(active)
+            t = now
+            for r, (outcome, end) in exits.items():
+                outcomes[active[r]], iterations[active[r]] = outcome, end
+            if len(exits) == len(active):
+                break
+            back_rows = [r for r in range(len(z)) if r not in exits]
+            z, active = z[back_rows], active[back_rows]
+            back, diff = [back[r] for r in back_rows], diff[:len(z)]
+    else:
+        wall[active] += (time.perf_counter() - t) / len(active)
+    return list(zip(outcomes, iterations, wall.tolist()))
+
+
+class _Recorder:
+    """The loop's batch of one: `step` steps the row with the run's own
+    step (and its single-vector kernels), and a call appends the trace row
+    of the iteration, whose (z in, (z, x, u), step size, objective) is
+    kept as `last`."""
+
+    def __init__(self, step, trace, keep_iterates):
+        self._step, self.trace, self.keep = step, trace, keep_iterates
+        self.last = None
+
+    def step(self, z):
+        z_in = z[0]
+        self.last = None    # lets `_Stacked` reuse the array of the last u
+        iterates = self._step(z_in)
+        self.last = z_in, iterates
+        return iterates[0][None], iterates[1][None]     # the loop reads no u
+
+    def __call__(self, step_size):
+        z_in, iterates = self.last
+        # a run that keeps snapshots reads the objective from them
+        objective = None if self.keep else _objective(*iterates[1:])
+        self.last = z_in, iterates, step_size, objective
+        self.trace.append(step_size, objective,
+                          iterates if self.keep else None)
+
+    def orbit(self, k, end):
+        """z_k equalled z_{k-2}, so iterations k + 1 to end repeat k - 1 and
+        k in turn: k + 1 is stepped from z_k, with k's step size, bit for
+        bit (z_{k+1} - z_k = z_{k-1} - z_k), and the rest copied."""
+        self.trace._orbit_k = k
+        phases = [self.last]
+        if end > k:
+            self.step(phases[0][1][0][None])
+            self(phases[0][2])
+            phases.append(self.last)
+        for j in range(k + 2, end + 1):
+            self.last = _, iterates, step_size, objective = \
+                phases[(j - k) % 2]
+            self.trace.append(step_size, objective,
+                              iterates if self.keep else None)
+
+
 def run(step, z0, policy, feasible=None, keep_iterates=False):
-    """Iterate a step function under a stop policy.
+    """Iterate a step function under a stop policy (`_iterate` on a batch
+    of one, with a `_Recorder`).
 
     The rounding candidate tested for feasibility is the consensus average
     of z going INTO the step (for product-space states), which is what the
@@ -476,177 +631,32 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
     (when stop_on_feasible), else a z step at or below z_step_tol, which is
     FEASIBLE or STALLED depending on the candidate; exhausting max_iter is
     always MAX_ITER.  The first z step that is not finite ends the run as
-    NON_FINITE, whatever min_iter says.  The candidate is formed only where
-    the oracle reads it, and once more for the result.
-
-    For a step of `product_step` that is a function of z alone, an iterate
-    equal to the one two steps back closes an orbit: after one more step
-    the two phases are known, and the rest of the run replays them, trace
-    rows and snapshots included, with the exit from `_orbit_exit`.
+    NON_FINITE, whatever min_iter says.  Once an exact orbit closes (see
+    `_iterate`), the trace repeats its two phases, snapshots included.
     """
     z = np.array(z0, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("initial state contains non-finite entries")
     trace = IterationTrace(n_blocks=z.shape[0] if z.ndim == 2 else 1)
     pure = isinstance(step, _PureStep)
     if pure and keep_iterates:      # the trace may recompute old snapshots
-        trace._replay = (z.copy(), step)
-    outcome = MAX_ITER
-    orbit_k = phases = z_back = step_back = None
-    k = 0
-    while k < policy.max_iter:
-        k += 1
-        z_new, x, u = step(z)
-        step_size = _norm(z_new - z)
-        # a run that keeps snapshots reads the objective from them
-        objective = None if keep_iterates else _objective(x, u)
-        trace.append(step_size, objective,
-                     (z_new, x, u) if keep_iterates else None)
-        z_in, z = z, z_new
-        if not math.isfinite(step_size):
-            outcome = NON_FINITE
-            break
-        if orbit_k is not None:     # the orbit's second phase
-            phases.append((z_in, (z, x, u), objective))
-        elif pure and step_size == step_back and np.array_equal(z, z_back):
-            orbit_k, phases = k, [(z_in, (z, x, u), objective)]
-        if k >= policy.min_iter:
-            stalled = step_size <= policy.z_step_tol
-            if feasible is not None and (policy.stop_on_feasible or stalled):
-                if feasible(_candidate(z_in, x)):
-                    outcome = FEASIBLE
-                    break
-            if stalled:
-                outcome = STALLED
-                break
-        if orbit_k is not None and orbit_k < k:     # both phases known
-            break
-        z_back, step_back = z_in, step_size
-    if outcome == MAX_ITER and orbit_k is not None and orbit_k < k:
-        # iteration j repeats iteration orbit_k + (j - orbit_k) % 2
-        def found(j):
-            z_j, (_, x_j, _), _ = phases[(j - orbit_k) % 2]
-            return feasible is not None and feasible(_candidate(z_j, x_j))
-        outcome, end = _orbit_exit(policy, k + 1, step_size, found)
-        for j in range(k + 1, end + 1):
-            _, iterates, objective = phases[(j - orbit_k) % 2]
-            trace.append(step_size, objective,
-                         iterates if keep_iterates else None)
-        k = end
-        z_in, (z, x, u), _ = phases[(k - orbit_k) % 2]
-    trace._orbit_k = orbit_k
-    return RunResult(outcome=outcome, iterations=k, z=z, x=x, u=u,
-                     candidate=_candidate(z_in, x), trace=trace,
-                     orbit_k=orbit_k)
-
-
-# Step norms sum a vector's squares as BLAS dots over consecutive blocks of
-# this many elements, added in order.  A dot this short runs on one thread,
-# so the bits do not depend on the machine's BLAS thread count, and a
-# vector of at most one block has np.linalg.norm's bits.
-_DOT_BLOCK = 8192
-
-
-def _norm(d):
-    """The Frobenius norm of d as a float: the square root of the sum, in
-    order, of the BLAS dots of the flattened d's blocks with themselves."""
-    d = d.ravel(order="K")
-    total = d[:_DOT_BLOCK].dot(d[:_DOT_BLOCK])
-    for i in range(_DOT_BLOCK, d.size, _DOT_BLOCK):
-        block = d[i:i + _DOT_BLOCK]
-        total += block.dot(block)
-    return math.sqrt(total)
-
-
-def _row_norms(d):
-    """`_norm` of each row of d, bit for bit, which a batched sum of
-    squares would not reproduce.  A stack of (1, m) @ (m, 1) products is
-    one dot per row; like the norm's, its rows must be contiguous, since a
-    strided dot sums in another order."""
-    d = np.ascontiguousarray(d)
-    block = d[:, :_DOT_BLOCK]
-    total = (block[:, None, :] @ block[:, :, None])[:, 0, 0]
-    for i in range(_DOT_BLOCK, d.shape[1], _DOT_BLOCK):
-        block = d[:, i:i + _DOT_BLOCK]
-        total += (block[:, None, :] @ block[:, :, None])[:, 0, 0]
-    return np.sqrt(total)
+        trace._replay = (z, step)   # z is this run's own copy
+    record = _Recorder(step, trace, keep_iterates)
+    [(outcome, k, _)] = _iterate(
+        _PureStep(record.step) if pure else record.step, z[None], policy,
+        None if feasible is None else (lambda rows: [feasible(rows[0])]),
+        record)
+    z_in, (z, x, u) = record.last[:2]
+    return RunResult(outcome, k, z, x, u, _candidate(z_in[None], x[None])[0],
+                     trace, trace._orbit_k)
 
 
 def run_batch(step, z0s, policy, feasible):
-    """Iterate a product-space step over a batch of runs at once.
-
-    z0s has shape (runs, blocks, n), one start per run; `step` and
-    `feasible` must accept the leading run axis, as the steps of
-    `product_step` over the projections of a `Problem`, and its
-    `feasible`, do.  Each run stops by the rule of `run`, at the same
-    iteration and with the same outcome, and leaves the batch then; the
-    runs still active are stepped as one array.  A run whose iterate closes
-    an orbit, as in `run`, leaves with its exit from `_orbit_exit` one step
-    later: only the rows whose step size repeats keep a copy of their z,
-    which the next step is compared against, so the batch holds no second
-    state.  No trace is kept.
-
-    Returns one (outcome, iterations, wall_s) tuple per run, in input
-    order.  wall_s is the run's share of the batch's stepping time: each
-    iteration's wall time is split evenly among the runs active in it, so
-    the shares of one batch sum to its stepping wall time.
+    """`_iterate` over z0s (runs, blocks, n), with no trace: each run ends
+    as `run` would; one (outcome, iterations, wall_s) per run, in order,
+    the wall_s shares summing to the stepping time.  `step` and `feasible`
+    take the leading run axis, as those of `product_step` and `Problem` do.
     """
-    z = np.array(z0s, dtype=float)
-    if z.ndim != 3:
+    if np.ndim(z0s) != 3:
         raise ValueError(f"z0s must have shape (runs, blocks, n), got "
-                         f"{z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("initial state contains non-finite entries")
-    pure = isinstance(step, _PureStep)
-    outcomes = [MAX_ITER] * len(z)
-    iterations = [policy.max_iter] * len(z)
-    wall = np.zeros(len(z))
-    active = np.arange(len(z))
-    # each active row's previous step size, and a copy of the z going into
-    # the last step of each run whose step size repeated there, by run
-    steps_back = np.full(len(z), np.nan)
-    held = {}
-    diff_rows = np.empty(z.shape)   # the step differences, reused
-    t = time.perf_counter()
-    k = 0
-    while active.size and k < policy.max_iter:
-        k += 1
-        z_new = step(z)[0]
-        diff = np.subtract(z_new, z, out=diff_rows[:len(z)])
-        steps = _row_norms(diff.reshape(len(z), -1))
-        finite = np.isfinite(steps)
-        stop = ~finite
-        found = np.zeros(len(z), dtype=bool)
-        if k >= policy.min_iter:
-            stalled = finite & (steps <= policy.z_step_tol)
-            asked = finite if policy.stop_on_feasible else stalled
-            if asked.any():     # the mean of z going into the step
-                found[asked] = feasible(_consensus(z)[asked, 0])
-            stop |= found | stalled
-        for r in np.flatnonzero(stop):
-            iterations[active[r]] = k
-            outcomes[active[r]] = (NON_FINITE if not finite[r] else
-                                   FEASIBLE if found[r] else STALLED)
-        for run_id, z_back in held.items():
-            r = np.searchsorted(active, run_id)
-            if stop[r] or not np.array_equal(z_new[r], z_back):
-                continue
-            # iterations k + 1, k + 3, ... start from z_new[r], and
-            # k + 2, k + 4, ... from z[r]
-            outcomes[run_id], iterations[run_id] = _orbit_exit(
-                policy, k + 1, steps[r],
-                lambda j: feasible(_consensus((z, z_new)[(j - k) % 2][r])))
-            stop[r] = True
-        if pure:    # these rows check z_{k+1} == z_{k-1} at k + 1
-            held = {active[r]: z[r].copy()
-                    for r in np.flatnonzero(~stop & (steps == steps_back))}
-        stepped = active
-        keep = ~stop
-        steps_back = steps[keep]
-        if stop.any():
-            z_new, active = z_new[keep], active[keep]
-        z = z_new
-        now = time.perf_counter()
-        wall[stepped] += (now - t) / len(stepped)
-        t = now
-    return list(zip(outcomes, iterations, wall.tolist()))
+                         f"{np.shape(z0s)}")
+    # no name holds the copy, so it is freed once the loop steps past it
+    return _iterate(step, np.array(z0s, dtype=float), policy, feasible)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import drsplit.bench
-from drsplit.bench import BenchReport, bench_puzzle, read_bench_csv, resolve_workers
+from drsplit.bench import BenchReport, bench_puzzle, resolve_workers
 from drsplit.cli import main
 from drsplit.puzzles import QueensInstance, build_problem, bundled_sudoku
 from drsplit.splitting import StopPolicy, product_step, run
+
+from helpers import read_bench_csv
 
 
 class TestWorkerResolution:

@@ -130,6 +130,34 @@ class TestSolve:
         assert code == 0
 
 
+class TestGammaOutsideDdr:
+    """A gamma that no damped step would read is an error, not ignored."""
+
+    @pytest.mark.parametrize("method", [[], ["--method", "sdr"],
+                                        ["--method", "altproj"]])
+    @pytest.mark.parametrize("command", [
+        ["solve", "--puzzle", "9x9-37"], ["solve", "--circle-line"],
+        ["bench", "--puzzle", PUZZLE4, "--runs", "1"],
+        ["rates", "--puzzle", PUZZLE4], ["rates", "--queens-size", "5"]])
+    def test_flag_is_rejected(self, capsys, command, method):
+        code, out, err = run_cli(capsys, *command, *method, "--gamma", "0.2")
+        assert code == 1 and out == ""
+        assert "is undamped; --gamma would be ignored" in err
+
+    def test_config_key_is_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=3\ngamma=0.2\n")
+        for command in (["solve", "--puzzle", PUZZLE4],
+                        ["bench", "--puzzle", PUZZLE4, "--runs", "1"]):
+            code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+            assert code == 1 and out == ""
+            assert "is undamped; --gamma would be ignored" in err
+        # the file's gamma serves a --method ddr flag
+        code, out, _ = run_cli(capsys, "solve", "--puzzle", PUZZLE4,
+                               "--config", str(cfg), "--method", "ddr")
+        assert code in (0, 2) and "outcome=" in out
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

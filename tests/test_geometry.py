@@ -10,8 +10,10 @@ from numpy.testing import assert_allclose
 
 from drsplit.analysis import principal_angles, sudoku_product_projectors
 from drsplit.constraints import ClueProjection, project_unit_sphere
-from drsplit.puzzles import Hyperplane, bundled_sudoku, lift_grid
+from drsplit.puzzles import Hyperplane, bundled_sudoku
 from drsplit.splitting import ddr_step, dr_step, two_set_step
+
+from helpers import lift_grid
 
 RNG = np.random.default_rng(1234)
 

@@ -17,7 +17,6 @@ from drsplit.puzzles import (
     bundled_sudoku,
     circle_line_instance,
     format_grid,
-    lift_grid,
     parse_sudoku,
     queens_problem,
     round_board,
@@ -28,7 +27,7 @@ from drsplit.puzzles import (
 )
 from drsplit.splitting import StopPolicy, product_step, run
 
-from helpers import format_sudoku, lift_board
+from helpers import format_sudoku, lift_board, lift_grid
 
 RNG = np.random.default_rng(7)
 

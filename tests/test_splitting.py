@@ -23,7 +23,6 @@ from drsplit.puzzles import (
     QueensInstance,
     bundled_sudoku,
     circle_line_instance,
-    lift_grid,
     queens_problem,
     sudoku_problem,
 )
@@ -42,11 +41,12 @@ from drsplit.splitting import (
     read_trace_csv,
     run,
     _consensus,
-    _norm,
     _row_norms,
     run_batch,
     two_set_step,
 )
+
+from helpers import lift_grid, reference_run
 
 RNG = np.random.default_rng(11)
 
@@ -409,7 +409,7 @@ class TestRunBatch:
         assert np.array_equal(_row_norms(d[:, :5]),
                               [np.linalg.norm(row) for row in d[:, :5]])
         for a in (d, d[:, :5], d.T, d[:20].reshape(4, 5, 3645)):
-            assert _norm(a) == float(np.linalg.norm(a))
+            assert _row_norms(a.reshape(1, -1))[0] == np.linalg.norm(a)
 
     # a queens-8 batch's step differences (375 or 512 x 320), a 9x9 run's
     # (20 x 3645), a 16x16 run's (1 x 20480), single-coordinate rows, and
@@ -423,7 +423,8 @@ class TestRunBatch:
         for a in (d, d[:, ::2], d[::-1]):
             want = np.array([blockwise_norm(row) for row in a])
             assert same_bits(_row_norms(a), want)
-            assert all(_norm(row) == w for row, w in zip(a[:4], want))
+            assert all(_row_norms(row[None])[0] == w
+                       for row, w in zip(a[:4], want))
 
     @pytest.mark.parametrize("n", [8191, 8192, 8193, 20480, 78125])
     def test_norms_sum_blocks_of_8192_in_order(self, n):
@@ -432,20 +433,19 @@ class TestRunBatch:
         if n <= 8192:
             assert want == [np.linalg.norm(row) for row in d]
         assert same_bits(_row_norms(d), want)
-        assert [_norm(row) for row in d] == want
-        assert _norm(d) == blockwise_norm(d.ravel())
-        assert _norm(d.T) == blockwise_norm(d.T.ravel(order="K"))
+        assert [_row_norms(row[None])[0] for row in d] == want
+        assert _row_norms(d.reshape(1, -1))[0] == blockwise_norm(d.ravel())
 
     # 16x16 and 25x25 states: OpenBLAS runs one dot of more than 10000
     # elements on several threads, which sums in another order
     @pytest.mark.parametrize("n", [20480, 78125])
     def test_norm_bits_do_not_depend_on_blas_threads(self, n):
         code = ("import sys, numpy as np\n"
-                "from drsplit.splitting import _norm, _row_norms\n"
+                "from drsplit.splitting import _row_norms\n"
                 f"d = np.random.default_rng(3).normal(size=(4, {n}))\n"
-                "norms = [_norm(row) for row in d] + [_norm(d)]\n"
-                "sys.stdout.write((np.array(norms).tobytes()\n"
-                "                  + _row_norms(d).tobytes()).hex())\n")
+                "norms = _row_norms(d), _row_norms(d.reshape(1, -1))\n"
+                "sys.stdout.write(b''.join(np.array(a).tobytes()"
+                " for a in norms).hex())\n")
         src = os.path.dirname(os.path.dirname(splitting.__file__))
         out = set()
         for threads in ("1", "2"):
@@ -478,6 +478,90 @@ class TestRunBatch:
         z0s[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             run_batch(step, z0s, StopPolicy(), prob.feasible)
+
+
+# ---------------------------------------------------------------------------
+# `run` and every row of `run_batch` against the textbook loop of
+# helpers.reference_run, which steps in full: min_iter 0 and 100 with
+# feasibility stops, and a run to max_iter with them off, where most
+# queens orbits close and are replayed
+
+REFERENCE_POLICIES = [GRID_POLICIES[i] for i in (0, 2, 11)]
+
+
+def assert_run_is_the_reference(step, z0, policy, feasible, want=None):
+    if want is None:
+        want = reference_run(step, z0, policy, feasible)
+    outcome, iterations, z, x, u, candidate, z_steps, objectives = want
+    for keep in (False, True):
+        res = run(step, z0, policy, feasible=feasible, keep_iterates=keep)
+        assert (res.outcome, res.iterations) == (outcome, iterations)
+        for name, w in (("z", z), ("x", x), ("u", u),
+                        ("candidate", candidate)):
+            assert same_bits(getattr(res, name), w), name
+        assert same_bits(res.trace.z_step, z_steps)
+        assert same_bits(res.trace.residuals("objective"), objectives)
+    return res
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("policy", REFERENCE_POLICIES)
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
+    @pytest.mark.parametrize("key", sorted(BATCH_PROBLEMS))
+    def test_run_and_batch_rows_are_the_reference(self, key, method, gamma,
+                                                  policy):
+        prob = batch_problem(key)
+        step = product_step(prob.projections, method, gamma=gamma)
+        z0s = starts(key, range(3))
+        wants = [reference_run(step, z0, policy, prob.feasible)
+                 for z0 in z0s]
+        for z0, want in zip(z0s[:2], wants):
+            assert_run_is_the_reference(step, z0, policy, prob.feasible,
+                                        want)
+        got = run_batch(step, z0s, policy, prob.feasible)
+        assert [(o, k) for o, k, _ in got] == [want[:2] for want in wants]
+
+    # the first policy is the one `drsplit solve --circle-line` uses, capped
+    @pytest.mark.parametrize("policy", [
+        StopPolicy(max_iter=1000, stop_on_feasible=False)]
+        + REFERENCE_POLICIES)
+    @pytest.mark.parametrize("method,gamma", [("sdr", None), ("ddr", 0.2)])
+    def test_circle_line_run_is_the_reference(self, method, gamma, policy):
+        inst = circle_line_instance()
+        step = two_set_step(inst.line.project, inst.project_circle, method,
+                            gamma=gamma)
+        assert_run_is_the_reference(step, inst.z0, policy, inst.feasible)
+
+    @pytest.mark.parametrize("min_iter", [0, 1, 10, 11])
+    def test_orbit_phases_of_unequal_feasibility(self, min_iter):
+        """A 2-cycle whose candidates are feasible only in one phase: the
+        exit must land on that phase's iterations, as full stepping does."""
+        def flip(z):
+            return -z, _consensus(-z), -z
+        step = splitting._PureStep(flip)
+        z0s = np.array([[[1.0, 2.0], [3.0, 4.0]], [[-1.0, 2.0], [0.0, 1.0]]])
+        policy = StopPolicy(max_iter=40, min_iter=min_iter)
+
+        def positive(c):
+            return np.asarray(c)[..., 0] > 0
+        for z0 in z0s:
+            res = assert_run_is_the_reference(step, z0, policy, positive)
+            assert res.orbit_k == (2 if res.iterations >= 2 else None)
+        got = run_batch(step, z0s, policy, positive)
+        assert [(o, k) for o, k, _ in got] == [
+            reference_run(step, z0, policy, positive)[:2] for z0 in z0s]
+        first = max(min_iter, 1)    # one start is feasible there, one next
+        assert {k for _, k, _ in got} == {first, first + 1}
+
+    def test_orbits_are_replayed_on_the_grid(self):
+        """The grid above reaches the replay: queens orbits close before
+        max_iter, and the pure step's run is then not stepped in full."""
+        prob = batch_problem("queens-6")
+        step = product_step(prob.projections, "sdr-switched")
+        res = assert_run_is_the_reference(step, prob.initial_state(5),
+                                          REFERENCE_POLICIES[2],
+                                          prob.feasible)
+        assert res.orbit_k is not None and res.orbit_k + 1 < res.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -956,7 +1040,8 @@ class TestSnapshotStore:
     def test_candidate_of_a_two_set_run_is_x(self):
         step, z0, feasible = snapshot_case("circle-line", "ddr", 0.2)
         res = run(step, z0, StopPolicy(), feasible=feasible)
-        assert res.candidate is res.x
+        assert np.shares_memory(res.candidate, res.x)
+        assert same_bits(res.candidate, res.x)
 
 
 # ---------------------------------------------------------------------------
