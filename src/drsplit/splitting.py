@@ -477,10 +477,11 @@ def _row_norms(d):
     (1, m) @ (m, 1) products, whose fixed cost is a few microseconds more."""
     d = np.ascontiguousarray(d)
     if len(d) == 1:
-        row = d[0]
-        total = row[:_DOT_BLOCK].dot(row[:_DOT_BLOCK])
-        for i in range(_DOT_BLOCK, len(row), _DOT_BLOCK):
-            total += row[i:i + _DOT_BLOCK].dot(row[i:i + _DOT_BLOCK])
+        row = d[0, :_DOT_BLOCK]
+        total = row.dot(row)
+        for i in range(_DOT_BLOCK, d.shape[1], _DOT_BLOCK):
+            row = d[0, i:i + _DOT_BLOCK]
+            total += row.dot(row)
         return [math.sqrt(total)]   # sqrt is correctly rounded, as np.sqrt
     block = d[:, :_DOT_BLOCK]
     total = (block[:, None, :] @ block[:, :, None])[:, 0, 0]
@@ -509,20 +510,17 @@ def _iterate(step, z, policy, feasible, record=None):
     iterations = [policy.max_iter] * len(z)
     wall = np.zeros(len(z))
     active = np.arange(len(z))
-    # the previous iteration's step sizes, the z going into it, and each
-    # active row's row in that z if rows left since
-    back = [math.nan] * len(z)
-    z_back = back_rows = None
+    # the previous iteration's step sizes, and the z going into it
+    back, z_back = [math.nan] * len(z), None
     diff = np.empty(z.shape)        # the step differences, reused
     t = time.perf_counter()         # when the active set last changed
     k = 0
     while k < policy.max_iter:
         k += 1
-        out = step(z)
-        # only a two-set candidate needs x; dropping u at once lets
-        # `_Stacked` reuse its array
-        z_new, x = out[0], out[1] if z.ndim == 2 else None
-        del out
+        # dropping u, and x but for a two-set candidate, before the next
+        # step lets `_Stacked` reuse its array
+        z_new, x = step(z)[:2]
+        x = x if z.ndim == 2 else None
         np.subtract(z_new, z, out=diff)
         steps = _row_norms(diff.reshape(len(diff), -1))
         if record is not None:
@@ -548,11 +546,8 @@ def _iterate(step, z, policy, feasible, record=None):
                         asked.tolist(), feasible(_candidate(z, x)[asked]))
                         if ok)
         # a repeated step size is the cheap test for z_k == z_{k-2}
-        for r in [r for r, (s, s_back) in enumerate(zip(steps, back))
-                  if s == s_back] if pure and any(
-                      map(float.__eq__, steps, back)) else ():
-            if not np.array_equal(z_new[r], z_back[
-                    r if back_rows is None else back_rows[r]]):
+        for r, s in enumerate(steps if pure else ()):
+            if s != back[r] or not np.array_equal(z_new[r], z_back[r]):
                 continue
             if r not in exits:  # k + 1, k + 3, ... start from z_new[r]
                 exits[r] = _orbit_exit(
@@ -561,7 +556,8 @@ def _iterate(step, z, policy, feasible, record=None):
                         (z, z_new)[(j - k) % 2][r:r + 1], None))[0])
             if record is not None:
                 record.orbit(k, exits[r][1])
-        z_back, back, back_rows, z = z, steps, None, z_new
+        z_back = z if pure else None    # only a pure step's orbit closes
+        back, z = steps, z_new
         if exits:
             now = time.perf_counter()
             wall[active] += (now - t) / len(active)
@@ -570,9 +566,11 @@ def _iterate(step, z, policy, feasible, record=None):
                 outcomes[active[r]], iterations[active[r]] = outcome, end
             if len(exits) == len(active):
                 break
-            back_rows = [r for r in range(len(z)) if r not in exits]
-            z, active = z[back_rows], active[back_rows]
-            back, diff = [back[r] for r in back_rows], diff[:len(z)]
+            kept = [r for r in range(len(z)) if r not in exits]
+            z, active = z[kept], active[kept]
+            back, diff = [back[r] for r in kept], diff[:len(z)]
+            if pure:
+                z_back = z_back[kept]
     else:
         wall[active] += (time.perf_counter() - t) / len(active)
     return list(zip(outcomes, iterations, wall.tolist()))
@@ -580,28 +578,27 @@ def _iterate(step, z, policy, feasible, record=None):
 
 class _Recorder:
     """The loop's batch of one: `step` steps the row with the run's own
-    step (and its single-vector kernels), and a call appends the trace row
-    of the iteration, whose (z in, (z, x, u), step size, objective) is
-    kept as `last`."""
+    step (and its single-vector kernels), and a call appends that step's
+    trace row.  `last` is the latest iteration's (z in, (z, x, u), trace
+    row), the row None until it is appended."""
 
     def __init__(self, step, trace, keep_iterates):
         self._step, self.trace, self.keep = step, trace, keep_iterates
         self.last = None
 
     def step(self, z):
-        z_in = z[0]
         self.last = None    # lets `_Stacked` reuse the array of the last u
-        iterates = self._step(z_in)
-        self.last = z_in, iterates
+        iterates = self._step(z[0])
+        self.last = z[0], iterates, None
         return iterates[0][None], iterates[1][None]     # the loop reads no u
 
     def __call__(self, step_size):
-        z_in, iterates = self.last
+        z_in, iterates, _ = self.last
         # a run that keeps snapshots reads the objective from them
-        objective = None if self.keep else _objective(*iterates[1:])
-        self.last = z_in, iterates, step_size, objective
-        self.trace.append(step_size, objective,
-                          iterates if self.keep else None)
+        row = ((step_size, None, iterates) if self.keep else
+               (step_size, _objective(*iterates[1:]), None))
+        self.last = z_in, iterates, row
+        self.trace.append(*row)
 
     def orbit(self, k, end):
         """z_k equalled z_{k-2}, so iterations k + 1 to end repeat k - 1 and
@@ -611,13 +608,11 @@ class _Recorder:
         phases = [self.last]
         if end > k:
             self.step(phases[0][1][0][None])
-            self(phases[0][2])
+            self(phases[0][2][0])
             phases.append(self.last)
         for j in range(k + 2, end + 1):
-            self.last = _, iterates, step_size, objective = \
-                phases[(j - k) % 2]
-            self.trace.append(step_size, objective,
-                              iterates if self.keep else None)
+            self.last = phases[(j - k) % 2]
+            self.trace.append(*self.last[2])
 
 
 def run(step, z0, policy, feasible=None, keep_iterates=False):
@@ -644,9 +639,10 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
         _PureStep(record.step) if pure else record.step, z[None], policy,
         None if feasible is None else (lambda rows: [feasible(rows[0])]),
         record)
-    z_in, (z, x, u) = record.last[:2]
-    return RunResult(outcome, k, z, x, u, _candidate(z_in[None], x[None])[0],
-                     trace, trace._orbit_k)
+    z_in, (z, x, u), _ = record.last
+    # a two-set run's candidate is its x itself
+    candidate = x if z_in.ndim == 1 else _candidate(z_in[None], None)[0]
+    return RunResult(outcome, k, z, x, u, candidate, trace, trace._orbit_k)
 
 
 def run_batch(step, z0s, policy, feasible):
