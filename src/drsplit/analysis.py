@@ -2,12 +2,14 @@
 principal angles between constraint subspaces, and closed-form spectra of
 the damped splitting map on lifted sudoku.
 
-The closed forms live on the product space of the five sudoku blocks.  With
-p free pillar coordinates, the damped map has eigenvalues {0, lam_minus,
-gamma/(1+gamma), lam_plus} where lam_plus controls the observable linear
+The closed forms live on the product space of the five sudoku blocks,
+where the map linearized at a solution splits into one 5x5 block per cube
+coordinate, a free one or a clued one (`sudoku_linear_model`).  With p
+free coordinates, the damped map has eigenvalues {0, lam_minus,
+gamma/(1+gamma), lam_plus}, the largest of which is the observable linear
 rate; the plain method contracts at cos of the Friedrichs angle between the
 diagonal and the clue-constraint subspace, which is sqrt(5)/5 regardless of
-the clue pattern.
+the clue pattern and the size.
 """
 
 import dataclasses
@@ -16,17 +18,13 @@ import re
 
 import numpy as np
 
-from .constraints import ClueProjection
-
 __all__ = [
     "DDR_GLOBAL_GAMMA_MAX",
     "SUDOKU_SDR_RATE",
     "InsufficientDataError",
     "RateFit",
     "auto_tail_fraction",
-    "build_sudoku_linearization",
     "ddr_affine_rate",
-    "ddr_rate_block",
     "ddr_rate_eigenvalues",
     "detect_finite_termination",
     "fit_linear_rate",
@@ -34,8 +32,7 @@ __all__ = [
     "is_semi_simple",
     "numerical_rank",
     "principal_angles",
-    "sudoku_product_projectors",
-    "sudoku_subspace_bases",
+    "sudoku_linear_model",
     "theoretical_rate",
 ]
 
@@ -222,14 +219,6 @@ def ddr_affine_rate(gamma):
     return gamma / (1.0 + gamma)
 
 
-def ddr_rate_block(gamma, p):
-    """The 2p x 2p invariant block of the damped sudoku map whose
-    eigenvalues are exactly lam_minus and lam_plus, p times each."""
-    core = np.array([[gamma + 5.0, 2.0 * gamma],
-                     [-2.0 * gamma, gamma]]) / (5.0 * (1.0 + gamma))
-    return np.kron(core, np.eye(p))
-
-
 def theoretical_rate(kind, method, gamma=None):
     """Predicted local linear rate, or None when no clean theory applies."""
     if method == "sdr":
@@ -239,74 +228,37 @@ def theoretical_rate(kind, method, gamma=None):
             return ddr_affine_rate(gamma)
         if kind == "sudoku":
             if 0.0 < gamma <= 1.25:
-                return ddr_rate_eigenvalues(gamma)[3]
+                # lam_plus, except for gamma in (1, 5/4], where
+                # gamma/(1+gamma) is the larger
+                return max(ddr_rate_eigenvalues(gamma))
             return None
     return None
 
 
 # ---------------------------------------------------------------------------
-# explicit linearization on the five-block sudoku product space
+# the splitting map linearized at a sudoku solution
 
-def _free_mask(inst):
-    return ClueProjection(inst.size, inst.clues).free_mask
+def sudoku_linear_model(gamma=None):
+    """The splitting map linearized at a sudoku solution, as its 5x5
+    blocks (free, clued).
 
-
-def sudoku_product_projectors(inst):
-    """Dense projectors (PC, PS) onto the constraint-linearization subspace
-    and the consensus diagonal of the five-block product space."""
-    n = inst.size ** 3
-    dim = 5 * n
-    free = _free_mask(inst).astype(float)
-    pc = np.zeros((dim, dim))
-    idx = 4 * n + np.arange(n)
-    pc[idx, idx] = free
-    ps = np.kron(np.full((5, 5), 0.2), np.eye(n))
-    return pc, ps
-
-
-def build_sudoku_linearization(inst, gamma=None, dim_cap=2000):
-    """Dense matrix of the splitting map linearized at a solution.
-
-    gamma=None gives the plain fixed-point map T; otherwise the damped
-    map (gamma T + PC) / (1 + gamma).  Refuses product dimensions above
-    dim_cap to keep memory predictable.
+    Each coordinate of the cube has one entry in each of the five blocks
+    of the product space, and the linearized map acts on those five
+    entries alone.  The consensus is PS = J/5 there; the clue clamp, the
+    last block, is PC = e5 e5^T at a free coordinate and 0 at a clued one;
+    the four group projections are locally constant.  gamma=None gives
+    the plain map T = I - PS - PC + 2 PC PS, otherwise the damped map
+    (gamma T + PC) / (1 + gamma).
     """
-    n = inst.size ** 3
-    dim = 5 * n
-    if dim > dim_cap:
-        raise ValueError(
-            f"product dimension {dim} exceeds dim_cap={dim_cap}; "
-            "raise the cap to build this matrix")
     if gamma is not None and not 0.0 < gamma < np.inf:
         raise ValueError(f"damping parameter must be positive, got {gamma}")
-    free = _free_mask(inst).astype(float)
-    ps = np.kron(np.full((5, 5), 0.2), np.eye(n))
-    # T = I - PS - PC + 2 PC PS, assembled without forming dense PC
-    t = -ps
-    t[4 * n:] += 2.0 * free[:, None] * ps[4 * n:]
-    diag = np.arange(dim)
-    t[diag, diag] += 1.0
-    t[diag[4 * n:], diag[4 * n:]] -= free
-    if gamma is None:
-        return t
-    t *= gamma
-    t[diag[4 * n:], diag[4 * n:]] += free
-    t /= 1.0 + gamma
-    return t
+    ps = np.full((5, 5), 0.2)
+    blocks = []
+    for pc in (np.diag([0.0, 0.0, 0.0, 0.0, 1.0]), np.zeros((5, 5))):
+        t = np.eye(5) - ps - pc + 2.0 * pc @ ps
+        if gamma is not None:
+            t = (gamma * t + pc) / (1.0 + gamma)
+        blocks.append(t)
+    return tuple(blocks)
 
 
-def sudoku_subspace_bases(inst):
-    """Row-orthonormal bases (constraint side, consensus diagonal) of the
-    two subspaces whose principal angles drive the local rate."""
-    n = inst.size ** 3
-    dim = 5 * n
-    free_idx = np.nonzero(_free_mask(inst))[0]
-    p = len(free_idx)
-    basis_c = np.zeros((p, dim))
-    basis_c[np.arange(p), 4 * n + free_idx] = 1.0
-    basis_s = np.zeros((n, dim))
-    w = 1.0 / np.sqrt(5.0)
-    cols = np.arange(n)
-    for block in range(5):
-        basis_s[cols, block * n + cols] = w
-    return basis_c, basis_s

@@ -19,8 +19,6 @@ from .analysis import (
     SUDOKU_SDR_RATE,
     InsufficientDataError,
     auto_tail_fraction,
-    build_sudoku_linearization,
-    ddr_rate_block,
     ddr_rate_eigenvalues,
     detect_finite_termination,
     fit_linear_rate,
@@ -28,7 +26,7 @@ from .analysis import (
     is_semi_simple,
     numerical_rank,
     principal_angles,
-    sudoku_subspace_bases,
+    sudoku_linear_model,
     theoretical_rate,
 )
 from .bench import bench_puzzle
@@ -55,10 +53,6 @@ from .splitting import (
 )
 
 __all__ = ["CliError", "main"]
-
-_DENSE_EIG_LIMIT = 600      # full spectra only for small product spaces
-_RANK_BLOCK_LIMIT = 48      # the rate block is p-independent, test a slice
-
 
 class CliError(Exception):
     """Usage-level problem; reported on stderr with exit code 1."""
@@ -151,8 +145,6 @@ def _build_parser():
                         help="subspace angles and the damped-map spectrum")
     sp.add_argument("--puzzle", metavar="KEY_OR_FILE", required=True)
     sp.add_argument("--gamma", type=float, default=0.2)
-    sp.add_argument("--dim-cap", type=int, dest="dim_cap", default=2000,
-                    help="largest product dimension to build densely")
     sp.set_defaults(func=_cmd_angles)
 
     return parser
@@ -450,50 +442,48 @@ def _write_report(path, record):
 
 def _cmd_angles(args):
     _, inst = _resolve_instance(args)
-    n = inst.size ** 3
-    dim = 5 * n
-    if dim > args.dim_cap:
-        raise CliError(
-            f"product dimension {dim} exceeds the cap {args.dim_cap}; "
-            f"pass --dim-cap {dim} or more to proceed")
-
-    basis_c, basis_s = sudoku_subspace_bases(inst)
-    p = basis_c.shape[0]
-    cos_f = float(np.cos(friedrichs_angle(basis_c, basis_s)))
-    cosines = np.cos(principal_angles(basis_c, basis_s))
-    print(f"instance={args.puzzle} ambient_dim={dim} blocks=5 "
+    s = inst.size
+    n = s ** 3
+    p = s * (s * s - len(inst.clues))       # the pillars of blank cells
+    gamma = args.gamma
+    levels = np.unique(ddr_rate_eigenvalues(gamma))
+    print(f"instance={args.puzzle} ambient_dim={5 * n} blocks=5 "
           f"free_coordinates={p}")
+    if p == 0:
+        raise CliError("every cell is clued: the clue-side subspace is {0}, "
+                       "so no angle and no local rate exist")
+
+    # the subspace pair splits per coordinate like the map: a free one
+    # pairs the clamp's span(e5) with the diagonal's span(1, ..., 1), a
+    # clued one pairs {0} with it and has no angle
+    clamp, diagonal = np.eye(5)[4:], np.full((1, 5), np.sqrt(0.2))
+    cos_f = float(np.cos(friedrichs_angle(clamp, diagonal)))
+    cosines = np.cos(principal_angles(clamp, diagonal))
+    spread = float(np.max(np.abs(cosines - SUDOKU_SDR_RATE)))
     print(f"cos_friedrichs={cos_f!r} "
           f"deviation_from_theory={abs(cos_f - SUDOKU_SDR_RATE):.3e}")
-    print(f"principal_cosines: count={len(cosines)} "
-          f"max_deviation={float(np.max(np.abs(cosines - SUDOKU_SDR_RATE))):.3e}")
+    print(f"principal_cosines: count={p * len(cosines)} "
+          f"max_deviation={spread:.3e}")
 
-    gamma = args.gamma
-    lam = ddr_rate_eigenvalues(gamma)
-    mults = (n - p, p, 4 * n - p, p)
-    print(f"gamma={gamma} eigenvalues: "
-          f"0 x{mults[0]}, {lam[1]:.12f} x{mults[1]}, "
-          f"{lam[2]:.12f} x{mults[2]}, {lam[3]:.12f} x{mults[3]}")
-    if dim <= _DENSE_EIG_LIMIT:
-        m = build_sudoku_linearization(inst, gamma=gamma,
-                                       dim_cap=args.dim_cap)
-        ev = np.linalg.eigvals(m)
-        targets = np.asarray(lam)
-        dist = np.min(np.abs(ev[:, None] - targets[None, :]), axis=1)
-        print(f"eigenvalue check (dense): max_deviation="
-              f"{float(np.max(dist)):.3e}")
-    else:
-        print("eigenvalue check (dense): skipped above dimension "
-              f"{_DENSE_EIG_LIMIT}, closed form reported")
+    blocks = sudoku_linear_model(gamma)
+    counts = np.zeros(len(levels), dtype=int)
+    deviation = 0.0
+    for block, mult in zip(blocks, (p, n - p)):
+        dist = np.abs(np.linalg.eigvals(block)[:, None] - levels)
+        deviation = max(deviation, float(dist.min(axis=1).max()))
+        np.add.at(counts, dist.argmin(axis=1), mult)
+    print(f"gamma={gamma} eigenvalues: " + ", ".join(
+        f"{'0' if lam == 0.0 else f'{lam:.12f}'} x{c}"
+        for lam, c in zip(levels, counts)))
+    print(f"eigenvalue check (model): max_deviation={deviation:.3e}")
 
-    p_test = min(p, _RANK_BLOCK_LIMIT)
-    block = ddr_rate_block(gamma, p_test)
-    shifted = block - lam[3] * np.eye(2 * p_test)
-    rank_1 = numerical_rank(shifted, reference=block)
-    rank_2 = numerical_rank(shifted @ shifted, reference=block)
-    print(f"dominant_rate={lam[3]!r} "
-          f"semi_simple={is_semi_simple(block, lam[3])} "
-          f"rank={rank_1} rank_of_square={rank_2} block_p={p_test}")
+    rate = theoretical_rate("sudoku", "ddr", gamma)
+    free = blocks[0]
+    a = free - rate * np.eye(5)
+    print(f"dominant_rate={rate!r} "
+          f"semi_simple={all(is_semi_simple(b, rate) for b in blocks)} "
+          f"free_block_rank={numerical_rank(a, reference=free)} "
+          f"rank_of_square={numerical_rank(a @ a, reference=free)}")
     return 0
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "round_cube",
     "sudoku_feasible",
     "sudoku_problem",
-    "validate_queens",
     "validate_sudoku",
 ]
 
@@ -217,28 +216,6 @@ def validate_sudoku(grid, inst):
     return not violations, violations
 
 
-def validate_queens(board, inst):
-    """(ok, violations) for a 0/1 board: one queen per row and column,
-    at most one per diagonal.  Tags: ("row", i), ("column", j),
-    ("antidiag", i+j), ("diag", i-j)."""
-    s = inst.size
-    g = np.asarray(board)
-    violations = []
-    for i in range(s):
-        if g[i, :].sum() != 1:
-            violations.append(("row", i))
-    for j in range(s):
-        if g[:, j].sum() != 1:
-            violations.append(("column", j))
-    for t in range(2 * s - 1):
-        if sum(g[i, t - i] for i in range(s) if 0 <= t - i < s) > 1:
-            violations.append(("antidiag", t))
-    for d in range(-(s - 1), s):
-        if sum(g[i, i - d] for i in range(s) if 0 <= i - d < s) > 1:
-            violations.append(("diag", d))
-    return not violations, violations
-
-
 # ---------------------------------------------------------------------------
 # problem assembly
 
@@ -287,8 +264,8 @@ def _queens_line_keys(s):
 
 
 def queens_feasible(v, s, line_keys):
-    """``validate_queens(round_board(v, s), inst)[0]`` without the Python
-    loops: rounding puts one queen per row, at column cols[i], so the
+    """``validate_queens(round_board(v, s), inst)[0]``, the slow oracle of
+    the tests, without the Python loops: rounding puts one queen per row, at column cols[i], so the
     board is valid iff the columns, the antidiagonals i + j and the
     diagonals i - j are each distinct.  v is one board of shape (s*s,),
     answered by a bool, or a (runs, s*s) batch, answered by a bool array.

@@ -14,13 +14,10 @@ import pytest
 from drsplit import splitting
 from drsplit.analysis import (
     auto_tail_fraction,
-    build_sudoku_linearization,
-    ddr_rate_block,
     ddr_rate_eigenvalues,
     detect_finite_termination,
     fit_linear_rate,
     numerical_rank,
-    sudoku_product_projectors,
 )
 from drsplit.bench import bench_puzzle
 from drsplit.constraints import (
@@ -51,7 +48,14 @@ from drsplit.splitting import (
     two_set_step,
 )
 
-from helpers import format_sudoku, spectral_radius
+from helpers import (
+    build_sudoku_linearization,
+    ddr_rate_block,
+    format_sudoku,
+    planted_grid,
+    spectral_radius,
+    sudoku_product_projectors,
+)
 
 RATE = np.sqrt(5.0) / 5.0
 
@@ -112,9 +116,7 @@ def test_criterion_2_rate_is_size_independent(rate_study):
                     reason="set DRSPLIT_S16=1 for the optional 16x16 run")
 def test_criterion_2_optional_sixteen(rate_study):
     rng = np.random.default_rng(16)
-    b = 4
-    sol = np.array([[(b * (i % b) + i // b + j) % 16 for j in range(16)]
-                    for i in range(16)])
+    sol = planted_grid(16)
     cells = rng.choice(256, size=120, replace=False)
     clues = tuple(sorted((int(c // 16), int(c % 16), int(sol[c // 16, c % 16]))
                          for c in cells))

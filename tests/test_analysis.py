@@ -7,9 +7,7 @@ from drsplit.analysis import (
     SUDOKU_SDR_RATE,
     InsufficientDataError,
     auto_tail_fraction,
-    build_sudoku_linearization,
     ddr_affine_rate,
-    ddr_rate_block,
     ddr_rate_eigenvalues,
     detect_finite_termination,
     fit_linear_rate,
@@ -17,15 +15,22 @@ from drsplit.analysis import (
     is_semi_simple,
     numerical_rank,
     principal_angles,
-    sudoku_product_projectors,
-    sudoku_subspace_bases,
+    sudoku_linear_model,
     theoretical_rate,
 )
 from drsplit.puzzles import bundled_sudoku, queens_problem, sudoku_problem
-from drsplit.puzzles import QueensInstance
+from drsplit.puzzles import QueensInstance, SudokuInstance, validate_sudoku
 from drsplit.splitting import IterationTrace, StopPolicy, product_step, run
 
-from helpers import spectral_radius
+from helpers import (
+    build_sudoku_linearization,
+    ddr_rate_block,
+    lift_grid,
+    planted_grid,
+    spectral_radius,
+    sudoku_product_projectors,
+    sudoku_subspace_bases,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -308,6 +313,10 @@ class TestClosedForms:
         assert theoretical_rate("sudoku", "sdr") == SUDOKU_SDR_RATE
         assert_allclose(theoretical_rate("sudoku", "ddr", 0.2),
                         ddr_rate_eigenvalues(0.2)[3])
+        # past gamma = 1, gamma/(1+gamma) overtakes lam_plus
+        assert_allclose(theoretical_rate("sudoku", "ddr", 1.2), 1.2 / 2.2,
+                        atol=1e-15)
+        assert ddr_rate_eigenvalues(1.2)[3] < 1.2 / 2.2
         assert_allclose(theoretical_rate("queens", "ddr", 0.2), 1.0 / 6.0)
         assert theoretical_rate("queens", "sdr") is None
         assert theoretical_rate("circle-line", "sdr") is None
@@ -353,9 +362,74 @@ class TestSudokuLinearization:
         assert len(mid) > 0
         assert np.max(np.abs(mid - np.sqrt(5.0) / 5.0)) < 1e-10
 
-    def test_dimension_cap_enforced(self):
-        inst = bundled_sudoku("9x9-37")
-        with pytest.raises(ValueError):
-            build_sudoku_linearization(inst, gamma=0.2)   # 3645 > 2000
-        M = build_sudoku_linearization(inst, gamma=0.2, dim_cap=4000)
-        assert M.shape == (3645, 3645)
+
+def planted_instance(s, n_clues, seed):
+    """The box-shift grid of side s and n_clues of its cells as clues."""
+    sol = planted_grid(s)
+    cells = np.random.default_rng(seed).choice(s * s, size=n_clues,
+                                               replace=False)
+    clues = tuple((int(c // s), int(c % s), int(sol[c // s, c % s]))
+                  for c in cells)
+    return SudokuInstance(s, clues), sol
+
+
+def model_matrix(gamma, free):
+    """The dense map that the model's blocks give on the product space."""
+    block_free, block_clued = sudoku_linear_model(gamma)
+    return (np.kron(block_free, np.diag(free.astype(float)))
+            + np.kron(block_clued, np.diag((~free).astype(float))))
+
+
+GAMMAS = [None, 0.1, 0.2, 1.0]
+
+
+class TestLinearModel:
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_matches_dense_oracle(self, gamma):
+        inst = bundled_sudoku("4x4")
+        free = sudoku_problem(inst).projections[-1].free_mask
+        assert_allclose(model_matrix(gamma, free),
+                        build_sudoku_linearization(inst, gamma=gamma),
+                        rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("case", ["9x9-37", "16x16", "25x25"])
+    def test_matches_product_step_jvp(self, case, gamma):
+        # at a planted solution the group projections are locally
+        # constant, so the step is affine nearby and a finite difference
+        # of it is the model applied to the direction
+        if case == "9x9-37":
+            inst, sol = bundled_sudoku(case), planted_grid(9)
+        else:
+            s = int(case.split("x")[0])
+            inst, sol = planted_instance(s, {16: 120, 25: 375}[s], s)
+        assert validate_sudoku(sol, inst)[0]
+        prob = sudoku_problem(inst)
+        free = prob.projections[-1].free_mask
+        assert 0 < np.count_nonzero(free) < len(free)
+        step = product_step(prob.projections,
+                            "sdr" if gamma is None else "ddr", gamma)
+        z = np.tile(lift_grid(sol), (5, 1))
+        v = np.random.default_rng(0).normal(size=z.shape)
+        eps = 1e-6
+        jvp = (step(z + eps * v)[0] - step(z)[0]) / eps
+        block_free, block_clued = sudoku_linear_model(gamma)
+        want = np.where(free, block_free @ v, block_clued @ v)
+        assert np.max(np.abs(jvp - want)) < 1e-8
+
+    def test_plain_free_block_spectrum(self):
+        # 1 three times and 0.2 +- 0.4i, of modulus sqrt(5)/5
+        ev = np.linalg.eigvals(sudoku_linear_model()[0])
+        ev = ev[np.argsort(np.abs(ev))]
+        assert_allclose(np.abs(ev[:2]), SUDOKU_SDR_RATE, atol=1e-15)
+        assert_allclose(ev[2:], 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.2, 1.0, 1.2, 1.25])
+    def test_spectral_radius_is_the_theoretical_rate(self, gamma):
+        rho = max(spectral_radius(b) for b in sudoku_linear_model(gamma))
+        assert abs(rho - theoretical_rate("sudoku", "ddr", gamma)) < 1e-8
+
+    def test_rejects_nonpositive_gamma(self):
+        for gamma in (0.0, -1.0, np.inf):
+            with pytest.raises(ValueError):
+                sudoku_linear_model(gamma)

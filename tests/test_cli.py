@@ -8,9 +8,10 @@ from drsplit.puzzles import (
     QueensInstance,
     bundled_path,
     parse_sudoku,
-    validate_queens,
     validate_sudoku,
 )
+
+from helpers import validate_queens
 
 PUZZLE37 = str(bundled_path("9x9-37"))
 PUZZLE4 = str(bundled_path("4x4"))
@@ -227,6 +228,17 @@ class TestRatesCommand:
         text = svg.read_text()
         assert 'id="theory-guide"' in text
 
+    def test_ddr_theory_is_the_spectral_radius(self, capsys, tmp_path):
+        # for gamma in (1, 5/4] gamma/(1+gamma) exceeds lam_plus
+        report = tmp_path / "rate.json"
+        code, out, _ = run_cli(
+            capsys, "rates", "--puzzle", PUZZLE37, "--method", "ddr",
+            "--gamma", "1.2", "--seed", "0", "--report", str(report))
+        assert code == 0
+        assert "theory=0.545455" in out
+        rec = json.loads(report.read_text())
+        assert abs(rec["deviation"]) < 1e-4
+
     def test_rates_from_trace_file(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
         code, _, _ = run_cli(capsys, "solve", "--puzzle", PUZZLE4,
@@ -343,12 +355,35 @@ class TestAnglesCommand:
         assert "eigenvalue" in out
         assert "semi_simple=True" in out
 
-    def test_dimension_cap_is_an_input_error(self, capsys):
-        code, _, err = run_cli(capsys, "angles", "--puzzle", PUZZLE37)
-        assert code == 1
-        assert "cap" in err.lower()
-
-    def test_cap_can_be_raised(self, capsys):
-        code, out, _ = run_cli(capsys, "angles", "--puzzle", PUZZLE37,
-                               "--dim-cap", "4000")
+    def test_nine_by_nine_needs_no_flag(self, capsys):
+        code, out, _ = run_cli(capsys, "angles", "--puzzle", PUZZLE37)
         assert code == 0
+        assert "free_coordinates=396" in out
+        assert ("0 x333, 0.038701244025 x396, 0.166666666667 x2520, "
+                "0.861298755975 x396") in out
+        assert "eigenvalue check (model)" in out
+        assert "semi_simple=True" in out
+
+    def test_dominant_rate_above_gamma_one(self, capsys):
+        # at gamma = 5/4 lam_minus = lam_plus = 1/3 is a Jordan pair, but
+        # gamma/(1+gamma) = 5/9 dominates, and it is semi-simple
+        code, out, _ = run_cli(capsys, "angles", "--puzzle", PUZZLE4,
+                               "--gamma", "1.25")
+        assert code == 0
+        assert "dominant_rate=0.5555555555555556 semi_simple=True" in out
+
+    def test_gamma_past_five_quarters_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "angles", "--puzzle", PUZZLE4,
+                                 "--gamma", "1.3")
+        assert code == 1
+        assert out == ""
+        assert "5/4" in err
+
+    def test_fully_clued_grid_has_no_rate(self, capsys, tmp_path):
+        solved = tmp_path / "solved.txt"
+        solved.write_text("1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n")
+        code, out, err = run_cli(capsys, "angles", "--puzzle", str(solved))
+        assert code == 1
+        assert "free_coordinates=0" in out
+        assert "no local rate" in err
+        assert "coincide" not in err

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from drsplit.analysis import principal_angles, sudoku_product_projectors
+from drsplit.analysis import principal_angles
 from drsplit.constraints import ClueProjection, project_unit_sphere
 from drsplit.puzzles import Hyperplane, bundled_sudoku
 from drsplit.splitting import ddr_step, dr_step, two_set_step
 
-from helpers import lift_grid
+from helpers import lift_grid, sudoku_product_projectors
 
 RNG = np.random.default_rng(1234)
 

@@ -22,25 +22,23 @@ from drsplit.puzzles import (
     round_board,
     round_cube,
     sudoku_problem,
-    validate_queens,
     validate_sudoku,
 )
 from drsplit.splitting import StopPolicy, product_step, run
 
-from helpers import format_sudoku, lift_board, lift_grid
+from helpers import (
+    format_sudoku,
+    lift_board,
+    lift_grid,
+    planted_grid,
+    validate_queens,
+)
 
 RNG = np.random.default_rng(7)
 
 
-def pattern_solution(s):
-    # shifted-band construction, always a valid solved grid
-    b = int(round(s ** 0.5))
-    return np.array([[(b * (i % b) + i // b + j) % s for j in range(s)]
-                     for i in range(s)])
-
-
-SOLVED4 = pattern_solution(4)
-SOLVED9 = pattern_solution(9)
+SOLVED4 = planted_grid(4)
+SOLVED9 = planted_grid(9)
 
 TEXT4 = "1 2 3 .\n. . . .\n. . . .\n4 . . .\n"
 
@@ -104,7 +102,7 @@ class TestParsing:
     def test_random_instance_round_trip(self):
         for _ in range(20):
             s = int(RNG.choice([4, 9]))
-            sol = pattern_solution(s)
+            sol = planted_grid(s)
             n_clues = int(RNG.integers(1, s * s // 2))
             cells = RNG.choice(s * s, size=n_clues, replace=False)
             clues = tuple(sorted((int(c // s), int(c % s), int(sol[c // s, c % s]))
@@ -160,7 +158,7 @@ class TestSudokuInstance:
 class TestRoundingAndValidation:
     def test_lift_then_round_recovers_grid(self):
         for s in (4, 9):
-            sol = pattern_solution(s)
+            sol = planted_grid(s)
             assert np.array_equal(round_cube(lift_grid(sol), s), sol)
 
     def test_lift_is_binary_with_pillar_sums_one(self):
@@ -171,7 +169,7 @@ class TestRoundingAndValidation:
     def test_pattern_solutions_validate(self):
         for s in (4, 9):
             inst = SudokuInstance(s, ())
-            ok, viol = validate_sudoku(pattern_solution(s), inst)
+            ok, viol = validate_sudoku(planted_grid(s), inst)
             assert ok and viol == []
 
     def test_broken_cell_names_groups(self):
@@ -365,7 +363,7 @@ def oracle_case(label):
         solution = solved_by_sdr(inst)
     else:
         inst = SudokuInstance(arg, ())
-        solution = pattern_solution(arg)
+        solution = planted_grid(arg)
     return (sudoku_problem(inst), solution, lift_grid, _edit_digit,
             functools.partial(validate_sudoku, inst=inst))
 
