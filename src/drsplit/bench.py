@@ -2,10 +2,11 @@
 process pool.  Run i always uses seed base_seed + i, so a batch is
 reproducible regardless of how it was parallelized.
 
-Under the lowest-index tie-break each worker builds one problem and steps
-its share of the seeds together, through `splitting.run_batch`.  Random
-ties give each run's projections their own seeded stream, which rows of a
-shared batch would interleave, so those runs go one by one through `run`.
+Each worker steps its share of the seeds through `splitting.run_batch`.
+Under the lowest-index tie-break it builds one problem and steps the share
+together.  Random ties give each run's projections their own seeded
+stream, which rows of a shared batch would interleave, so each of those
+runs is a batch of one over its own problem.
 """
 
 import csv
@@ -17,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .puzzles import build_problem
-from .splitting import FEASIBLE, product_step, run, run_batch
+from .splitting import FEASIBLE, product_step, run_batch
 
 __all__ = [
     "BenchRecord",
@@ -117,33 +118,27 @@ class BenchReport:
                                  repr(float(r.wall_ms))])
 
 
-def _bench_one(task):
-    """Worker body of one random-tie run; module level so it pickles into
-    a process pool."""
-    instance, method, gamma, policy, tie_break, run_id, seed = task
-    problem = build_problem(instance, tie_break=tie_break, tie_seed=seed)
-    step = product_step(problem.projections, method, gamma=gamma)
-    t0 = time.perf_counter()
-    res = run(step, problem.initial_state(seed), policy,
-              feasible=problem.feasible)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return [BenchRecord(run_id=run_id, seed=seed, outcome=res.outcome,
-                        iterations=res.iterations, wall_ms=wall_ms)]
-
-
-def _bench_batch(task):
-    """Worker body of a lowest-index tie-break share: one problem, its
-    seeds stepped by `run_batch` in as few equal batches as BATCH_BYTES
-    allows.  A record's wall_ms is its share of its batch's stepping time.
-    """
-    instance, method, gamma, policy, run_ids, seeds = task
-    problem = build_problem(instance)
-    step = product_step(problem.projections, method, gamma=gamma)
-    rows = max(1, BATCH_BYTES // (8 * problem.n_blocks * problem.ambient_dim))
+def _bench_share(task):
+    """Worker body of a share of the seeds, each batch stepped by
+    `run_batch`; module level so it pickles into a process pool.  Under
+    the lowest-index tie-break one problem steps the share in as few equal
+    batches as BATCH_BYTES allows; under random ties each seed is a batch
+    of one over the problem its seed breaks the ties of.  A record's
+    wall_ms is its share of its batch's stepping time."""
+    instance, method, gamma, policy, tie_break, run_ids, seeds = task
+    rows = 1
+    if tie_break == "lowest":
+        problem = build_problem(instance)
+        rows = max(1, BATCH_BYTES // (8 * problem.n_blocks
+                                      * problem.ambient_dim))
     n_batches = -(-len(seeds) // rows)
     records = []
     for b in range(n_batches):
         batch = seeds[b::n_batches]
+        if tie_break != "lowest":
+            problem = build_problem(instance, tie_break=tie_break,
+                                    tie_seed=batch[0])
+        step = product_step(problem.projections, method, gamma=gamma)
         z0s = np.stack([problem.initial_state(seed) for seed in batch])
         results = run_batch(step, z0s, policy, problem.feasible)
         records += [BenchRecord(run_id=run_id, seed=seed, outcome=outcome,
@@ -155,29 +150,24 @@ def _bench_batch(task):
 
 def bench_puzzle(instance, method, gamma, policy, runs, base_seed=0,
                  workers=None, tie_break="lowest"):
-    """Run the same instance from `runs` consecutive seeds.  Under the
-    lowest-index tie-break, worker w of n steps runs w, w + n, ... as one
-    batch; under random ties each run builds its problem with its own
-    seed as the tie-break seed."""
+    """Run the same instance from `runs` consecutive seeds: worker w of n
+    takes runs w, w + n, ...  Under the lowest-index tie-break it steps
+    them as one batch; under random ties each run builds its problem with
+    its own seed as the tie-break seed and is a batch of one."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     t0 = time.perf_counter()
     n_workers = resolve_workers(workers, runs)
     run_ids = list(range(runs))
     seeds = [base_seed + i for i in run_ids]
-    if tie_break == "lowest":
-        work = _bench_batch
-        tasks = [(instance, method, gamma, policy, run_ids[w::n_workers],
-                  seeds[w::n_workers]) for w in range(n_workers)]
-    else:
-        work = _bench_one
-        tasks = [(instance, method, gamma, policy, tie_break, i, seed)
-                 for i, seed in zip(run_ids, seeds)]
+    tasks = [(instance, method, gamma, policy, tie_break,
+              run_ids[w::n_workers], seeds[w::n_workers])
+             for w in range(n_workers)]
     if n_workers == 1:
-        shares = [work(t) for t in tasks]
+        shares = [_bench_share(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            shares = list(pool.map(work, tasks))
+            shares = list(pool.map(_bench_share, tasks))
     records = sorted((r for share in shares for r in share),
                      key=lambda r: r.run_id)
     return BenchReport(records, batch_wall_s=time.perf_counter() - t0)

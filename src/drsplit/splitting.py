@@ -15,8 +15,9 @@ sets, each applied to its own row.  A batch of product-space runs adds a
 leading run axis, z of shape (runs, blocks, n), which the same steps
 carry through when the set projections accept (runs, n) rows.
 
-One loop, `_iterate`, steps every run: `run_batch` is that loop over a
-batch, and `run` is its batch of one, whose `_Recorder` keeps the trace.
+One loop, `_iterate`, steps every run, a lone row as a single state:
+`run_batch` is that loop over a batch, and `run` is its batch of one,
+whose `_Recorder` keeps the trace.
 A product-space step over lowest-index-tie `GroupProjection`s and
 `ClueProjection`s is a function of z alone: once such a run's iterate
 equals, bit for bit, the one two steps back (a fixed point or a 2-cycle),
@@ -231,14 +232,14 @@ class StopPolicy:
 
 
 class IterationTrace:
-    """Per-iteration columns.  z_step is recorded as the run goes, and so
-    is objective, unless the run keeps (z, x, u) snapshots: it is then
-    derived from them when first read.  The reference columns compare
-    every iterate with the last: z_res and x_res are Frobenius distances,
-    and u_mismatch (iterations x blocks) counts the coordinates of each
-    block's u that differ (exact float inequality) from its final u, which
-    makes finite termination of combinatorial blocks directly visible.
-    They are given to the constructor or filled from the snapshots.
+    """Per-iteration columns.  z_step is recorded as the run goes; the
+    others are given to the constructor or filled from the run's (z, x, u)
+    snapshots on first read.  objective is half the squared spread of u.
+    The reference columns compare every iterate with the last: z_res and
+    x_res are Frobenius distances, and u_mismatch (iterations x blocks)
+    counts the coordinates of each block's u that differ (exact float
+    inequality) from its final u, which makes finite termination of
+    combinatorial blocks directly visible.
 
     Snapshots are copied into preallocated chunks holding about 1 MiB of
     z each (_CHUNK_BYTES), which the derived columns read chunk by chunk.
@@ -265,12 +266,9 @@ class IterationTrace:
     def __len__(self):
         return len(self._table["z_step"])
 
-    def append(self, z_step, objective, iterates=None):
-        """Record one iteration; `iterates` is its (z, x, u) snapshot, and
-        an objective of None is left to be derived from the snapshots."""
+    def append(self, z_step, iterates=None):
+        """Record one iteration; `iterates` is its (z, x, u) snapshot."""
         self._table["z_step"].append(float(z_step))
-        if objective is not None:
-            self._table.setdefault("objective", []).append(float(objective))
         if iterates is None:
             return
         if not self._chunks or self._filled == len(self._chunks[-1][0]):
@@ -496,6 +494,9 @@ def _iterate(step, z, policy, feasible, record=None):
     `policy`, drop each run when it stops, and return each run's (outcome,
     iterations, wall_s), wall_s being its share of the stepping time.
 
+    A lone row is stepped as a single state, `step(z[0])`, with the run
+    axis put back on the result: this is the one place that picks the
+    single-state or the batched kernels, from the active row count.
     `feasible` maps candidate rows to one bool each, or is None.  For a
     `_PureStep`, a row whose z_k equals z_{k-2} bit for bit (the z going
     into the previous step is held by reference) has closed an orbit at k
@@ -519,7 +520,11 @@ def _iterate(step, z, policy, feasible, record=None):
         k += 1
         # dropping u, and x but for a two-set candidate, before the next
         # step lets `_Stacked` reuse its array
-        z_new, x = step(z)[:2]
+        if len(z) == 1:
+            z_new, x = step(z[0])[:2]
+            z_new, x = z_new[None], x[None]
+        else:
+            z_new, x = step(z)[:2]
         x = x if z.ndim == 2 else None
         np.subtract(z_new, z, out=diff)
         steps = _row_norms(diff.reshape(len(diff), -1))
@@ -577,10 +582,9 @@ def _iterate(step, z, policy, feasible, record=None):
 
 
 class _Recorder:
-    """The loop's batch of one: `step` steps the row with the run's own
-    step (and its single-vector kernels), and a call appends that step's
-    trace row.  `last` is the latest iteration's (z in, (z, x, u), trace
-    row), the row None until it is appended."""
+    """The trace of the loop's batch of one: `step` is the run's own step,
+    which keeps the latest iteration's (z in, (z, x, u), step size) as
+    `last`, the size None until a call appends that iteration's row."""
 
     def __init__(self, step, trace, keep_iterates):
         self._step, self.trace, self.keep = step, trace, keep_iterates
@@ -588,17 +592,13 @@ class _Recorder:
 
     def step(self, z):
         self.last = None    # lets `_Stacked` reuse the array of the last u
-        iterates = self._step(z[0])
-        self.last = z[0], iterates, None
-        return iterates[0][None], iterates[1][None]     # the loop reads no u
+        iterates = self._step(z)
+        self.last = z, iterates, None
+        return iterates
 
     def __call__(self, step_size):
-        z_in, iterates, _ = self.last
-        # a run that keeps snapshots reads the objective from them
-        row = ((step_size, None, iterates) if self.keep else
-               (step_size, _objective(*iterates[1:]), None))
-        self.last = z_in, iterates, row
-        self.trace.append(*row)
+        self.last = self.last[:2] + (step_size,)
+        self.trace.append(step_size, self.last[1] if self.keep else None)
 
     def orbit(self, k, end):
         """z_k equalled z_{k-2}, so iterations k + 1 to end repeat k - 1 and
@@ -607,17 +607,17 @@ class _Recorder:
         self.trace._orbit_k = k
         phases = [self.last]
         if end > k:
-            self.step(phases[0][1][0][None])
-            self(phases[0][2][0])
+            self.step(phases[0][1][0])
+            self(phases[0][2])
             phases.append(self.last)
         for j in range(k + 2, end + 1):
             self.last = phases[(j - k) % 2]
-            self.trace.append(*self.last[2])
+            self(self.last[2])
 
 
 def run(step, z0, policy, feasible=None, keep_iterates=False):
     """Iterate a step function under a stop policy (`_iterate` on a batch
-    of one, with a `_Recorder`).
+    of one, which steps it as a single state, with a `_Recorder`).
 
     The rounding candidate tested for feasibility is the consensus average
     of z going INTO the step (for product-space states), which is what the
@@ -627,7 +627,8 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
     FEASIBLE or STALLED depending on the candidate; exhausting max_iter is
     always MAX_ITER.  The first z step that is not finite ends the run as
     NON_FINITE, whatever min_iter says.  Once an exact orbit closes (see
-    `_iterate`), the trace repeats its two phases, snapshots included.
+    `_iterate`), the trace repeats its two phases.  The trace records each
+    z step, and with keep_iterates the snapshots its other columns need.
     """
     z = np.array(z0, dtype=float)
     trace = IterationTrace(n_blocks=z.shape[0] if z.ndim == 2 else 1)
@@ -641,7 +642,7 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
         record)
     z_in, (z, x, u), _ = record.last
     # a two-set run's candidate is its x itself
-    candidate = x if z_in.ndim == 1 else _candidate(z_in[None], None)[0]
+    candidate = x if z_in.ndim == 1 else _consensus(z_in)
     return RunResult(outcome, k, z, x, u, candidate, trace, trace._orbit_k)
 
 
@@ -649,7 +650,9 @@ def run_batch(step, z0s, policy, feasible):
     """`_iterate` over z0s (runs, blocks, n), with no trace: each run ends
     as `run` would; one (outcome, iterations, wall_s) per run, in order,
     the wall_s shares summing to the stepping time.  `step` and `feasible`
-    take the leading run axis, as those of `product_step` and `Problem` do.
+    take the leading run axis, as those of `product_step` and `Problem` do;
+    `step` must also take a single state (blocks, n), as `product_step`'s
+    steps do, since the loop steps a lone row that way.
     """
     if np.ndim(z0s) != 3:
         raise ValueError(f"z0s must have shape (runs, blocks, n), got "

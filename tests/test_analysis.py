@@ -113,26 +113,26 @@ class TestFiniteTermination:
     def test_constant_trace_terminates_at_zero(self):
         tr = IterationTrace(n_blocks=1)
         for _ in range(50):
-            tr.append(z_step=0.0, objective=np.nan)
+            tr.append(z_step=0.0)
         assert detect_finite_termination(tr, "z") == 0
 
     def test_last_change_index(self):
         tr = IterationTrace(n_blocks=1)
         steps = [1.0] * 10 + [0.0] * 10
         for s in steps:
-            tr.append(z_step=s, objective=np.nan)
+            tr.append(z_step=s)
         assert detect_finite_termination(tr, "z") == 10
 
     def test_noisy_tail_returns_none(self):
         tr = IterationTrace(n_blocks=1)
         for s in [1.0] * 10 + [1e-3] * 10:
-            tr.append(z_step=s, objective=np.nan)
+            tr.append(z_step=s)
         assert detect_finite_termination(tr, "z") is None
 
     def test_dither_below_tolerance_counts_as_frozen(self):
         tr = IterationTrace(n_blocks=1)
         for s in [1.0] * 10 + [3e-15] * 10:
-            tr.append(z_step=s, objective=np.nan)
+            tr.append(z_step=s)
         assert detect_finite_termination(tr, "z") == 10
 
     def test_queens_run_freezes_z_and_all_u_blocks(self):
@@ -170,7 +170,7 @@ class TestFiniteTermination:
 
     def test_unknown_block_rejected(self):
         tr = IterationTrace(n_blocks=2)
-        tr.append(z_step=0.0, objective=np.nan)
+        tr.append(z_step=0.0)
         with pytest.raises(ValueError):
             detect_finite_termination(tr, "u7")
 

@@ -154,6 +154,23 @@ class TestBenchTieBreak:
                      "--tie-break", "random"]) == 0
         assert build_calls == [("random", 7), ("random", 8), ("random", 9)]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_are_per_seed_runs(self, workers):
+        inst = QueensInstance(6)
+        policy = StopPolicy(max_iter=300)
+        rep = bench_puzzle(inst, "sdr", None, policy, runs=5, base_seed=4,
+                           workers=workers, tie_break="random")
+        want = []
+        for seed in range(4, 9):
+            prob = build_problem(inst, "random", tie_seed=seed)
+            res = run(product_step(prob.projections, "sdr"),
+                      prob.initial_state(seed), policy,
+                      feasible=prob.feasible)
+            want.append((seed, res.outcome, res.iterations))
+        assert [(r.seed, r.outcome, r.iterations) for r in rep.records] \
+            == want
+        assert [r.run_id for r in rep.records] == list(range(5))
+
     def test_config_tie_break_reaches_build_problem(self, build_calls,
                                                     tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"

@@ -400,6 +400,30 @@ class TestRunBatch:
         assert got[2][:2] == (NON_FINITE, 1)
         assert sum(o == FEASIBLE for o, _, _ in got) >= 3
 
+    @pytest.mark.parametrize("seeds", [[1, 2, 3, 5, 6], [3]])
+    def test_a_lone_row_is_stepped_as_a_single_state(self, seeds):
+        """The step sees a (blocks, n) state exactly on the iterations
+        where one row is active, and every active row otherwise; the rows
+        end at 118, 50, 42, 90 and 46, and the last alone from 91 on."""
+        prob = batch_problem("queens-8")
+        step = product_step(prob.projections, "sdr")
+        policy = StopPolicy(max_iter=150, min_iter=0)
+        z0s = starts("queens-8", seeds)
+        seen = []
+
+        def spy(z):
+            seen.append(z.shape)
+            return step(z)
+        got = run_batch(spy, z0s, policy, prob.feasible)
+        assert [(o, k) for o, k, _ in got] == [
+            (r.outcome, r.iterations) for r in
+            (run(step, z0, policy, feasible=prob.feasible) for z0 in z0s)]
+        active = [sum(k <= end for _, end, _ in got)
+                  for k in range(1, max(end for _, end, _ in got) + 1)]
+        assert active.count(1) == (28 if len(seeds) > 1 else len(active))
+        assert seen == [z0s.shape[1:] if rows == 1
+                        else (rows,) + z0s.shape[1:] for rows in active]
+
     def test_row_norms_are_numpys_norms(self):
         d = np.concatenate([RNG.normal(size=(20, 3645)) * 1e-9,
                             RNG.normal(size=(20, 3645)),
@@ -500,7 +524,8 @@ def assert_run_is_the_reference(step, z0, policy, feasible, want=None):
                         ("candidate", candidate)):
             assert same_bits(getattr(res, name), w), name
         assert same_bits(res.trace.z_step, z_steps)
-        assert same_bits(res.trace.residuals("objective"), objectives)
+        if keep:    # the objective derives from the snapshots
+            assert same_bits(res.trace.residuals("objective"), objectives)
     return res
 
 
@@ -681,7 +706,7 @@ def assert_same_run(a, b, keep, tmp):
     assert (a.outcome, a.iterations) == (b.outcome, b.iterations)
     for name in ("z", "x", "u", "candidate"):
         assert same_bits(getattr(a, name), getattr(b, name)), name
-    columns = (splitting._COLUMNS if keep else ("z_step", "objective"))
+    columns = (splitting._COLUMNS if keep else ("z_step",))
     for name in columns:
         assert same_bits(a.trace.residuals(name),
                          b.trace.residuals(name)), name
@@ -858,7 +883,7 @@ class TestTrace:
                             u_mismatch=np.zeros((4, 2)))
         assert len(tr) == 4 and tr.n_blocks == 2
         assert tr.u_mismatch.shape == (4, 2)
-        tr.append(0.0, 0.0)
+        tr.append(0.0)
         assert len(tr) == 5 and tr.z_step[-1] == 0.0
         with pytest.raises(ValueError):     # no snapshots to fill z_res
             tr.residuals("z_res")
@@ -872,6 +897,15 @@ class TestTrace:
         back = read_trace_csv(path)
         assert np.isnan(back.residuals("z_res")).all()
         assert np.isfinite(back.z_step).all()
+
+    def test_objective_needs_snapshots(self, tmp_path):
+        res, _ = self.make_run(keep=False)
+        with pytest.raises(ValueError, match="no iterate snapshots recorded"):
+            res.trace.residuals("objective")
+        res.trace.to_csv(tmp_path / "trace.csv")
+        back = read_trace_csv(tmp_path / "trace.csv")
+        assert len(back) == res.iterations
+        assert np.isnan(back.residuals("objective")).all()
 
     def test_objective_is_consensus_violation(self):
         res, _ = self.make_run(keep=True)
@@ -973,9 +1007,9 @@ class TestSnapshotStore:
         rec, kept = recorded(step)
         kept_run = run(rec, z0, SNAPSHOT_POLICY, feasible=feasible,
                        keep_iterates=True)
-        plain = run(step, z0, SNAPSHOT_POLICY, feasible=feasible)
         got = kept_run.trace.residuals("objective")
-        assert same_bits(got, plain.trace.residuals("objective"))
+        assert same_bits(got, reference_run(step, z0, SNAPSHOT_POLICY,
+                                            feasible)[-1])
         assert same_bits(got, [oracle_objective(x, u)
                                for _, _, x, u in kept])
 

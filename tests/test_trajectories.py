@@ -3,9 +3,9 @@
 Every method runs exactly 150 iterations (no stop on feasibility) on the
 4x4, 9x9-37 and 8-queens problems from seeds 0, 1 and 2, and on the
 circle/line pair from its bundled start.  A digest covers the final z, x,
-u and candidate, the per-iteration z steps and objectives, and, for the
-runs that keep snapshots (seed 0, and the circle/line pair), the residuals
-against the final iterate.  Any change to the arithmetic of a step, the
+u and candidate, the per-iteration z steps and objectives (derived from
+the snapshots every run keeps), and, for seed 0 and the circle/line pair,
+the residuals against the final iterate.  Any change to the arithmetic of a step, the
 consensus average or a projection changes a digest; a refactor must not.
 
 PINNED_RANDOM_TIES covers tie_break="random" (tie_seed 0) from seed 0,
@@ -186,8 +186,7 @@ def puzzle_digest(name, method, seed, binary_start=False, **ties):
     if binary_start:
         z0 = np.round(z0)
     res = run(product_step(problem.projections, kind, gamma=gamma),
-              z0, POLICY, feasible=problem.feasible,
-              keep_iterates=seed == 0)
+              z0, POLICY, feasible=problem.feasible, keep_iterates=True)
     return digest(res, seed == 0)
 
 
