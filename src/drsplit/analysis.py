@@ -58,6 +58,12 @@ class RateFit:
 # residuals this close to the reference iterate carry mostly rounding
 # noise; never fit through them
 _FIT_FLOOR = 1e-11
+# a fit's tail starts where the residual first drops below this
+_TAIL_THRESHOLD = 1e-4
+# z steps at or below this count as frozen
+_FREEZE_TOL = 1e-14
+# principal angles whose cosine is this close to 1 span the intersection
+_INTERSECTION_TOL = 1e-10
 _FIT_SKIP_LAST = 5
 _FIT_MIN_RECORDS = 30
 _FIT_MIN_POINTS = 10
@@ -99,19 +105,19 @@ def fit_linear_rate(trace, quantity, tail_fraction):
                    window=(int(pts[0]), int(pts[-1])), n_points=len(pts))
 
 
-def auto_tail_fraction(trace, quantity, threshold=1e-4):
-    """Tail fraction starting where the residual first drops below the
-    threshold, skipping any initial plateau; 0.5 if it never does."""
+def auto_tail_fraction(trace, quantity):
+    """Tail fraction starting where the residual first drops below
+    _TAIL_THRESHOLD, skipping any initial plateau; 0.5 if it never does."""
     r = np.asarray(trace.residuals(quantity), dtype=float)
-    below = np.nonzero(r < threshold)[0]
+    below = np.nonzero(r < _TAIL_THRESHOLD)[0]
     if len(below) == 0:
         return 0.5
     return float((len(r) - below[0]) / len(r))
 
 
-def detect_finite_termination(trace, block, tol=1e-14):
+def detect_finite_termination(trace, block):
     """Smallest K with the block exactly constant (bitwise, or dithering
-    at or below tol for the z steps) for all k >= K; None if never.
+    at or below _FREEZE_TOL for the z steps) for all k >= K; None if never.
 
     block is "z" (uses recorded step sizes) or "uI" (uses the per-block
     mismatch counts against the final iterate, so it needs snapshots).
@@ -121,7 +127,7 @@ def detect_finite_termination(trace, block, tol=1e-14):
         raise ValueError(f"unknown block {block!r}; use 'z' or 'u<i>'")
     if block == "z":
         steps = np.asarray(trace.z_step, dtype=float)
-        moving = np.nonzero(steps > tol)[0]
+        moving = np.nonzero(steps > _FREEZE_TOL)[0]
         freeze = int(moving[-1]) + 1 if len(moving) else 0
         return freeze if freeze < len(steps) else None
     i = int(m.group(1))
@@ -158,10 +164,10 @@ def principal_angles(basis_a, basis_b):
     return np.arccos(np.clip(cosines, 0.0, 1.0))
 
 
-def friedrichs_angle(basis_a, basis_b, intersection_tol=1e-10):
+def friedrichs_angle(basis_a, basis_b):
     """First principal angle after discarding the common directions."""
     angles = principal_angles(basis_a, basis_b)
-    separated = angles[np.cos(angles) < 1.0 - intersection_tol]
+    separated = angles[np.cos(angles) < 1.0 - _INTERSECTION_TOL]
     if len(separated) == 0:
         raise ValueError(
             "subspaces coincide along every direction; no angle remains")

@@ -198,18 +198,13 @@ class ClueProjection:
         ijk = _check_clues(s, clues)
         cells = ijk[:, 0] * s + ijk[:, 1]
         values = np.zeros((s * s, s))          # the pillar view of the cube
-        free = np.ones((s * s, s), dtype=bool)
+        clued = np.zeros((s * s, s), dtype=bool)
         values[cells, ijk[:, 2]] = 1.0
-        free[cells] = False
+        clued[cells] = True
         self.s = s
         self.clues = tuple(clues)
-        self._free = free.ravel()
-        self._fixed = np.flatnonzero(~self._free)
+        self._fixed = np.flatnonzero(clued)
         self._fixed_values = values.ravel()[self._fixed]
-
-    @property
-    def free_mask(self):
-        return self._free.copy()
 
     def __call__(self, x, out=None):
         """Clamp x; with ``out``, a C-contiguous float array of x's shape,

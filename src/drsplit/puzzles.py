@@ -95,12 +95,6 @@ class SudokuInstance:
             norm.append((i, j, k))
         object.__setattr__(self, "clues", tuple(sorted(norm)))
 
-    def clue_grid(self):
-        grid = np.full((self.size, self.size), -1, dtype=int)
-        for (i, j, k) in self.clues:
-            grid[i, j] = k
-        return grid
-
 
 @dataclasses.dataclass(frozen=True)
 class QueensInstance:
@@ -390,6 +384,10 @@ class Hyperplane:
         return x + (self.rhs - x @ n) * n / (n @ n)
 
 
+# how far a circle/line point may lie off either set and still be feasible
+_FEASIBLE_TOL = 1e-9
+
+
 class CircleLineInstance:
     """Unit circle against a fixed line, with the bundled starting point."""
 
@@ -400,10 +398,10 @@ class CircleLineInstance:
     def project_circle(self, x):
         return project_unit_sphere(x)
 
-    def feasible(self, pt, tol=1e-9):
+    def feasible(self, pt):
         pt = np.asarray(pt, dtype=float)
-        on_line = np.linalg.norm(self.line.project(pt) - pt) <= tol
-        on_circle = abs(np.linalg.norm(pt) - 1.0) <= tol
+        on_line = np.linalg.norm(self.line.project(pt) - pt) <= _FEASIBLE_TOL
+        on_circle = abs(np.linalg.norm(pt) - 1.0) <= _FEASIBLE_TOL
         return bool(on_line and on_circle)
 
 

@@ -22,7 +22,7 @@ A product-space step over lowest-index-tie `GroupProjection`s and
 `ClueProjection`s is a function of z alone: once such a run's iterate
 equals, bit for bit, the one two steps back (a fixed point or a 2-cycle),
 the rest repeats with period 2, so the loop works out the run's exit at
-once; and a trace keeps only its newest snapshots within a fixed budget,
+once; and a trace keeps only one chunk of its newest snapshots,
 recomputing the older ones, bit for bit, from the start.
 """
 
@@ -68,9 +68,6 @@ METHODS = ("sdr", "ddr", "sdr-switched", "altproj")
 
 _COLUMNS = ("z_step", "objective", "z_res", "x_res", "u_mismatch")
 _CHUNK_BYTES = 1 << 20
-# Snapshots a replayable run holds at most (plus one chunk); a 16x16 step
-# keeps 352 KiB, so about 90 steps, and a 9x9 rate run stays under it.
-_SNAPSHOT_BYTES = 32 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +241,10 @@ class IterationTrace:
     Snapshots are copied into preallocated chunks holding about 1 MiB of
     z each (_CHUNK_BYTES), which the derived columns read chunk by chunk.
     When `run` hands the trace its start and a step that is a function of z
-    alone, the trace holds about _SNAPSHOT_BYTES of the newest snapshots:
-    a new chunk then reuses the oldest one's arrays, and the snapshots it
-    held are recomputed by stepping from the start whenever a derived
-    column is filled, which costs one step per evicted iteration.
+    alone, the trace keeps one chunk: once it is full it is refilled from
+    its first row, and the snapshots it held are recomputed by stepping
+    from the start whenever a derived column is filled, which costs one
+    step per evicted iteration.
     """
 
     def __init__(self, n_blocks=1, **columns):
@@ -267,20 +264,22 @@ class IterationTrace:
         return len(self._table["z_step"])
 
     def append(self, z_step, iterates=None):
-        """Record one iteration; `iterates` is its (z, x, u) snapshot."""
+        """Record one iteration; `iterates` is its (z, x, u) snapshot.
+        A trace that holds any other column, given or filled, is complete:
+        its columns would not grow with z_step."""
+        if len(self._table) > 1:
+            raise ValueError("cannot append to a trace that holds columns "
+                             f"other than z_step: {sorted(self._table)}")
         self._table["z_step"].append(float(z_step))
         if iterates is None:
             return
         if not self._chunks or self._filled == len(self._chunks[-1][0]):
-            held = sum(a.nbytes for chunk in self._chunks for a in chunk)
-            if self._replay is not None and held >= _SNAPSHOT_BYTES:
-                chunk = self._chunks.pop(0)
-                self._evicted += len(chunk[0])
+            if self._replay is not None and self._chunks:
+                self._evicted += self._filled   # refill the one chunk
             else:
                 rows = max(1, _CHUNK_BYTES // np.asarray(iterates[0]).nbytes)
-                chunk = tuple(np.empty((rows,) + np.shape(a))
-                              for a in iterates)
-            self._chunks.append(chunk)
+                self._chunks.append(tuple(np.empty((rows,) + np.shape(a))
+                                          for a in iterates))
             self._filled = 0
         for kept, a in zip(self._chunks[-1], iterates):
             kept[self._filled] = a

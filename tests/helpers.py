@@ -1,8 +1,9 @@
-"""Small helpers that only the tests use: the text form of an instance's
-clues, a planted solution grid, a digit grid or a 0/1 board as a flat
-vector, the slow queens validator, a bench CSV read back, the spectral
-radius of a matrix, and the dense 4x4 oracles of the linearized sudoku
-map that `analysis.sudoku_linear_model` reduces to 5x5 blocks.
+"""Small helpers that only the tests use: an instance's clue grid, its
+text form and its free coordinates, a planted solution grid, a digit grid
+or a 0/1 board as a flat vector, the slow queens validator, a bench CSV
+read back, the spectral radius of a matrix, and the dense 4x4 oracles of
+the linearized sudoku map that `analysis.sudoku_linear_model` reduces to
+5x5 blocks.
 """
 
 import csv
@@ -10,13 +11,30 @@ import csv
 import numpy as np
 
 from drsplit.bench import BenchRecord, BenchReport
-from drsplit.constraints import ClueProjection
 from drsplit.puzzles import format_grid
+
+
+def clue_grid(inst):
+    """An instance's clues as a digit grid, -1 on unclued cells."""
+    grid = np.full((inst.size, inst.size), -1, dtype=int)
+    for i, j, k in inst.clues:
+        grid[i, j] = k
+    return grid
 
 
 def format_sudoku(inst):
     """Text form of an instance's clue grid, which parse_sudoku reads back."""
-    return format_grid(inst.clue_grid())
+    return format_grid(clue_grid(inst))
+
+
+def free_mask(inst):
+    """The coordinates of an instance's indicator cube that no clue fixes:
+    every digit of every unclued cell, as a flat bool vector."""
+    s = inst.size
+    mask = np.ones((s, s, s), dtype=bool)
+    for i, j, _ in inst.clues:
+        mask[i, j] = False
+    return mask.ravel()
 
 
 def planted_grid(s):
@@ -126,16 +144,12 @@ def ddr_rate_block(gamma, p):
 # ---------------------------------------------------------------------------
 # explicit linearization on the five-block sudoku product space
 
-def _free_mask(inst):
-    return ClueProjection(inst.size, inst.clues).free_mask
-
-
 def sudoku_product_projectors(inst):
     """Dense projectors (PC, PS) onto the constraint-linearization subspace
     and the consensus diagonal of the five-block product space."""
     n = inst.size ** 3
     dim = 5 * n
-    free = _free_mask(inst).astype(float)
+    free = free_mask(inst).astype(float)
     pc = np.zeros((dim, dim))
     idx = 4 * n + np.arange(n)
     pc[idx, idx] = free
@@ -158,7 +172,7 @@ def build_sudoku_linearization(inst, gamma=None, dim_cap=2000):
             "raise the cap to build this matrix")
     if gamma is not None and not 0.0 < gamma < np.inf:
         raise ValueError(f"damping parameter must be positive, got {gamma}")
-    free = _free_mask(inst).astype(float)
+    free = free_mask(inst).astype(float)
     ps = np.kron(np.full((5, 5), 0.2), np.eye(n))
     # T = I - PS - PC + 2 PC PS, assembled without forming dense PC
     t = -ps
@@ -179,7 +193,7 @@ def sudoku_subspace_bases(inst):
     two subspaces whose principal angles drive the local rate."""
     n = inst.size ** 3
     dim = 5 * n
-    free_idx = np.nonzero(_free_mask(inst))[0]
+    free_idx = np.nonzero(free_mask(inst))[0]
     p = len(free_idx)
     basis_c = np.zeros((p, dim))
     basis_c[np.arange(p), 4 * n + free_idx] = 1.0

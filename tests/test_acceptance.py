@@ -125,7 +125,7 @@ def test_criterion_2_optional_sixteen(rate_study):
     slopes, peaks = [], []
     for seed in range(3):
         # the snapshot store is bounded: a run and its reference residuals
-        # stay within the budget plus a chunk and the replay's few states
+        # hold one chunk of snapshots and the replay's few states
         tracemalloc.start()
         res = run(product_step(prob.projections, "sdr"),
                   prob.initial_state(seed), policy, feasible=prob.feasible,
@@ -139,7 +139,7 @@ def test_criterion_2_optional_sixteen(rate_study):
         tf = auto_tail_fraction(res.trace, "z_res")
         slopes.append(fit_linear_rate(res.trace, "z_res", tf).slope)
     ok = slopes and all(abs(s - RATE) < 0.02 for s in slopes)
-    bound = 1.5 * splitting._SNAPSHOT_BYTES
+    bound = 8 * splitting._CHUNK_BYTES
     report("2 (s=16)", bool(ok) and max(peaks) < bound,
            f"slopes={['%.5f' % s for s in slopes]} all within 0.02; "
            f"traced peaks {[f'{p / 2**20:.1f}' for p in peaks]} MiB "

@@ -25,6 +25,7 @@ from drsplit.splitting import IterationTrace, StopPolicy, product_step, run
 from helpers import (
     build_sudoku_linearization,
     ddr_rate_block,
+    free_mask,
     lift_grid,
     planted_grid,
     spectral_radius,
@@ -387,7 +388,7 @@ class TestLinearModel:
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_matches_dense_oracle(self, gamma):
         inst = bundled_sudoku("4x4")
-        free = sudoku_problem(inst).projections[-1].free_mask
+        free = free_mask(inst)
         assert_allclose(model_matrix(gamma, free),
                         build_sudoku_linearization(inst, gamma=gamma),
                         rtol=0, atol=1e-15)
@@ -405,7 +406,7 @@ class TestLinearModel:
             inst, sol = planted_instance(s, {16: 120, 25: 375}[s], s)
         assert validate_sudoku(sol, inst)[0]
         prob = sudoku_problem(inst)
-        free = prob.projections[-1].free_mask
+        free = free_mask(inst)
         assert 0 < np.count_nonzero(free) < len(free)
         step = product_step(prob.projections,
                             "sdr" if gamma is None else "ddr", gamma)

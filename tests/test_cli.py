@@ -11,7 +11,7 @@ from drsplit.puzzles import (
     validate_sudoku,
 )
 
-from helpers import validate_queens
+from helpers import clue_grid, validate_queens
 
 PUZZLE37 = str(bundled_path("9x9-37"))
 PUZZLE4 = str(bundled_path("4x4"))
@@ -34,7 +34,7 @@ class TestSolve:
         assert "outcome=feasible-found" in out
         inst = parse_sudoku(open(PUZZLE37).read())
         solved = parse_sudoku(grid_out.read_text())
-        ok, _ = validate_sudoku(solved.clue_grid(), inst)
+        ok, _ = validate_sudoku(clue_grid(solved), inst)
         assert ok
         header = trace_out.read_text().splitlines()[0]
         assert header.startswith("k,z_step,z_res,x_res,u0_mismatch")

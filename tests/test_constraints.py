@@ -15,7 +15,9 @@ from drsplit.constraints import (
     queens_groups,
     sudoku_groups,
 )
-from drsplit.puzzles import bundled_sudoku
+from drsplit.puzzles import SudokuInstance, bundled_sudoku
+
+from helpers import free_mask
 
 RNG = np.random.default_rng(99)
 
@@ -481,10 +483,13 @@ class TestClueProjection:
         proj = ClueProjection(4, [(1, 2, 3)])
         x = RNG.normal(size=64)
         assert np.array_equal(proj(proj(x)), proj(x))
-        mask = proj.free_mask
+        mask = free_mask(SudokuInstance(4, ((1, 2, 3),)))
         assert mask.sum() == 64 - 4
         cells = enumerate_cells(4)
         assert not mask[[cells[1, 2, k] for k in range(4)]].any()
+        # free coordinates pass through; the clued pillar becomes e_3
+        assert np.array_equal(proj(x)[mask], x[mask])
+        assert np.array_equal(proj(x)[~mask], np.eye(4)[3])
 
     def test_out_writes_its_slice(self):
         inst = bundled_sudoku("9x9-37")

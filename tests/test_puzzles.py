@@ -27,6 +27,7 @@ from drsplit.puzzles import (
 from drsplit.splitting import StopPolicy, product_step, run
 
 from helpers import (
+    clue_grid,
     format_sudoku,
     lift_board,
     lift_grid,
@@ -151,7 +152,7 @@ class TestSudokuInstance:
 
     def test_clue_grid(self):
         inst = parse_sudoku(TEXT4)
-        g = inst.clue_grid()
+        g = clue_grid(inst)
         assert g[0, 0] == 0 and g[3, 0] == 3 and g[1, 1] == -1
 
 

@@ -696,9 +696,8 @@ def stepped_in_full(step):
 
 
 def snapshots(trace):
-    """The kept snapshots, which are all of them only while none were
-    evicted (see TestSnapshotBudget for traces that were)."""
-    assert trace._evicted == 0
+    """The kept snapshots as (z, x, u) arrays: those of the last
+    len(trace) - trace._evicted iterations."""
     return [np.concatenate(arrays) for arrays in zip(*trace._snapshots())]
 
 
@@ -710,9 +709,10 @@ def assert_same_run(a, b, keep, tmp):
     for name in columns:
         assert same_bits(a.trace.residuals(name),
                          b.trace.residuals(name)), name
-    if keep:
+    if keep:    # a replayed run keeps the tail of the full run's rows
+        assert b.trace._evicted == 0
         for got, want in zip(snapshots(a.trace), snapshots(b.trace)):
-            assert same_bits(got, want)
+            assert same_bits(got, want[a.trace._evicted:])
     a.trace.to_csv(tmp / "a.csv")
     b.trace.to_csv(tmp / "b.csv")
     assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
@@ -883,12 +883,29 @@ class TestTrace:
                             u_mismatch=np.zeros((4, 2)))
         assert len(tr) == 4 and tr.n_blocks == 2
         assert tr.u_mismatch.shape == (4, 2)
-        tr.append(0.0)
-        assert len(tr) == 5 and tr.z_step[-1] == 0.0
         with pytest.raises(ValueError):     # no snapshots to fill z_res
             tr.residuals("z_res")
         with pytest.raises(ValueError):
             IterationTrace(1, z_resid=r)
+
+    def test_hand_built_trace_does_not_grow(self, tmp_path):
+        # its columns would not grow with z_step, and the CSV would drop
+        # the appended rows
+        r = np.arange(1.0, 5.0)
+        tr = IterationTrace(2, z_step=r, objective=r,
+                            u_mismatch=np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="other than z_step"):
+            tr.append(0.0)
+        tr.to_csv(tmp_path / "trace.csv")
+        assert len(tr) == len(read_trace_csv(tmp_path / "trace.csv")) == 4
+        grown = IterationTrace(2, z_step=r)
+        grown.append(0.0)
+        grown.to_csv(tmp_path / "grown.csv")
+        assert len(read_trace_csv(tmp_path / "grown.csv")) == len(grown) == 5
+        res, _ = self.make_run(keep=True)   # filled columns are fixed too
+        res.trace.set_reference()
+        with pytest.raises(ValueError, match="other than z_step"):
+            res.trace.append(0.0)
 
     def test_csv_without_snapshots_has_nan_residuals(self, tmp_path):
         res, _ = self.make_run(keep=False)
@@ -1078,21 +1095,18 @@ class TestSnapshotStore:
 
 
 # ---------------------------------------------------------------------------
-# the snapshot budget: a run of a step that depends on z alone keeps only
-# its newest snapshots, and everything read off its trace is recomputed,
-# bit for bit, from the start; a budget of one or two chunks of 7 rows
+# the one chunk: a run of a step that depends on z alone keeps only its
+# newest snapshots, one chunk of them, and everything read off its trace
+# is recomputed, bit for bit, from the start; a chunk of 1 or 7 rows
 # evicts nearly all of a 150-step run
 
 BUDGET_METHODS = [("sdr", None), ("ddr", 0.2), ("sdr-switched", None),
                   ("altproj", None)]
 
 
-def budgeted(monkeypatch, z0, iterates, chunks, rows=7):
-    """Set the chunk size to `rows` snapshots and the budget to `chunks`
-    chunks; `iterates` is one snapshot's (z, x, u)."""
+def chunk_rows(monkeypatch, z0, rows=7):
+    """Set the chunk size to `rows` snapshots of z0's size."""
     monkeypatch.setattr(splitting, "_CHUNK_BYTES", rows * z0.nbytes)
-    monkeypatch.setattr(splitting, "_SNAPSHOT_BYTES",
-                        chunks * rows * sum(a.nbytes for a in iterates))
 
 
 def held_rows(trace):
@@ -1134,22 +1148,21 @@ def assert_same_readings(a, b):
 
 
 class TestSnapshotBudget:
-    @pytest.mark.parametrize("chunks", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("method,gamma", BUDGET_METHODS)
     @pytest.mark.parametrize("name", sorted(SNAPSHOT_PROBLEMS))
     def test_budgeted_trace_is_the_unbudgeted_one(self, monkeypatch, tmp_path,
-                                                  name, method, gamma,
-                                                  chunks):
+                                                  name, method, gamma, rows):
         step, z0, feasible = snapshot_case(name, method, gamma)
-        full = run(step, z0, SNAPSHOT_POLICY, feasible=feasible,
-                   keep_iterates=True)
+        full = run(stepped_in_full(step), z0, SNAPSHOT_POLICY,
+                   feasible=feasible, keep_iterates=True)
         assert full.trace._evicted == 0
         want = readings(full, tmp_path / "full.csv", csv_first=False)
-        budgeted(monkeypatch, z0, (full.z, full.x, full.u), chunks)
+        chunk_rows(monkeypatch, z0, rows)
         for csv_first in (True, False):
             res = run(step, z0, SNAPSHOT_POLICY, feasible=feasible,
                       keep_iterates=True)
-            assert held_rows(res.trace) <= (chunks + 1) * 7
+            assert held_rows(res.trace) <= rows
             assert res.trace._evicted + held_rows(res.trace) == 150
             assert_same_readings(readings(res, tmp_path / "budget.csv",
                                           csv_first), want)
@@ -1166,7 +1179,7 @@ class TestSnapshotBudget:
                             stop_on_feasible=False)
         full = run(stepped_in_full(step), z0, policy, feasible=prob.feasible,
                    keep_iterates=True)
-        budgeted(monkeypatch, z0, (full.z, full.x, full.u), chunks=1)
+        chunk_rows(monkeypatch, z0)
         res = run(step, z0, policy, feasible=prob.feasible,
                   keep_iterates=True)
         assert full.trace._evicted == 0
@@ -1179,8 +1192,7 @@ class TestSnapshotBudget:
         prob = batch_problem("queens-8")
         z0 = prob.initial_state(0)
         pure = product_step(prob.projections, "sdr")
-        res = run(pure, z0, SNAPSHOT_POLICY, keep_iterates=True)
-        budgeted(monkeypatch, z0, (res.z, res.x, res.u), chunks=1)
+        chunk_rows(monkeypatch, z0)
         ties = queens_problem(QueensInstance(8), tie_break="random",
                               tie_seed=0)
         blocks = [stepped_in_full(p) for p in prob.projections]
@@ -1196,3 +1208,13 @@ class TestSnapshotBudget:
             assert held_rows(res.trace) == len(res.trace) == 150
         res = run(pure, z0, SNAPSHOT_POLICY, keep_iterates=True)
         assert res.trace._evicted > 0
+
+    def test_a_default_chunk_is_refilled(self):
+        # a 9x9-37 snapshot's z is 29160 bytes: 35 rows to a chunk
+        step, z0, feasible = snapshot_case("9x9-37", "sdr", None)
+        res = run(step, z0, SNAPSHOT_POLICY, feasible=feasible,
+                  keep_iterates=True)
+        assert len(res.trace._chunks) == 1
+        assert held_rows(res.trace) <= splitting._CHUNK_BYTES // z0.nbytes
+        assert res.trace._evicted > 0
+        assert res.trace._evicted + held_rows(res.trace) == 150
