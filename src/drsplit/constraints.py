@@ -112,6 +112,13 @@ class GroupProjection:
     tie-break draws the whole batch's uniforms from one stream.  With
     ``out``, a C-contiguous array of x's shape, the result is written there
     and returned; it must not overlap x.
+
+    A single vector is gathered group-major, (G, m) for G groups of m
+    members, and argmax picks each group's winner.  A batch is gathered
+    member-leading, (m, G, runs), so that each group maximum is a
+    reduction over m long vectors; the first maximum is the largest of
+    the ranks m..1 where an entry equals it, which is argmax's choice,
+    NaN included, bit for bit.
     """
 
     def __init__(self, groups, n, allow_zero=False, tie_break="lowest",
@@ -140,20 +147,45 @@ class GroupProjection:
         self._idx = idx
         self._flat = idx.ravel()
         # groups that are consecutive runs of every coordinate (sudoku
-        # pillars, queens rows) are read as a reshape view, not gathered
+        # pillars, queens rows) are read from one vector as a reshape view
         self._consecutive = idx.size == n and np.array_equal(
             self._flat, np.arange(n))
         self._starts = np.arange(0, idx.size, idx.shape[1])    # row starts
         # None when the table has no padding / covers every coordinate
         self._pad = None if mask.all() else ~mask
         self._covered = None if counts.all() else np.flatnonzero(counts)
+        # the batched kernel's member-leading tables: cols (m, G), its
+        # padding with a run axis, the ranks m..1 of the members, and each
+        # group's column for the flat winner positions amax * G + group
+        g, m = idx.shape
+        self._cols = np.ascontiguousarray(idx.T)
+        self._cols_pad = None if self._pad is None else self._pad.T[..., None]
+        self._rank = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[
+            :, None, None]
+        self._group = np.arange(g)[:, None]
 
     def __call__(self, x, out=None):
         x = np.asarray(x, dtype=float)
-        if self._consecutive:
-            vals = x.reshape(x.shape[:-1] + self._idx.shape)
+        if x.ndim == 1:
+            winners = self._single_winners(x)
+        elif x.ndim == 2:
+            winners = self._batch_winners(x)
         else:
-            vals = x[:, self._idx] if x.ndim > 1 else x[self._idx]
+            raise ValueError(f"x must have shape (n,) or (runs, n), got "
+                             f"{x.shape}")
+        out = _output(x, out)
+        if self._covered is None:
+            out.fill(0.0)
+        else:
+            out[...] = x
+            out[..., self._covered] = 0.0
+        out.reshape(-1)[winners] = 1.0
+        return out
+
+    def _single_winners(self, x):
+        """Flat indices into x of the spiked entries, one vector."""
+        vals = x.reshape(self._idx.shape) if self._consecutive \
+            else x[self._idx]
         if self._pad is not None:
             np.copyto(vals, -np.inf, where=self._pad)
         amax = vals.argmax(axis=-1)     # the first NaN, else lowest tie
@@ -166,25 +198,44 @@ class GroupProjection:
             # a group holding a NaN has no tie: its first NaN wins
             amax = np.where(np.isnan(top[..., 0]), amax,
                             keys.argmax(axis=-1))
-        out = _output(x, out)
-        if self._covered is None:
-            out.fill(0.0)
-        else:
-            out[...] = x
-            out[..., self._covered] = 0.0
         at = self._starts + amax        # the winners' flat table positions
         winners = self._flat[at]
-        if x.ndim == 1:
-            flat = out
-        else:       # a batch as one vector: flat indices into the C copies
-            flat = out.reshape(-1)
-            shift = np.arange(len(x))[:, None]
-            winners = (winners + self.n * shift).ravel()
-            at = (at + self._idx.size * shift).ravel()
         if self.allow_zero:
             winners = winners[vals.reshape(-1)[at] >= 0.5]
-        flat[winners] = 1.0
-        return out
+        return winners
+
+    def _batch_winners(self, x):
+        """Flat indices into the C-ordered (runs, n) output of the spiked
+        entries: vals (m, G, runs) is reduced over its leading axis."""
+        runs = len(x)
+        vals = x.T[self._cols]
+        if self._cols_pad is not None:
+            np.copyto(vals, -np.inf, where=self._cols_pad)
+        top = np.maximum.reduce(vals, axis=0)
+        hit = vals == top
+        nan = np.isnan(top)
+        if nan.any():       # argmax's rule: a group's first NaN wins
+            hit |= np.isnan(vals)
+        amax = self._first(hit)
+        if self._rng is not None:
+            # the uniforms of the group-major stream, member-leading
+            u = self._rng.random((runs,) + self._idx.shape).transpose(2, 1, 0)
+            ties = vals == top
+            if self._cols_pad is not None:  # padding never wins a tie
+                np.copyto(ties, False, where=self._cols_pad)
+            keys = np.where(ties, u, -1.0)
+            key_top = np.maximum.reduce(keys, axis=0)
+            amax = np.where(nan, amax, self._first(keys == key_top))
+        winners = (self._cols.ravel()[amax * len(self._group) + self._group]
+                   + self.n * np.arange(runs))
+        if self.allow_zero:     # the winner's value is its group's maximum
+            winners = winners[top >= 0.5]
+        return winners
+
+    def _first(self, hit):
+        """The first True member of each (group, run) column of hit."""
+        best = np.maximum.reduce(hit * self._rank, axis=0)
+        return len(self._rank) - best.astype(np.intp)
 
 
 class ClueProjection:

@@ -651,10 +651,13 @@ def run_batch(step, z0s, policy, feasible):
     the wall_s shares summing to the stepping time.  `step` and `feasible`
     take the leading run axis, as those of `product_step` and `Problem` do;
     `step` must also take a single state (blocks, n), as `product_step`'s
-    steps do, since the loop steps a lone row that way.
+    steps do, since the loop steps a lone row that way.  An empty batch
+    returns [] without a step.
     """
     if np.ndim(z0s) != 3:
         raise ValueError(f"z0s must have shape (runs, blocks, n), got "
                          f"{np.shape(z0s)}")
+    if not len(z0s):
+        return []
     # no name holds the copy, so it is freed once the loop steps past it
     return _iterate(step, np.array(z0s, dtype=float), policy, feasible)

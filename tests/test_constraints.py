@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -524,18 +525,21 @@ def test_out_must_be_a_contiguous_float_array_of_the_shape(proj):
 # ---------------------------------------------------------------------------
 # a leading run axis: each batch row equals the single-vector call, bitwise
 
-def batch_rows(n, rows, seed):
-    """(rows, n) batch mixing uniform, tie-heavy, NaN-holed and 0/1 rows."""
+def batch_rows(n, rows, seed, every_kind=False):
+    """(rows, n) batch mixing uniform, tie-heavy, NaN-holed and 0/1 rows;
+    with every_kind, row r is of kind r % 5, the fifth kind all -inf."""
     rng = np.random.default_rng(seed)
     out = rng.uniform(-0.5, 1.5, size=(rows, n))
     for r in range(rows):
-        kind = rng.integers(4)
+        kind = r % 5 if every_kind else rng.integers(4)
         if kind == 1:       # few distinct values: exact ties in every group
             out[r] = rng.integers(0, 3, n) / 2.0
         elif kind == 2:
             out[r, rng.integers(n, size=rng.integers(1, 4))] = np.nan
         elif kind == 3:     # already a 0/1 point, as a solved run's block
             out[r] = rng.integers(0, 2, n).astype(float)
+        elif kind == 4:     # every group ties at -inf
+            out[r] = -np.inf
     return out
 
 
@@ -589,6 +593,73 @@ class TestRunAxis:
         assert proj(RNG.normal(size=25)).shape == (25,)
         clue = ClueProjection(4, [(0, 0, 2)])
         assert clue(RNG.normal(size=64)).shape == (64,)
+
+
+# the batched kernel at the widths the tables run: 35-row 9x9 batches,
+# 512-row queens-8 batches, queens-32, and a table whose m * G passes the
+# int16 range, against per-row single-vector calls and the per-group loop
+
+def wide_table():
+    """200 members a group, 170 groups over 34100 coordinates (m * G =
+    34000); the first ten groups hold 150, so 600 coordinates are in none."""
+    rng = np.random.default_rng(7)
+    table = rng.permutation(34100)[:34000].reshape(170, 200)
+    table[:10, 150:] = -1
+    return table, 34100
+
+
+WIDE_TABLES = {
+    **{f"sudoku-9-{kind}": (sudoku_groups(9, kind), 729, False, 35)
+       for kind in ("row", "column", "pillar", "block")},
+    **{f"queens-8-{kind}": (queens_groups(8, kind), 64,
+                            kind in ("antidiag", "diag"), 512)
+       for kind in ("row", "column", "antidiag", "diag")},
+    **{f"queens-32-{kind}": (queens_groups(32, kind), 1024,
+                             kind in ("antidiag", "diag"), 3)
+       for kind in ("row", "column", "antidiag", "diag")},
+    "wide": (*wide_table(), False, 5),
+}
+
+
+class TestBatchAtTableWidths:
+    @pytest.mark.parametrize("label", sorted(WIDE_TABLES))
+    def test_lowest_ties(self, label):
+        table, n, allow_zero, rows = WIDE_TABLES[label]
+        proj = GroupProjection(table, n, allow_zero=allow_zero)
+        batch = batch_rows(n, rows, 16, every_kind=True)
+        assert_rows_match(proj, batch)
+        got = proj(batch)
+        for r in range(min(rows, 5)):       # one row of each kind
+            want = loop_project(table, batch[r], allow_zero)
+            assert np.array_equal(got[r], want, equal_nan=True)
+
+    @pytest.mark.parametrize("label", sorted(WIDE_TABLES))
+    def test_random_ties(self, label):
+        table, n, allow_zero, rows = WIDE_TABLES[label]
+        proj, twin = (GroupProjection(table, n, allow_zero=allow_zero,
+                                      tie_break="random", seed=16)
+                      for _ in range(2))
+        batch = batch_rows(n, rows, 17, every_kind=True)
+        draws = np.random.default_rng(16).random((rows,) + np.shape(table))
+        got = proj(batch)
+        want = np.stack([twin(row) for row in batch])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for r in range(min(rows, 5)):       # one row of each kind
+            want = loop_project(table, batch[r], allow_zero, draws[r])
+            assert np.array_equal(got[r], want, equal_nan=True)
+        # the next call continues the one stream
+        assert np.array_equal(proj(batch[::-1]),
+                              np.stack([twin(row) for row in batch[::-1]]),
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3, 64), (1, 1, 1, 64)])
+def test_inputs_that_are_not_one_or_two_d_are_rejected(shape):
+    for tie_break in ("lowest", "random"):
+        proj = GroupProjection(sudoku_groups(4, "row"), 64,
+                               tie_break=tie_break)
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            proj(np.zeros(shape))
 
 
 class TestCircleProjection:

@@ -493,6 +493,16 @@ class TestRunBatch:
                         batch_problem("4x4").feasible)
         assert all(wall > 0 for _, _, wall in got)
 
+    def test_an_empty_batch_steps_nothing(self):
+        def step(z):
+            raise AssertionError("stepped an empty batch")
+        prob = batch_problem("4x4")
+        assert run_batch(step, np.empty((0, 5, 64)), StopPolicy(),
+                         prob.feasible) == []
+        assert run_batch(product_step(prob.projections, "sdr"),
+                         np.empty((0, 5, 64)), StopPolicy(),
+                         prob.feasible) == []
+
     def test_bad_starts_rejected(self):
         prob = batch_problem("4x4")
         step = product_step(prob.projections, "sdr")
