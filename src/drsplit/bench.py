@@ -38,20 +38,11 @@ BATCH_BYTES = 2 ** 20
 
 
 def resolve_workers(requested, runs):
-    """Worker count: the request (or cpu count), capped by the DR_THREADS
-    environment variable when it holds a positive integer, never more
-    than there are runs.  0 or None asks for the default."""
+    """Worker count: the request (or cpu count), never more than there are
+    runs.  0 or None asks for the default."""
     if requested is not None and requested < 0:
         raise ValueError(f"workers must be >= 0, got {requested}")
     limit = requested if requested else (os.cpu_count() or 1)
-    env = os.environ.get("DR_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = None
-        if cap is not None and cap >= 1:
-            limit = min(limit, cap)
     return max(1, min(limit, runs))
 
 

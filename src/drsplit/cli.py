@@ -67,8 +67,14 @@ class _Parser(argparse.ArgumentParser):
 # argument plumbing
 
 def tail_fraction(text):
-    """'auto' or a float: the argparse type of --tail-fraction."""
-    return text if text == "auto" else float(text)
+    """'auto' or a float in (0, 1]: the argparse type of --tail-fraction."""
+    if text == "auto":
+        return text
+    value = float(text)
+    if not 0.0 < value <= 1.0:      # nan fails too
+        raise argparse.ArgumentTypeError(
+            f"must be 'auto' or lie in (0, 1], got {text}")
+    return value
 
 
 def _add_instance_flags(sp, circle=False):
@@ -260,6 +266,8 @@ def _reject_ignored(args, names, reason):
 
 
 def _resolve_seed(args):
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     return 0 if args.seed is None else args.seed
 
 

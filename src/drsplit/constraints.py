@@ -108,17 +108,17 @@ class GroupProjection:
     group pass through unchanged.
 
     A call projects one vector of shape (n,) or each row of a (runs, n)
-    batch; each row comes out as it would alone, except that a random
-    tie-break draws the whole batch's uniforms from one stream.  With
-    ``out``, a C-contiguous array of x's shape, the result is written there
-    and returned; it must not overlap x.
+    batch; each row comes out as it would alone.  With ``out``, a
+    C-contiguous array of x's shape, the result is written there and
+    returned; it must not overlap x.
 
     A single vector is gathered group-major, (G, m) for G groups of m
-    members, and argmax picks each group's winner.  A batch is gathered
-    member-leading, (m, G, runs), so that each group maximum is a
-    reduction over m long vectors; the first maximum is the largest of
-    the ranks m..1 where an entry equals it, which is argmax's choice,
-    NaN included, bit for bit.
+    members, and argmax picks each group's winner.  Under lowest ties a
+    batch is gathered member-leading, (m, G, runs), so that each group
+    maximum is a reduction over m long vectors; the first maximum is the
+    largest of the ranks m..1 where an entry equals it, which is argmax's
+    choice, NaN included, bit for bit.  A random-tie batch is projected
+    row by row, row 0 first, as the single vectors it stands for.
     """
 
     def __init__(self, groups, n, allow_zero=False, tie_break="lowest",
@@ -166,14 +166,16 @@ class GroupProjection:
 
     def __call__(self, x, out=None):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            winners = self._single_winners(x)
-        elif x.ndim == 2:
-            winners = self._batch_winners(x)
-        else:
+        if x.ndim not in (1, 2):
             raise ValueError(f"x must have shape (n,) or (runs, n), got "
                              f"{x.shape}")
         out = _output(x, out)
+        if x.ndim == 2 and self._rng is not None:
+            for row, row_out in zip(x, out):
+                self(row, out=row_out)
+            return out
+        winners = self._single_winners(x) if x.ndim == 1 \
+            else self._batch_winners(x)
         if self._covered is None:
             out.fill(0.0)
         else:
@@ -206,36 +208,22 @@ class GroupProjection:
 
     def _batch_winners(self, x):
         """Flat indices into the C-ordered (runs, n) output of the spiked
-        entries: vals (m, G, runs) is reduced over its leading axis."""
-        runs = len(x)
+        entries under lowest ties: vals (m, G, runs) is reduced over its
+        leading axis."""
         vals = x.T[self._cols]
         if self._cols_pad is not None:
             np.copyto(vals, -np.inf, where=self._cols_pad)
         top = np.maximum.reduce(vals, axis=0)
         hit = vals == top
-        nan = np.isnan(top)
-        if nan.any():       # argmax's rule: a group's first NaN wins
+        if np.isnan(top).any():     # argmax's rule: a group's first NaN wins
             hit |= np.isnan(vals)
-        amax = self._first(hit)
-        if self._rng is not None:
-            # the uniforms of the group-major stream, member-leading
-            u = self._rng.random((runs,) + self._idx.shape).transpose(2, 1, 0)
-            ties = vals == top
-            if self._cols_pad is not None:  # padding never wins a tie
-                np.copyto(ties, False, where=self._cols_pad)
-            keys = np.where(ties, u, -1.0)
-            key_top = np.maximum.reduce(keys, axis=0)
-            amax = np.where(nan, amax, self._first(keys == key_top))
+        best = np.maximum.reduce(hit * self._rank, axis=0)
+        amax = len(self._rank) - best.astype(np.intp)   # first hit
         winners = (self._cols.ravel()[amax * len(self._group) + self._group]
-                   + self.n * np.arange(runs))
+                   + self.n * np.arange(len(x)))
         if self.allow_zero:     # the winner's value is its group's maximum
             winners = winners[top >= 0.5]
         return winners
-
-    def _first(self, hit):
-        """The first True member of each (group, run) column of hit."""
-        best = np.maximum.reduce(hit * self._rank, axis=0)
-        return len(self._rank) - best.astype(np.intp)
 
 
 class ClueProjection:

@@ -218,12 +218,11 @@ def _distinct(keys, span):
     For a (runs, lines, m) batch, one bool per run from one bincount, with
     run r's keys shifted to [r * span, (r + 1) * span)."""
     if keys.ndim == 2:
-        return bool(np.count_nonzero(np.bincount(keys.ravel())) == keys.size)
+        return bool(np.bincount(keys.ravel()).max() <= 1)
     runs = len(keys)
     keys = keys.reshape(runs, -1) + span * np.arange(runs)[:, None]
     counts = np.bincount(keys.ravel(), minlength=runs * span)
-    used = np.bincount(np.flatnonzero(counts) // span, minlength=runs)
-    return used == keys.shape[1]
+    return counts.reshape(runs, span).max(axis=1) <= 1
 
 
 def _sudoku_line_keys(s):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,21 +13,18 @@ from helpers import read_bench_csv
 
 
 class TestWorkerResolution:
-    def test_env_caps_pool(self, monkeypatch):
-        monkeypatch.setenv("DR_THREADS", "2")
-        assert resolve_workers(None, runs=64) <= 2
-        assert resolve_workers(8, runs=64) == 2
+    def test_environment_does_not_cap_pool(self, monkeypatch):
+        # the worker count is set by workers= alone
+        for value in ("1", "2", "zebra"):
+            monkeypatch.setenv("DR_THREADS", value)
+            assert resolve_workers(8, runs=64) == 8
+            assert resolve_workers(None, runs=64) == min(os.cpu_count() or 1,
+                                                         64)
 
-    def test_never_more_workers_than_runs(self, monkeypatch):
-        monkeypatch.delenv("DR_THREADS", raising=False)
+    def test_never_more_workers_than_runs(self):
         assert resolve_workers(16, runs=3) == 3
 
-    def test_bad_env_value_ignored(self, monkeypatch):
-        monkeypatch.setenv("DR_THREADS", "zebra")
-        assert resolve_workers(4, runs=8) == 4
-
-    def test_negative_count_rejected(self, monkeypatch):
-        monkeypatch.delenv("DR_THREADS", raising=False)
+    def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="-3"):
             resolve_workers(-3, runs=8)
         assert resolve_workers(0, runs=8) == resolve_workers(None, runs=8)

@@ -178,6 +178,32 @@ class TestConfigFile:
         assert code == 1
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", [
+        ["solve", "--queens-size", "8", "--seed", "-1"],
+        ["bench", "--puzzle", "4x4", "--runs", "3", "--seed", "-5"],
+        ["rates", "--puzzle", PUZZLE4, "--seed", "-2"],
+        ["rates", "--queens-size", "8", "--seed", "-2"],
+    ])
+    def test_flag_is_named(self, capsys, monkeypatch, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a problem was built")
+        monkeypatch.setattr("drsplit.cli.build_problem", unreachable)
+        monkeypatch.setattr("drsplit.cli.bench_puzzle", unreachable)
+        code, out, err = run_cli(capsys, *command)
+        assert code == 1 and out == ""
+        assert "--seed" in err and command[-1] in err
+
+    def test_config_seed_takes_the_same_path(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -4\n")
+        for command in (["solve", "--queens-size", "8"],
+                        ["bench", "--puzzle", "4x4", "--runs", "3"]):
+            code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+            assert code == 1 and out == ""
+            assert "--seed" in err and "-4" in err
+
+
 class TestBenchCommand:
     def test_bench_writes_sorted_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "bench.csv"
@@ -311,6 +337,18 @@ class TestRatesCommand:
                                      "--tail-fraction", "banana")
             assert code == 1
             assert "banana" in err and out == ""
+
+    @pytest.mark.parametrize("value", ["0", "1.5", "nan", "-0.1"])
+    def test_tail_fraction_outside_range_rejected(self, capsys, tmp_path,
+                                                  value):
+        trace = tmp_path / "t.csv"
+        run_cli(capsys, "solve", "--puzzle", PUZZLE4, "--seed", "0",
+                "--run-to-stall", "--trace", str(trace))
+        for source in (["--puzzle", PUZZLE4], ["--trace", str(trace)]):
+            code, out, err = run_cli(capsys, "rates", *source,
+                                     "--tail-fraction", value)
+            assert code == 1 and out == ""   # rejected before running
+            assert "--tail-fraction" in err and value in err
 
     def test_trace_rejects_run_flags(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"

@@ -588,6 +588,14 @@ class TestRunAxis:
         assert_allclose(proj(batch), [[0.0, 1.0, 1.0, 5.0, -1.0],
                                       [0.0, 0.0, 0.0, 0.4, 2.0]])
 
+    @pytest.mark.parametrize("tie_break", ["lowest", "random"])
+    def test_empty_batch_keeps_its_shape(self, tie_break):
+        proj = GroupProjection(queens_groups(5, "diag"), 25, allow_zero=True,
+                               tie_break=tie_break, seed=1)
+        assert proj(np.zeros((0, 25))).shape == (0, 25)
+        out = np.empty((0, 25))
+        assert proj(np.zeros((0, 25)), out=out) is out
+
     def test_single_vector_shape_is_kept(self):
         proj = GroupProjection(queens_groups(5, "diag"), 25, allow_zero=True)
         assert proj(RNG.normal(size=25)).shape == (25,)

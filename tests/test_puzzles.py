@@ -435,6 +435,19 @@ class TestFeasibilityOracle:
         assert got.dtype == bool and got.shape == (len(kinds),)
         assert got.tolist() == [slow_feasible(label, v) for v in batch]
 
+    @pytest.mark.parametrize("label, rows", [
+        ("9x9-37", 35), ("9x9-22", 35), ("queens-8", 512)])
+    def test_batch_at_table_widths(self, label, rows):
+        # the batch widths the success tables step: bench's byte budget
+        # holds 35 9x9 rows and 512 queens-8 rows
+        kinds = ("solution", "edit", "noisy", "nan", "uniform")
+        batch = np.stack([oracle_candidate(label, kinds[r % len(kinds)], r)
+                          for r in range(rows)])
+        got = oracle_case(label)[0].feasible(batch)
+        want = [slow_feasible(label, v) for v in batch]
+        assert got.dtype == bool and got.tolist() == want
+        assert True in want and False in want
+
     def test_answers_are_plain_bools(self):
         for label in ("queens-8", "9x9-37"):
             prob, solution, lift, _, _ = oracle_case(label)
