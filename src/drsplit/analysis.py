@@ -19,7 +19,6 @@ import re
 import numpy as np
 
 __all__ = [
-    "DDR_GLOBAL_GAMMA_MAX",
     "SUDOKU_SDR_RATE",
     "InsufficientDataError",
     "RateFit",
@@ -37,10 +36,6 @@ __all__ = [
 ]
 
 SUDOKU_SDR_RATE = np.sqrt(5.0) / 5.0
-
-# largest damping parameter with a contraction guarantee independent of
-# the constraint geometry
-DDR_GLOBAL_GAMMA_MAX = np.sqrt(1.5) - 1.0
 
 
 class InsufficientDataError(RuntimeError):

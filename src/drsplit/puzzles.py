@@ -220,7 +220,7 @@ def _distinct(keys, span):
     if keys.ndim == 2:
         return bool(np.bincount(keys.ravel()).max() <= 1)
     runs = len(keys)
-    keys = keys.reshape(runs, -1) + span * np.arange(runs)[:, None]
+    keys = keys + span * np.arange(runs)[:, None, None]
     counts = np.bincount(keys.ravel(), minlength=runs * span)
     return counts.reshape(runs, span).max(axis=1) <= 1
 

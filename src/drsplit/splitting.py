@@ -21,9 +21,9 @@ whose `_Recorder` keeps the trace.
 A product-space step over lowest-index-tie `GroupProjection`s and
 `ClueProjection`s is a function of z alone: once such a run's iterate
 equals, bit for bit, the one two steps back (a fixed point or a 2-cycle),
-the rest repeats with period 2, so the loop works out the run's exit at
-once; and a trace keeps only one chunk of its newest snapshots,
-recomputing the older ones, bit for bit, from the start.
+the rest repeats with period 2, so the loop works out the run's exit, and
+the trace its last rows, at once; and a trace keeps only one chunk of its
+newest snapshots, recomputing the older ones, bit for bit, from the start.
 """
 
 import csv
@@ -236,7 +236,9 @@ class IterationTrace:
     x_res are Frobenius distances, and u_mismatch (iterations x blocks)
     counts the coordinates of each block's u that differ (exact float
     inequality) from its final u, which makes finite termination of
-    combinatorial blocks directly visible.
+    combinatorial blocks directly visible.  A run that ends in an exact
+    orbit records rows up to its final iterate; past them, row i is row
+    i - 2.
 
     Snapshots are copied into preallocated chunks holding about 1 MiB of
     z each (_CHUNK_BYTES), which the derived columns read chunk by chunk.
@@ -254,14 +256,16 @@ class IterationTrace:
         self.n_blocks = int(n_blocks)
         self._table = {"z_step": []}
         self._table.update((name, list(v)) for name, v in columns.items())
+        if len({len(v) for v in self._table.values()}) > 1:
+            raise ValueError("trace columns differ in length")
         self._chunks = []       # (z, x, u) arrays with a leading row axis
         self._filled = 0        # rows in use in the last chunk
         self._evicted = 0       # snapshots dropped from the front
         self._replay = None     # (z0, step) that recomputes them
-        self._orbit_k = None    # the run's orbit_k, for the replay
+        self._end = 0           # the length of a run that ends in an orbit
 
     def __len__(self):
-        return len(self._table["z_step"])
+        return max(self._end, len(self._table["z_step"]))
 
     def append(self, z_step, iterates=None):
         """Record one iteration; `iterates` is its (z, x, u) snapshot.
@@ -297,20 +301,13 @@ class IterationTrace:
 
     def _replayed(self):
         """The evicted snapshots as one-row chunks, recomputed by stepping
-        from the start; past an exact orbit, as in `run`, iteration k
-        repeats iteration k - 2 from orbit_k + 2 on."""
+        from the start."""
         if not self._evicted:
             return
         z, step = self._replay
-        back = last = None      # the snapshots of iterations k - 2, k - 1
-        for k in range(1, self._evicted + 1):
-            if self._orbit_k is not None and k > self._orbit_k + 1:
-                row = back
-            else:
-                row = step(z)
-                z = row[0]
-            back, last = last, row
-            yield tuple(a[None] for a in row)
+        for _ in range(self._evicted):
+            z, x, u = step(z)
+            yield z[None], x[None], u[None]
 
     def _fill(self, objective=False, reference=False):
         """Derive the objective and/or the reference columns in one pass
@@ -343,14 +340,17 @@ class IterationTrace:
         self._fill(reference=True)
 
     def residuals(self, name):
-        """Column `name` as a float array; a missing objective or reference
-        column is filled from the snapshots on first use."""
+        """Column `name` as a new float array; a missing objective or
+        reference column is filled from the snapshots on first use."""
         if name not in _COLUMNS:
             raise ValueError(f"unknown residual quantity {name!r}")
         if name not in self._table:
             self._fill(objective=name == "objective",
                        reference=name != "objective")
-        return np.asarray(self._table[name], dtype=float)
+        recorded = np.asarray(self._table[name], dtype=float)
+        rows, n = np.arange(len(self)), len(recorded)
+        rows[n:] = n - 2 + (rows[n:] - n) % 2
+        return recorded[rows]
 
     @property
     def z_step(self):
@@ -371,7 +371,7 @@ class IterationTrace:
         cols = {"objective": np.full(n, np.nan), "z_res": np.full(n, np.nan),
                 "x_res": np.full(n, np.nan),
                 "u_mismatch": np.full((n, self.n_blocks), np.nan),
-                **self._table}
+                **{name: self.residuals(name) for name in self._table}}
         header = (["k", "z_step", "z_res", "x_res"]
                   + [f"u{i}_mismatch" for i in range(self.n_blocks)]
                   + ["objective"])
@@ -587,7 +587,7 @@ class _Recorder:
 
     def __init__(self, step, trace, keep_iterates):
         self._step, self.trace, self.keep = step, trace, keep_iterates
-        self.last = None
+        self.last = self.orbit_k = None
 
     def step(self, z):
         self.last = None    # lets `_Stacked` reuse the array of the last u
@@ -601,17 +601,15 @@ class _Recorder:
 
     def orbit(self, k, end):
         """z_k equalled z_{k-2}, so iterations k + 1 to end repeat k - 1 and
-        k in turn: k + 1 is stepped from z_k, with k's step size, bit for
-        bit (z_{k+1} - z_k = z_{k-1} - z_k), and the rest copied."""
-        self.trace._orbit_k = k
-        phases = [self.last]
-        if end > k:
-            self.step(phases[0][1][0])
-            self(phases[0][2])
-            phases.append(self.last)
-        for j in range(k + 2, end + 1):
-            self.last = phases[(j - k) % 2]
-            self(self.last[2])
+        k in turn.  The last row recorded is the final iterate: when end - k
+        is odd, k + 1 is stepped from z_k, with k's step size, bit for bit
+        (z_{k+1} - z_k = z_{k-1} - z_k); the trace repeats the rest."""
+        self.orbit_k = k
+        if (end - k) % 2:
+            size = self.last[2]
+            self.step(self.last[1][0])
+            self(size)
+        self.trace._end = end
 
 
 def run(step, z0, policy, feasible=None, keep_iterates=False):
@@ -626,8 +624,8 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
     FEASIBLE or STALLED depending on the candidate; exhausting max_iter is
     always MAX_ITER.  The first z step that is not finite ends the run as
     NON_FINITE, whatever min_iter says.  Once an exact orbit closes (see
-    `_iterate`), the trace repeats its two phases.  The trace records each
-    z step, and with keep_iterates the snapshots its other columns need.
+    `_iterate`), the trace records at most one more row.  The trace records
+    each z step, and with keep_iterates the snapshots its other columns need.
     """
     z = np.array(z0, dtype=float)
     trace = IterationTrace(n_blocks=z.shape[0] if z.ndim == 2 else 1)
@@ -642,7 +640,7 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
     z_in, (z, x, u), _ = record.last
     # a two-set run's candidate is its x itself
     candidate = x if z_in.ndim == 1 else _consensus(z_in)
-    return RunResult(outcome, k, z, x, u, candidate, trace, trace._orbit_k)
+    return RunResult(outcome, k, z, x, u, candidate, trace, record.orbit_k)
 
 
 def run_batch(step, z0s, policy, feasible):

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from drsplit.analysis import (
-    DDR_GLOBAL_GAMMA_MAX,
     SUDOKU_SDR_RATE,
     InsufficientDataError,
     auto_tail_fraction,
@@ -306,9 +305,6 @@ class TestClosedForms:
             ddr_rate_eigenvalues(99.0)
         with pytest.raises(ValueError):
             ddr_rate_eigenvalues(-0.1)
-
-    def test_global_damping_bound_constant(self):
-        assert_allclose(DDR_GLOBAL_GAMMA_MAX, np.sqrt(1.5) - 1.0, atol=0)
 
     def test_theoretical_rate_map(self):
         assert theoretical_rate("sudoku", "sdr") == SUDOKU_SDR_RATE

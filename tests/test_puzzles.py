@@ -454,6 +454,12 @@ class TestFeasibilityOracle:
             assert prob.feasible(lift(solution)) is True
             assert prob.feasible(np.zeros(prob.ambient_dim)) is False
 
+    @pytest.mark.parametrize("label", ["queens-8", "9x9-37"])
+    def test_empty_batch(self, label):
+        prob = oracle_case(label)[0]
+        got = prob.feasible(np.zeros((0, prob.ambient_dim)))
+        assert got.dtype == bool and got.shape == (0,)
+
 
 class TestBundled:
     def test_bundled_instances_load(self):

@@ -711,6 +711,15 @@ def snapshots(trace):
     return [np.concatenate(arrays) for arrays in zip(*trace._snapshots())]
 
 
+def recorded_rows(res):
+    """The rows a run records, up to its final iterate: past an orbit that
+    closes at k, row k or k + 1, whichever has the parity of the run's
+    length."""
+    if res.orbit_k is None:
+        return len(res.trace)
+    return res.orbit_k + (res.iterations - res.orbit_k) % 2
+
+
 def assert_same_run(a, b, keep, tmp):
     assert (a.outcome, a.iterations) == (b.outcome, b.iterations)
     for name in ("z", "x", "u", "candidate"):
@@ -719,10 +728,11 @@ def assert_same_run(a, b, keep, tmp):
     for name in columns:
         assert same_bits(a.trace.residuals(name),
                          b.trace.residuals(name)), name
-    if keep:    # a replayed run keeps the tail of the full run's rows
+    if keep:    # the full run's rows, up to a replayed run's final iterate
         assert b.trace._evicted == 0
+        rows = slice(a.trace._evicted, recorded_rows(a))
         for got, want in zip(snapshots(a.trace), snapshots(b.trace)):
-            assert same_bits(got, want[a.trace._evicted:])
+            assert same_bits(got, want[rows])
     a.trace.to_csv(tmp / "a.csv")
     b.trace.to_csv(tmp / "b.csv")
     assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
@@ -797,9 +807,28 @@ class TestOrbitReplay:
         assert [(o, k) for o, k, _ in got] == [(STALLED, 10 ** 5)] * 4
         del calls[:]
         res = run(step, z0s[0], policy, feasible=prob.feasible)
-        assert len(calls) == 4 * (res.orbit_k + 1)
+        assert len(calls) == 4 * recorded_rows(res)
         assert (res.outcome, res.iterations) == (STALLED, 10 ** 5)
         assert len(res.trace) == 10 ** 5
+
+    def test_an_orbit_tail_is_not_recorded(self):
+        """The run records at most orbit_k + 1 rows and reads as the run
+        stepped in full (streamed here: 10**5 rows of queens-5 snapshots
+        would hold 180 MB)."""
+        prob = batch_problem("queens-5")
+        step = product_step(prob.projections, "altproj")
+        z0 = prob.initial_state(0)
+        policy = StopPolicy(max_iter=10 ** 5, min_iter=10 ** 5,
+                            stop_on_feasible=False)
+        res = run(step, z0, policy, feasible=prob.feasible,
+                  keep_iterates=True)
+        trace = res.trace
+        assert len(trace) == res.iterations == 10 ** 5
+        assert len(trace._table["z_step"]) <= res.orbit_k + 1
+        assert trace._evicted + held_rows(trace) <= res.orbit_k + 1
+        for name, want in zip(splitting._COLUMNS, stepped_columns(step, z0,
+                                                                  res)):
+            assert same_bits(trace.residuals(name), want), name
 
     def test_random_ties_are_stepped_in_full(self):
         prob = queens_problem(QueensInstance(5), tie_break="random",
@@ -858,6 +887,14 @@ class TestTrace:
         with pytest.raises(ValueError):
             res.trace.set_reference()
 
+    def test_residuals_are_new_arrays(self):
+        res, _ = self.make_run(keep=True)
+        for name in splitting._COLUMNS:
+            got = res.trace.residuals(name)
+            want = got.copy()
+            got[...] = 99.0
+            assert same_bits(res.trace.residuals(name), want), name
+
     @staticmethod
     def circle_line_run():
         inst = circle_line_instance()
@@ -897,6 +934,8 @@ class TestTrace:
             tr.residuals("z_res")
         with pytest.raises(ValueError):
             IterationTrace(1, z_resid=r)
+        with pytest.raises(ValueError, match="differ in length"):
+            IterationTrace(2, z_step=r, objective=r[:2])
 
     def test_hand_built_trace_does_not_grow(self, tmp_path):
         # its columns would not grow with z_step, and the CSV would drop
@@ -962,6 +1001,21 @@ def oracle_objective(x, u):
     if u.ndim == 2:
         return 0.5 * float(np.sum((u - u.mean(axis=0)) ** 2))
     return 0.5 * float(np.sum((u - x) ** 2))
+
+
+def stepped_columns(step, z, res):
+    """The trace columns of res, in _COLUMNS order, from stepping z in full
+    for len(res.trace) iterations: one np.linalg.norm / count_nonzero per
+    iteration, against res's final iterate, which the steps must reach."""
+    rows = []
+    for _ in range(len(res.trace)):
+        z_new, x, u = step(z)
+        rows.append((np.linalg.norm(z_new - z), oracle_objective(x, u),
+                     np.linalg.norm(z_new - res.z), np.linalg.norm(x - res.x),
+                     np.count_nonzero(u != res.u, axis=1)))
+        z = z_new
+    assert same_bits(z, res.z)
+    return [np.array(column, dtype=float) for column in zip(*rows)]
 
 
 def oracle_reference(kept):
@@ -1173,7 +1227,8 @@ class TestSnapshotBudget:
             res = run(step, z0, SNAPSHOT_POLICY, feasible=feasible,
                       keep_iterates=True)
             assert held_rows(res.trace) <= rows
-            assert res.trace._evicted + held_rows(res.trace) == 150
+            assert (res.trace._evicted + held_rows(res.trace)
+                    == recorded_rows(res))
             assert_same_readings(readings(res, tmp_path / "budget.csv",
                                           csv_first), want)
 
@@ -1194,7 +1249,8 @@ class TestSnapshotBudget:
                   keep_iterates=True)
         assert full.trace._evicted == 0
         assert res.orbit_k is not None
-        assert res.orbit_k + 1 < res.trace._evicted
+        assert (res.trace._evicted + held_rows(res.trace)
+                == recorded_rows(res) <= res.orbit_k + 1 < res.iterations)
         assert_same_readings(readings(res, tmp_path / "a.csv", False),
                              readings(full, tmp_path / "b.csv", False))
 
