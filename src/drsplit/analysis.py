@@ -114,8 +114,9 @@ def detect_finite_termination(trace, block):
     """Smallest K with the block exactly constant (bitwise, or dithering
     at or below _FREEZE_TOL for the z steps) for all k >= K; None if never.
 
-    block is "z" (uses recorded step sizes) or "uI" (uses the per-block
-    mismatch counts against the final iterate, so it needs snapshots).
+    block is "z" (uses recorded step sizes) or "uI" (uses the block's last
+    change of u, `trace.u_last_change`: streamed by `run`, or read off the
+    u_mismatch column of a trace built from columns).
     """
     m = re.fullmatch(r"z|u(\d+)", block)
     if m is None:
@@ -129,12 +130,10 @@ def detect_finite_termination(trace, block):
     if i >= trace.n_blocks:
         raise ValueError(
             f"block u{i} out of range for {trace.n_blocks} blocks")
-    mismatch = np.asarray(trace.u_mismatch)[:, i]
-    changed = np.nonzero(mismatch != 0)[0]
-    # the final record matches itself trivially, so demand one more
-    # quiet record beyond the last change
-    freeze = int(changed[-1]) + 2 if len(changed) else 1
-    return freeze if freeze < len(mismatch) else None
+    # row u_last_change + 1 holds the final u, and since the final record
+    # matches itself trivially, demand one more quiet record beyond it
+    freeze = int(trace.u_last_change[i]) + 2
+    return freeze if freeze < len(trace) else None
 
 
 # ---------------------------------------------------------------------------

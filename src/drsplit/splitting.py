@@ -22,14 +22,16 @@ A product-space step over lowest-index-tie `GroupProjection`s and
 `ClueProjection`s is a function of z alone: once such a run's iterate
 equals, bit for bit, the one two steps back (a fixed point or a 2-cycle),
 the rest repeats with period 2, so the loop works out the run's exit, and
-the trace its last rows, at once; and a trace keeps only one chunk of its
-newest snapshots, recomputing the older ones, bit for bit, from the start.
+the trace its last rows, at once.  A trace keeps no iterates: it streams
+each block's last change of u, and fills its other columns by stepping the
+run again from the start (full recomputation, the zero-checkpoint end of
+Griewank & Walther's revolve trade-off).
 """
 
+import copy
 import csv
 import dataclasses
 import functools
-import itertools
 import math
 import sys
 import time
@@ -67,7 +69,6 @@ NON_FINITE = "non-finite"
 METHODS = ("sdr", "ddr", "sdr-switched", "altproj")
 
 _COLUMNS = ("z_step", "objective", "z_res", "x_res", "u_mismatch")
-_CHUNK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +231,16 @@ class StopPolicy:
 
 class IterationTrace:
     """Per-iteration columns.  z_step is recorded as the run goes; the
-    others are given to the constructor or filled from the run's (z, x, u)
-    snapshots on first read.  objective is half the squared spread of u.
-    The reference columns compare every iterate with the last: z_res and
-    x_res are Frobenius distances, and u_mismatch (iterations x blocks)
-    counts the coordinates of each block's u that differ (exact float
-    inequality) from its final u, which makes finite termination of
-    combinatorial blocks directly visible.  A run that ends in an exact
+    others are given to the constructor or filled on first read by one
+    replay of the run (`_fill`).  objective is half the squared spread of
+    u.  The reference columns compare every iterate with the last: z_res
+    and x_res are Frobenius distances, and u_mismatch (iterations x
+    blocks) counts the coordinates of each block's u that differ (exact
+    float inequality) from its final u.  `run` also streams each block's
+    last change of u (`u_last_change`), which shows finite termination of
+    combinatorial blocks without a replay.  A run that ends in an exact
     orbit records rows up to its final iterate; past them, row i is row
     i - 2.
-
-    Snapshots are copied into preallocated chunks holding about 1 MiB of
-    z each (_CHUNK_BYTES), which the derived columns read chunk by chunk.
-    When `run` hands the trace its start and a step that is a function of z
-    alone, the trace keeps one chunk: once it is full it is refilled from
-    its first row, and the snapshots it held are recomputed by stepping
-    from the start whenever a derived column is filled, which costs one
-    step per evicted iteration.
     """
 
     def __init__(self, n_blocks=1, **columns):
@@ -258,90 +252,67 @@ class IterationTrace:
         self._table.update((name, list(v)) for name, v in columns.items())
         if len({len(v) for v in self._table.values()}) > 1:
             raise ValueError("trace columns differ in length")
-        self._chunks = []       # (z, x, u) arrays with a leading row axis
-        self._filled = 0        # rows in use in the last chunk
-        self._evicted = 0       # snapshots dropped from the front
-        self._replay = None     # (z0, step) that recomputes them
+        mismatch = self._table.get("u_mismatch")
+        if mismatch and np.shape(mismatch)[1:] != (self.n_blocks,):
+            raise ValueError(f"u_mismatch rows must be {self.n_blocks} wide")
+        self._replay = None     # (z0, step, final (z, x, u)) of the run
+        self._last_change = None    # streamed by `run`'s `_Recorder`
         self._end = 0           # the length of a run that ends in an orbit
 
     def __len__(self):
         return max(self._end, len(self._table["z_step"]))
 
-    def append(self, z_step, iterates=None):
-        """Record one iteration; `iterates` is its (z, x, u) snapshot.
-        A trace that holds any other column, given or filled, is complete:
-        its columns would not grow with z_step."""
+    def append(self, z_step):
+        """Record one iteration.  A trace that holds any other column,
+        given or filled, is complete: its columns would not grow with
+        z_step."""
         if len(self._table) > 1:
             raise ValueError("cannot append to a trace that holds columns "
                              f"other than z_step: {sorted(self._table)}")
         self._table["z_step"].append(float(z_step))
-        if iterates is None:
-            return
-        if not self._chunks or self._filled == len(self._chunks[-1][0]):
-            if self._replay is not None and self._chunks:
-                self._evicted += self._filled   # refill the one chunk
-            else:
-                rows = max(1, _CHUNK_BYTES // np.asarray(iterates[0]).nbytes)
-                self._chunks.append(tuple(np.empty((rows,) + np.shape(a))
-                                          for a in iterates))
-            self._filled = 0
-        for kept, a in zip(self._chunks[-1], iterates):
-            kept[self._filled] = a
-        self._filled += 1
-
-    def _snapshots(self):
-        """The kept snapshots as (z, x, u) chunks with a leading iteration
-        axis, in order; the first `_evicted` iterations are not among
-        them."""
-        if not self._chunks:
-            raise ValueError(
-                "no iterate snapshots recorded; rerun with keep_iterates")
-        *full, last = self._chunks
-        return full + [tuple(a[:self._filled] for a in last)]
-
-    def _replayed(self):
-        """The evicted snapshots as one-row chunks, recomputed by stepping
-        from the start."""
-        if not self._evicted:
-            return
-        z, step = self._replay
-        for _ in range(self._evicted):
-            z, x, u = step(z)
-            yield z[None], x[None], u[None]
 
     def _fill(self, objective=False, reference=False):
-        """Derive the objective and/or the reference columns in one pass
-        over every snapshot, the evicted ones replayed."""
+        """Derive the objective and/or the reference columns by stepping a
+        fresh copy of the run's step (a step that is a function of z alone
+        is its own) from z0 over the recorded rows; the replay must end at
+        the run's final z, bit for bit."""
+        if self._replay is None:
+            raise ValueError(
+                "the run cannot be replayed; rerun with keep_iterates")
         if not (objective or reference):
             return
-        kept = self._snapshots()
-        z_ref, x_ref, u_ref = (a[-1] for a in kept[-1])
+        z, step, (z_ref, x_ref, u_ref) = self._replay
+        if not isinstance(step, _PureStep):
+            step = copy.deepcopy(step)  # its random streams from the start
         u_ref = np.atleast_2d(u_ref)
         obj, z_res, x_res, mismatch = [], [], [], []
-        for zs, xs, us in itertools.chain(self._replayed(), kept):
-            m = len(zs)
+        for _ in range(len(self._table["z_step"])):
+            z, x, u = step(z)
             if objective:
-                obj.extend(_objective(x, u) for x, u in zip(xs, us))
+                obj.append(_objective(x, u))
             if reference:
-                z_res.append(_row_norms((zs - z_ref).reshape(m, -1)))
-                x_res.append(_row_norms((xs - x_ref).reshape(m, -1)))
-                mismatch.append(np.count_nonzero(
-                    us.reshape((m,) + u_ref.shape) != u_ref, axis=-1))
+                z_res += _row_norms((z - z_ref).reshape(1, -1))
+                x_res += _row_norms((x - x_ref).reshape(1, -1))
+                mismatch.append((u.reshape(u_ref.shape) != u_ref).sum(-1))
+            x = u = None    # lets `_Stacked` reuse the array of u
+        if z.tobytes() != z_ref.tobytes():
+            raise ValueError("the replay did not reach the run's final z; "
+                             "its step depends on more than its copy's state")
         if objective:
             self._table["objective"] = obj
         if reference:
-            self._table["z_res"] = np.concatenate(z_res)
-            self._table["x_res"] = np.concatenate(x_res)
-            self._table["u_mismatch"] = np.concatenate(mismatch).astype(float)
+            self._table["z_res"] = z_res
+            self._table["x_res"] = x_res
+            self._table["u_mismatch"] = np.array(mismatch, dtype=float)
 
     def set_reference(self):
-        """Take the final snapshot as the reference and fill z_res, x_res
-        and u_mismatch."""
-        self._fill(reference=True)
+        """Check that z_res, x_res and u_mismatch, the distances to the
+        final iterate, can be filled; each is filled on first read."""
+        self._fill()
 
     def residuals(self, name):
         """Column `name` as a new float array; a missing objective or
-        reference column is filled from the snapshots on first use."""
+        reference column is filled by a replay on first use."""
         if name not in _COLUMNS:
             raise ValueError(f"unknown residual quantity {name!r}")
         if name not in self._table:
@@ -360,11 +331,26 @@ class IterationTrace:
     def u_mismatch(self):
         return self.residuals("u_mismatch")
 
+    @property
+    def u_last_change(self):
+        """Per block, the last row whose u differs from the next row's, or
+        -1: streamed by `run`, else read off u_mismatch."""
+        if self._last_change is None:
+            mismatch = self.u_mismatch.reshape(len(self), self.n_blocks)
+            rows = np.arange(len(self))[:, None]
+            return np.where(mismatch != 0, rows, -1).max(axis=0, initial=-1)
+        # past the recorded rows a block changes on every row when the
+        # last two recorded rows differ
+        n = len(self._table["z_step"])
+        last = self._last_change.copy()
+        last[last == n - 2] = len(self) - 2
+        return last
+
     def to_csv(self, path):
         """Write one row per iteration; floats use repr for an exact round
-        trip, and columns that were not recorded and that no snapshot can
-        fill are nan."""
-        if self._chunks:        # fill what the snapshots can, in one pass
+        trip, and columns that were not recorded and that no replay can fill
+        are nan."""
+        if self._replay is not None:    # fill what it can, in one replay
             self._fill(objective="objective" not in self._table,
                        reference="z_res" not in self._table)
         n = len(self)
@@ -583,11 +569,14 @@ def _iterate(step, z, policy, feasible, record=None):
 class _Recorder:
     """The trace of the loop's batch of one: `step` is the run's own step,
     which keeps the latest iteration's (z in, (z, x, u), step size) as
-    `last`, the size None until a call appends that iteration's row."""
+    `last`, the size None until a call appends that iteration's row.  Each
+    row's u is compared, block by block, with the previous row's, held in
+    one buffer that takes a block's new u only when it changed."""
 
-    def __init__(self, step, trace, keep_iterates):
-        self._step, self.trace, self.keep = step, trace, keep_iterates
-        self.last = self.orbit_k = None
+    def __init__(self, step, trace):
+        self._step, self.trace = step, trace
+        self.last = self.orbit_k = self._u = None
+        trace._last_change = np.full(trace.n_blocks, -1)
 
     def step(self, z):
         self.last = None    # lets `_Stacked` reuse the array of the last u
@@ -597,7 +586,14 @@ class _Recorder:
 
     def __call__(self, step_size):
         self.last = self.last[:2] + (step_size,)
-        self.trace.append(step_size, self.last[1] if self.keep else None)
+        self.trace.append(step_size)
+        u = self.last[1][2].reshape(self.trace.n_blocks, -1)
+        if self._u is None:
+            self._u = u.copy()
+        changed = np.logical_or.reduce(u != self._u, axis=1)
+        if changed.any():   # the row before this one differs from it
+            self.trace._last_change[changed] = len(self.trace) - 2
+            np.copyto(self._u, u)   # the other blocks are equal
 
     def orbit(self, k, end):
         """z_k equalled z_{k-2}, so iterations k + 1 to end repeat k - 1 and
@@ -625,22 +621,25 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
     always MAX_ITER.  The first z step that is not finite ends the run as
     NON_FINITE, whatever min_iter says.  Once an exact orbit closes (see
     `_iterate`), the trace records at most one more row.  The trace records
-    each z step, and with keep_iterates the snapshots its other columns need.
+    each z step and each block's last change of u; with keep_iterates it
+    can replay the run to fill its other columns.
     """
     z = np.array(z0, dtype=float)
     trace = IterationTrace(n_blocks=z.shape[0] if z.ndim == 2 else 1)
     pure = isinstance(step, _PureStep)
-    if pure and keep_iterates:      # the trace may recompute old snapshots
-        trace._replay = (z, step)   # z is this run's own copy
-    record = _Recorder(step, trace, keep_iterates)
+    # a step with a random stream replays from a copy of its first state
+    replay = copy.deepcopy(step) if keep_iterates and not pure else step
+    record = _Recorder(step, trace)
     [(outcome, k, _)] = _iterate(
         _PureStep(record.step) if pure else record.step, z[None], policy,
         None if feasible is None else (lambda rows: [feasible(rows[0])]),
         record)
-    z_in, (z, x, u), _ = record.last
+    z_in, (z_end, x, u), _ = record.last
+    if keep_iterates:   # z is this run's own copy of z0
+        trace._replay = (z, replay, (z_end, x, u))
     # a two-set run's candidate is its x itself
     candidate = x if z_in.ndim == 1 else _consensus(z_in)
-    return RunResult(outcome, k, z, x, u, candidate, trace, record.orbit_k)
+    return RunResult(outcome, k, z_end, x, u, candidate, trace, record.orbit_k)
 
 
 def run_batch(step, z0s, policy, feasible):

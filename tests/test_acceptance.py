@@ -11,7 +11,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drsplit import splitting
 from drsplit.analysis import (
     auto_tail_fraction,
     ddr_rate_eigenvalues,
@@ -124,14 +123,14 @@ def test_criterion_2_optional_sixteen(rate_study):
     policy = StopPolicy(max_iter=3000, min_iter=100, stop_on_feasible=False)
     slopes, peaks = [], []
     for seed in range(3):
-        # the snapshot store is bounded: a run and its reference residuals
-        # hold one chunk of snapshots and the replay's few states
+        # a run and the replay that fills its reference residuals hold a
+        # few states and the columns
         tracemalloc.start()
         res = run(product_step(prob.projections, "sdr"),
                   prob.initial_state(seed), policy, feasible=prob.feasible,
                   keep_iterates=True)
         if res.outcome == FEASIBLE:
-            res.trace.set_reference()
+            res.trace.residuals("z_res")
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
         if res.outcome != FEASIBLE:
@@ -139,7 +138,7 @@ def test_criterion_2_optional_sixteen(rate_study):
         tf = auto_tail_fraction(res.trace, "z_res")
         slopes.append(fit_linear_rate(res.trace, "z_res", tf).slope)
     ok = slopes and all(abs(s - RATE) < 0.02 for s in slopes)
-    bound = 8 * splitting._CHUNK_BYTES
+    bound = 8 * 2**20
     report("2 (s=16)", bool(ok) and max(peaks) < bound,
            f"slopes={['%.5f' % s for s in slopes]} all within 0.02; "
            f"traced peaks {[f'{p / 2**20:.1f}' for p in peaks]} MiB "

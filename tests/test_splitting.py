@@ -705,12 +705,6 @@ def stepped_in_full(step):
     return lambda z: step(z)
 
 
-def snapshots(trace):
-    """The kept snapshots as (z, x, u) arrays: those of the last
-    len(trace) - trace._evicted iterations."""
-    return [np.concatenate(arrays) for arrays in zip(*trace._snapshots())]
-
-
 def recorded_rows(res):
     """The rows a run records, up to its final iterate: past an orbit that
     closes at k, row k or k + 1, whichever has the parity of the run's
@@ -728,11 +722,7 @@ def assert_same_run(a, b, keep, tmp):
     for name in columns:
         assert same_bits(a.trace.residuals(name),
                          b.trace.residuals(name)), name
-    if keep:    # the full run's rows, up to a replayed run's final iterate
-        assert b.trace._evicted == 0
-        rows = slice(a.trace._evicted, recorded_rows(a))
-        for got, want in zip(snapshots(a.trace), snapshots(b.trace)):
-            assert same_bits(got, want[rows])
+    assert same_bits(a.trace.u_last_change, b.trace.u_last_change)
     a.trace.to_csv(tmp / "a.csv")
     b.trace.to_csv(tmp / "b.csv")
     assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
@@ -825,7 +815,6 @@ class TestOrbitReplay:
         trace = res.trace
         assert len(trace) == res.iterations == 10 ** 5
         assert len(trace._table["z_step"]) <= res.orbit_k + 1
-        assert trace._evicted + held_rows(trace) <= res.orbit_k + 1
         for name, want in zip(splitting._COLUMNS, stepped_columns(step, z0,
                                                                   res)):
             assert same_bits(trace.residuals(name), want), name
@@ -882,7 +871,7 @@ class TestTrace:
         # binary blocks lock eventually
         assert mm[-1, 0] == 0
 
-    def test_residuals_require_snapshots(self):
+    def test_residuals_require_keep_iterates(self):
         res, _ = self.make_run(keep=False)
         with pytest.raises(ValueError):
             res.trace.set_reference()
@@ -952,11 +941,11 @@ class TestTrace:
         grown.to_csv(tmp_path / "grown.csv")
         assert len(read_trace_csv(tmp_path / "grown.csv")) == len(grown) == 5
         res, _ = self.make_run(keep=True)   # filled columns are fixed too
-        res.trace.set_reference()
+        res.trace.residuals("z_res")
         with pytest.raises(ValueError, match="other than z_step"):
             res.trace.append(0.0)
 
-    def test_csv_without_snapshots_has_nan_residuals(self, tmp_path):
+    def test_csv_without_keep_iterates_has_nan_residuals(self, tmp_path):
         res, _ = self.make_run(keep=False)
         path = tmp_path / "trace.csv"
         res.trace.to_csv(path)
@@ -964,9 +953,9 @@ class TestTrace:
         assert np.isnan(back.residuals("z_res")).all()
         assert np.isfinite(back.z_step).all()
 
-    def test_objective_needs_snapshots(self, tmp_path):
+    def test_objective_needs_keep_iterates(self, tmp_path):
         res, _ = self.make_run(keep=False)
-        with pytest.raises(ValueError, match="no iterate snapshots recorded"):
+        with pytest.raises(ValueError, match="cannot be replayed"):
             res.trace.residuals("objective")
         res.trace.to_csv(tmp_path / "trace.csv")
         back = read_trace_csv(tmp_path / "trace.csv")
@@ -983,11 +972,14 @@ class TestTrace:
 
 
 # ---------------------------------------------------------------------------
-# the snapshot store and the loop against per-iteration oracles: a step
+# the replayed columns and the loop against per-iteration oracles: a step
 # wrapper keeps its own copy of every (z_in, z, x, u), and the oracles are
 # the formulas the run loop and the trace used on one array at a time
 
 def recorded(step):
+    """The step behind a wrapper that keeps a copy of every call's (z_in,
+    z, x, u).  A wrapper is its own deep copy, so a fill replays the run
+    through it: the run's own calls are the first `iterations` kept."""
     kept = []
 
     def rec(z):
@@ -1012,7 +1004,7 @@ def stepped_columns(step, z, res):
         z_new, x, u = step(z)
         rows.append((np.linalg.norm(z_new - z), oracle_objective(x, u),
                      np.linalg.norm(z_new - res.z), np.linalg.norm(x - res.x),
-                     np.count_nonzero(u != res.u, axis=1)))
+                     np.count_nonzero(np.atleast_2d(u != res.u), axis=1)))
         z = z_new
     assert same_bits(z, res.z)
     return [np.array(column, dtype=float) for column in zip(*rows)]
@@ -1064,26 +1056,28 @@ def snapshot_case(name, method, gamma):
             prob.initial_state(1), prob.feasible)
 
 
-def poisoned(step, at):
-    """The step, with one coordinate of its z set to inf from call `at`."""
-    calls = []
+class Poisoned:
+    """The step, with one coordinate of its z set to inf from call `at`;
+    a deep copy counts its calls from where the original stood."""
 
-    def bad(z):
-        calls.append(None)
-        z_new, x, u = step(z)
-        if len(calls) >= at:
+    def __init__(self, step, at):
+        self.step, self.at, self.calls = step, at, 0
+
+    def __call__(self, z):
+        self.calls += 1
+        z_new, x, u = self.step(z)
+        if self.calls >= self.at:
             z_new = z_new.copy()
             z_new.flat[3] = np.inf
         return z_new, x, u
-    return bad
 
 
-class TestSnapshotStore:
+class TestReplayedColumns:
     @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
     @pytest.mark.parametrize("name", sorted(SNAPSHOT_PROBLEMS)
                              + ["circle-line"])
-    def test_objective_from_snapshots_is_the_running_one(self, name, method,
-                                                         gamma):
+    def test_refilled_objective_is_the_running_one(self, name, method,
+                                                   gamma):
         step, z0, feasible = snapshot_case(name, method, gamma)
         rec, kept = recorded(step)
         kept_run = run(rec, z0, SNAPSHOT_POLICY, feasible=feasible,
@@ -1092,45 +1086,58 @@ class TestSnapshotStore:
         assert same_bits(got, reference_run(step, z0, SNAPSHOT_POLICY,
                                             feasible)[-1])
         assert same_bits(got, [oracle_objective(x, u)
-                               for _, _, x, u in kept])
+                               for _, _, x, u in kept[:150]])
 
-    @pytest.mark.parametrize("rows", [None, 1, 7, 10])
     @pytest.mark.parametrize("name", ["4x4", "9x9-37", "circle-line"])
-    def test_chunked_reference_is_the_per_snapshot_one(self, monkeypatch,
-                                                       name, rows):
+    def test_refilled_reference_is_the_per_snapshot_one(self, name):
         step, z0, feasible = snapshot_case(name, "sdr", None)
-        if rows is not None:    # 150 iterations: 150 chunks of 1, 21 of 7
-            # and a last one holding 3, or 15 full chunks of 10
-            monkeypatch.setattr(splitting, "_CHUNK_BYTES",
-                                rows * np.asarray(z0, dtype=float).nbytes)
         rec, kept = recorded(step)
         res = run(rec, z0, SNAPSHOT_POLICY, feasible=feasible,
                   keep_iterates=True)
+        res.trace.set_reference()       # fills nothing yet
         assert res.iterations == len(kept) == 150
-        for name_, want in zip(("z_res", "x_res", "u_mismatch"),
-                               oracle_reference(kept)):
-            assert same_bits(res.trace.residuals(name_), want), name_
+        want = oracle_reference(kept)
+        got = [res.trace.residuals(name_)
+               for name_ in ("z_res", "x_res", "u_mismatch")]
+        assert len(kept) == 300         # one replay filled all three
+        for name_, g, w in zip(("z_res", "x_res", "u_mismatch"), got, want):
+            assert same_bits(g, w), name_
 
-    @pytest.mark.parametrize("rows", [None, 4])
-    def test_chunked_reference_of_a_non_finite_run(self, monkeypatch, rows):
+    def test_reference_of_a_non_finite_run(self):
         prob = SNAPSHOT_PROBLEMS["9x9-37"]()
         z0 = prob.initial_state(2)
-        if rows is not None:
-            monkeypatch.setattr(splitting, "_CHUNK_BYTES", rows * z0.nbytes)
-        rec, kept = recorded(poisoned(
-            product_step(prob.projections, "sdr"), at=38))
+        step = product_step(prob.projections, "sdr")
+        rec, kept = recorded(Poisoned(step, at=38))
         with np.errstate(invalid="ignore"):
-            res = run(rec, z0, StopPolicy(), feasible=prob.feasible,
-                      keep_iterates=True)
+            run(rec, z0, StopPolicy(), feasible=prob.feasible)
+            res = run(Poisoned(step, at=38), z0, StopPolicy(),
+                      feasible=prob.feasible, keep_iterates=True)
             want = oracle_reference(kept)
             got = [res.trace.residuals(name_)
                    for name_ in ("z_res", "x_res", "u_mismatch")]
-        assert res.outcome == NON_FINITE and res.iterations == 38
+        assert res.outcome == NON_FINITE and res.iterations == len(kept) == 38
         assert np.isfinite(want[1]).all() and np.isinf(want[0][:-1]).all()
+        assert not np.isfinite(res.z).all()
         for g, w in zip(got, want):
             assert same_bits(g, w)
         assert same_bits(res.trace.residuals("objective"),
                          [oracle_objective(x, u) for _, _, x, u in kept])
+
+    def test_a_step_that_does_not_replay_raises(self):
+        """A random-tie step behind a lambda is its own deep copy, so the
+        replay draws its ties from where the run left the generators."""
+        prob = queens_problem(QueensInstance(8), tie_break="random",
+                              tie_seed=0)
+        step = product_step(prob.projections, "sdr")
+        z0 = np.round(prob.initial_state(0))    # meets ties from the start
+        res = run(lambda z: step(z), z0, SNAPSHOT_POLICY, keep_iterates=True)
+        with pytest.raises(ValueError, match="did not reach"):
+            res.trace.residuals("z_res")
+        with pytest.raises(ValueError, match="did not reach"):
+            res.trace.to_csv(os.devnull)
+        # the step itself is copied before its first step
+        res = run(step, z0, SNAPSHOT_POLICY, keep_iterates=True)
+        assert same_bits(res.trace.residuals("z_res")[-1], 0.0)
 
     @pytest.mark.parametrize("policy", [
         StopPolicy(), StopPolicy(max_iter=60, min_iter=0),
@@ -1147,7 +1154,7 @@ class TestSnapshotStore:
 
     def test_candidate_of_a_non_finite_run(self):
         step, z0, feasible = snapshot_case("queens-8", "sdr", None)
-        rec, kept = recorded(poisoned(step, at=5))
+        rec, kept = recorded(Poisoned(step, at=5))
         res = run(rec, z0, StopPolicy(), feasible=feasible)
         assert res.outcome == NON_FINITE and res.iterations == 5
         assert same_bits(res.candidate, kept[-1][0].mean(axis=0))
@@ -1159,22 +1166,12 @@ class TestSnapshotStore:
 
 
 # ---------------------------------------------------------------------------
-# the one chunk: a run of a step that depends on z alone keeps only its
-# newest snapshots, one chunk of them, and everything read off its trace
-# is recomputed, bit for bit, from the start; a chunk of 1 or 7 rows
-# evicts nearly all of a 150-step run
+# the replay: everything read off a run's trace is recomputed, bit for bit,
+# by stepping again from the start, and equals what the run stepped in full
+# reads
 
 BUDGET_METHODS = [("sdr", None), ("ddr", 0.2), ("sdr-switched", None),
                   ("altproj", None)]
-
-
-def chunk_rows(monkeypatch, z0, rows=7):
-    """Set the chunk size to `rows` snapshots of z0's size."""
-    monkeypatch.setattr(splitting, "_CHUNK_BYTES", rows * z0.nbytes)
-
-
-def held_rows(trace):
-    return sum(len(zs) for zs, _, _ in trace._snapshots())
 
 
 def fitted(trace, quantity):
@@ -1183,6 +1180,12 @@ def fitted(trace, quantity):
                                auto_tail_fraction(trace, quantity)).slope
     except InsufficientDataError as exc:
         return str(exc)
+
+
+def freezes(trace):
+    return [detect_finite_termination(trace, "z")] + [
+        detect_finite_termination(trace, f"u{i}")
+        for i in range(trace.n_blocks)]
 
 
 def readings(res, path, csv_first):
@@ -1196,12 +1199,10 @@ def readings(res, path, csv_first):
     columns = [trace.residuals(name) for name in splitting._COLUMNS]
     if not csv_first:
         trace.to_csv(path)
-    freeze = [detect_finite_termination(trace, "z")] + [
-        detect_finite_termination(trace, f"u{i}")
-        for i in range(trace.n_blocks)]
     arrays = [res.z, res.x, res.u, res.candidate] + columns
     return (arrays, (res.outcome, res.iterations, path.read_bytes(),
-                     fitted(trace, "z_res"), fitted(trace, "x_res"), freeze))
+                     fitted(trace, "z_res"), fitted(trace, "x_res"),
+                     freezes(trace)))
 
 
 def assert_same_readings(a, b):
@@ -1211,31 +1212,27 @@ def assert_same_readings(a, b):
     assert rest_a == rest_b
 
 
-class TestSnapshotBudget:
-    @pytest.mark.parametrize("rows", [1, 7])
+class TestReplay:
     @pytest.mark.parametrize("method,gamma", BUDGET_METHODS)
     @pytest.mark.parametrize("name", sorted(SNAPSHOT_PROBLEMS))
-    def test_budgeted_trace_is_the_unbudgeted_one(self, monkeypatch, tmp_path,
-                                                  name, method, gamma, rows):
+    def test_refilled_trace_is_the_full_one(self, tmp_path, name, method,
+                                            gamma):
+        replay_against_full(name, method, gamma, SNAPSHOT_POLICY, 1, True,
+                            tmp_path)
         step, z0, feasible = snapshot_case(name, method, gamma)
         full = run(stepped_in_full(step), z0, SNAPSHOT_POLICY,
                    feasible=feasible, keep_iterates=True)
-        assert full.trace._evicted == 0
         want = readings(full, tmp_path / "full.csv", csv_first=False)
-        chunk_rows(monkeypatch, z0, rows)
         for csv_first in (True, False):
             res = run(step, z0, SNAPSHOT_POLICY, feasible=feasible,
                       keep_iterates=True)
-            assert held_rows(res.trace) <= rows
-            assert (res.trace._evicted + held_rows(res.trace)
-                    == recorded_rows(res))
-            assert_same_readings(readings(res, tmp_path / "budget.csv",
+            assert_same_readings(readings(res, tmp_path / "replay.csv",
                                           csv_first), want)
 
     @pytest.mark.parametrize("case", [
         ("queens-8", "sdr", 0, 301), ("queens-6", "sdr-switched", 5, 151),
         ("queens-5", "altproj", 0, 150)])
-    def test_evicted_prefix_past_an_orbit(self, monkeypatch, tmp_path, case):
+    def test_replay_past_an_orbit(self, tmp_path, case):
         key, method, seed, steps = case
         prob = batch_problem(key)
         step = product_step(prob.projections, method)
@@ -1244,43 +1241,110 @@ class TestSnapshotBudget:
                             stop_on_feasible=False)
         full = run(stepped_in_full(step), z0, policy, feasible=prob.feasible,
                    keep_iterates=True)
-        chunk_rows(monkeypatch, z0)
         res = run(step, z0, policy, feasible=prob.feasible,
                   keep_iterates=True)
-        assert full.trace._evicted == 0
         assert res.orbit_k is not None
-        assert (res.trace._evicted + held_rows(res.trace)
-                == recorded_rows(res) <= res.orbit_k + 1 < res.iterations)
+        assert (len(res.trace._table["z_step"]) == recorded_rows(res)
+                <= res.orbit_k + 1 < res.iterations)
         assert_same_readings(readings(res, tmp_path / "a.csv", False),
                              readings(full, tmp_path / "b.csv", False))
 
-    def test_other_steps_keep_every_snapshot(self, monkeypatch):
+    def test_other_steps_replay_from_their_copy(self):
+        """Steps that are not functions of z alone are copied before their
+        first step; their columns are those of a twin stepped in full."""
         prob = batch_problem("queens-8")
-        z0 = prob.initial_state(0)
+        z0 = np.round(prob.initial_state(0))
         pure = product_step(prob.projections, "sdr")
-        chunk_rows(monkeypatch, z0)
-        ties = queens_problem(QueensInstance(8), tie_break="random",
-                              tie_seed=0)
         blocks = [stepped_in_full(p) for p in prob.projections]
         inst = circle_line_instance()
-        for step, start in [
-                (product_step(ties.projections, "sdr"), z0),
-                (stepped_in_full(pure), z0),
-                (product_step(blocks, "sdr"), z0),
-                (two_set_step(inst.line.project, inst.project_circle,
-                              "sdr"), inst.z0)]:
-            res = run(step, start, SNAPSHOT_POLICY, keep_iterates=True)
-            assert res.trace._evicted == 0
-            assert held_rows(res.trace) == len(res.trace) == 150
-        res = run(pure, z0, SNAPSHOT_POLICY, keep_iterates=True)
-        assert res.trace._evicted > 0
 
-    def test_a_default_chunk_is_refilled(self):
-        # a 9x9-37 snapshot's z is 29160 bytes: 35 rows to a chunk
-        step, z0, feasible = snapshot_case("9x9-37", "sdr", None)
-        res = run(step, z0, SNAPSHOT_POLICY, feasible=feasible,
-                  keep_iterates=True)
-        assert len(res.trace._chunks) == 1
-        assert held_rows(res.trace) <= splitting._CHUNK_BYTES // z0.nbytes
-        assert res.trace._evicted > 0
-        assert res.trace._evicted + held_rows(res.trace) == 150
+        def ties():
+            return product_step(queens_problem(
+                QueensInstance(8), tie_break="random",
+                tie_seed=0).projections, "sdr")
+        for step, twin, start in [
+                (ties(), ties(), z0),
+                (stepped_in_full(pure), pure, z0),
+                (product_step(blocks, "sdr"), pure, z0),
+                (two_set_step(inst.line.project, inst.project_circle, "sdr"),
+                 two_set_step(inst.line.project, inst.project_circle, "sdr"),
+                 inst.z0)]:
+            res = run(step, start, SNAPSHOT_POLICY, keep_iterates=True)
+            assert res.orbit_k is None and len(res.trace) == 150
+            for name, want in zip(splitting._COLUMNS,
+                                  stepped_columns(twin, start, res)):
+                assert same_bits(res.trace.residuals(name), want), name
+
+
+# ---------------------------------------------------------------------------
+# streamed freezes: each block's last change of u, kept by the run loop,
+# against the one read off the replayed u_mismatch column
+
+FREEZE_PROBLEMS = {
+    "4x4": lambda **ties: sudoku_problem(bundled_sudoku("4x4"), **ties),
+    "queens-8": lambda **ties: queens_problem(QueensInstance(8), **ties),
+    "queens-10": lambda **ties: queens_problem(QueensInstance(10), **ties),
+}
+FREEZE_POLICY = StopPolicy(max_iter=300, min_iter=300, stop_on_feasible=False)
+
+
+def freeze_runs(name, method, gamma, tie_break, keep=True):
+    """Three runs; the second starts from a 0/1 state, which meets exact
+    ties from its first step."""
+    for seed in range(3):
+        prob = FREEZE_PROBLEMS[name](tie_break=tie_break, tie_seed=seed)
+        z0 = prob.initial_state(seed)
+        yield run(product_step(prob.projections, method, gamma=gamma),
+                  np.round(z0) if seed == 1 else z0, FREEZE_POLICY,
+                  feasible=prob.feasible, keep_iterates=keep)
+
+
+class TestStreamedFreeze:
+    @pytest.mark.parametrize("tie_break", ["lowest", "random"])
+    @pytest.mark.parametrize("method,gamma", BUDGET_METHODS)
+    @pytest.mark.parametrize("name", sorted(FREEZE_PROBLEMS))
+    def test_streamed_freeze_is_the_mismatch_one(self, name, method, gamma,
+                                                 tie_break):
+        runs = zip(freeze_runs(name, method, gamma, tie_break),
+                   freeze_runs(name, method, gamma, tie_break, keep=False))
+        for res, lean in runs:
+            trace = res.trace
+            columns = IterationTrace(trace.n_blocks, z_step=trace.z_step,
+                                     u_mismatch=trace.u_mismatch)
+            assert columns._last_change is None
+            assert same_bits(trace.u_last_change, columns.u_last_change)
+            assert freezes(trace) == freezes(columns)
+            # streamed without keep_iterates, and so with no replay
+            assert same_bits(lean.trace.u_last_change, trace.u_last_change)
+
+    def test_the_grid_closes_orbits_and_freezes_blocks(self):
+        orbits, frozen = [], []
+        for name in FREEZE_PROBLEMS:
+            for method, gamma in BUDGET_METHODS:
+                for res in freeze_runs(name, method, gamma, "lowest", False):
+                    orbits.append(res.orbit_k is not None)
+                    frozen += freezes(res.trace)[1:]
+        assert 0 < sum(orbits) < len(orbits)
+        assert None in frozen and {1, 2} & set(frozen)
+        assert any(k is not None and k > 2 for k in frozen)
+
+    @pytest.mark.parametrize("case", [
+        ("queens-8", "sdr", None, "lowest"), ("queens-10", "altproj", None,
+                                              "lowest"),
+        ("4x4", "sdr", None, "random"), ("queens-8", "ddr", 0.2, "random")])
+    def test_csv_round_trip_keeps_every_freeze(self, tmp_path, case):
+        for res in freeze_runs(*case):
+            res.trace.to_csv(tmp_path / "trace.csv")
+            back = read_trace_csv(tmp_path / "trace.csv")
+            assert freezes(back) == freezes(res.trace)
+            assert same_bits(back.u_last_change, res.trace.u_last_change)
+
+    def test_u_mismatch_must_be_n_blocks_wide(self):
+        r = np.ones(4)
+        for bad in (np.zeros((4, 3)), np.zeros(4), np.zeros((4, 2, 1))):
+            with pytest.raises(ValueError, match="2 wide"):
+                IterationTrace(2, z_step=r, u_mismatch=bad)
+        trace = IterationTrace(2, z_step=r, u_mismatch=[[0, 1], [0, 0],
+                                                        [0, 0], [0, 0]])
+        assert same_bits(trace.u_last_change, [-1, 0])
+        assert freezes(trace) == [None, 1, 2]
