@@ -220,8 +220,9 @@ def ddr_affine_rate(gamma):
 
 
 def theoretical_rate(kind, method, gamma=None):
-    """Predicted local linear rate, or None when no clean theory applies."""
-    if method == "sdr":
+    """Predicted local linear rate, or None when no clean theory applies.
+    ddr at gamma = inf steps sdr, so it has sdr's rate."""
+    if method == "sdr" or (method == "ddr" and gamma == np.inf):
         return SUDOKU_SDR_RATE if kind == "sudoku" else None
     if method == "ddr" and gamma is not None:
         if kind == "queens":

@@ -190,7 +190,10 @@ def _apply_config(args):
         key = key.replace("-", "_")
         if key not in _CONFIG_TYPES or not hasattr(args, key):
             raise CliError(f"{args.config}:{lineno}: unknown key {key!r}")
-        given.setdefault(key, (lineno, value))
+        if key in given:
+            raise CliError(f"{args.config}:{lineno}: key {key!r} repeats "
+                           f"line {given[key][0]}")
+        given[key] = (lineno, value)
     file_method = given.get("method", (0, None))[1]
     if file_method == "ddr" and args.method not in (None, "ddr"):
         given.pop("gamma", None)
@@ -353,26 +356,14 @@ def _cmd_bench(args):
     return 0
 
 
-def _fit_quantity(args):
-    return args.quantity if args.quantity is not None else "z_res"
-
-
-def _fit_tail(args, trace, quantity):
-    raw = args.tail_fraction
-    if raw is None or raw == "auto":
-        return auto_tail_fraction(trace, quantity)
-    return raw
-
-
 # what a run needs and a saved trace does not
 _RUN_FLAGS = ("puzzle", "queens_size", "circle_line", "method", "gamma",
               "seed", "max_iter", "min_iter", "tol", "tie_break")
 
 
 def _cmd_rates(args):
-    quantity = _fit_quantity(args)
-    theory = None
-    trace = None
+    quantity = args.quantity if args.quantity is not None else "z_res"
+    kind = theory = guide = None
     if args.trace is not None:
         _reject_ignored(args, _RUN_FLAGS, "--trace fits a saved trace")
         trace = read_trace_csv(args.trace)
@@ -387,47 +378,32 @@ def _cmd_rates(args):
                                keep_iterates=True)
         trace = res.trace
         print(f"outcome={res.outcome} iterations={res.iterations}")
-        if kind == "queens":
-            freeze = {"z": detect_finite_termination(trace, "z")}
-            for i in range(trace.n_blocks):
-                freeze[f"u{i}"] = detect_finite_termination(trace, f"u{i}")
-            orbit = "none" if res.orbit_k is None else res.orbit_k
-            print("finite termination: " + ", ".join(
-                f"{block} K={'none' if k is None else k}"
-                for block, k in freeze.items()) + f", orbit_k={orbit}")
-            if args.out:
-                ks = np.arange(1, len(trace) + 1)
-                render_rate_plot(args.out,
-                                 [("z step", ks, trace.z_step)],
-                                 title="finite termination")
-                print(f"plot written to {args.out}")
-            if args.report:
-                _write_report(args.report, {
-                    "outcome": res.outcome, "iterations": res.iterations,
-                    "finite_termination": freeze, "orbit_k": res.orbit_k})
-            return 0
         theory = theoretical_rate(kind, method, args.gamma)
+        # the objective is half a squared distance: it decays at the
+        # square of the rate
+        if theory is not None and quantity == "objective":
+            theory = theory ** 2
 
-    tail = _fit_tail(args, trace, quantity)
-    est = fit_linear_rate(trace, quantity, tail)
-    line = (f"quantity={quantity} slope={est.slope:.6f} "
-            f"r_squared={est.r_squared:.6f} "
-            f"window={est.window[0]}..{est.window[1]} "
-            f"n_points={est.n_points}")
-    if theory is not None:
-        line += f" theory={theory:.6f} deviation={est.slope - theory:+.6f}"
-    print(line)
-
-    if args.out:
-        ks = np.arange(1, len(trace) + 1)
-        values = trace.residuals(quantity)
-        guide = None
-        if theory is not None:
-            guide = (theory, f"theory {theory:.4f}")
-        render_rate_plot(args.out, [(quantity, ks, values)], guide=guide,
-                         title=f"residual decay ({quantity})")
-        print(f"plot written to {args.out}")
-    if args.report:
+    if kind == "queens":
+        freeze = {"z": detect_finite_termination(trace, "z")}
+        for i in range(trace.n_blocks):
+            freeze[f"u{i}"] = detect_finite_termination(trace, f"u{i}")
+        orbit = "none" if res.orbit_k is None else res.orbit_k
+        print("finite termination: " + ", ".join(
+            f"{block} K={'none' if k is None else k}"
+            for block, k in freeze.items()) + f", orbit_k={orbit}")
+        label, values, title = "z step", trace.z_step, "finite termination"
+        record = {"outcome": res.outcome, "iterations": res.iterations,
+                  "finite_termination": freeze, "orbit_k": res.orbit_k}
+    else:
+        tail = args.tail_fraction
+        if tail is None or tail == "auto":
+            tail = auto_tail_fraction(trace, quantity)
+        est = fit_linear_rate(trace, quantity, tail)
+        line = (f"quantity={quantity} slope={est.slope:.6f} "
+                f"r_squared={est.r_squared:.6f} "
+                f"window={est.window[0]}..{est.window[1]} "
+                f"n_points={est.n_points}")
         record = {
             "quantity": quantity,
             "slope": est.slope,
@@ -438,7 +414,19 @@ def _cmd_rates(args):
             "theory": theory,
         }
         if theory is not None:
+            line += (f" theory={theory:.6f} "
+                     f"deviation={est.slope - theory:+.6f}")
             record["deviation"] = est.slope - theory
+            guide = (theory, f"theory {theory:.4f}")
+        print(line)
+        label, values = quantity, trace.residuals(quantity)
+        title = f"residual decay ({quantity})"
+
+    if args.out:
+        render_rate_plot(args.out, label, np.arange(1, len(trace) + 1),
+                         values, guide=guide, title=title)
+        print(f"plot written to {args.out}")
+    if args.report:
         _write_report(args.report, record)
     return 0
 

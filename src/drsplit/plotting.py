@@ -13,8 +13,6 @@ __all__ = ["render_rate_plot"]
 
 _WIDTH, _HEIGHT = 800, 500
 _ML, _MR, _MT, _MB = 70, 20, 42, 48
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
-            "#ff7f0e", "#8c564b", "#17becf")
 
 
 def _esc(text):
@@ -22,35 +20,32 @@ def _esc(text):
             .replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def render_rate_plot(path, series, guide=None, title=None):
-    """Render residual series to SVG text, optionally writing it to path.
+def render_rate_plot(path, label, ks, values, guide=None, title=None):
+    """Render one residual series as SVG, write it to path and return it.
 
-    series: list of (label, iterations, values) triples.
     guide: optional (rate, label) drawing a dashed reference line whose
     log-slope is log10(rate), anchored at the first plotted point.
     """
-    if not series:
-        raise ValueError("need at least one series to plot")
-    cleaned = []
-    for label, ks, vals in series:
-        ks = np.asarray(ks, dtype=float)
-        vals = np.asarray(vals, dtype=float)
-        keep = np.isfinite(ks) & np.isfinite(vals) & (vals > 0.0)
-        cleaned.append((str(label), ks[keep], np.log10(vals[keep])))
-
-    all_k = np.concatenate([ks for _, ks, _ in cleaned]) if cleaned else []
-    all_y = np.concatenate([ys for _, _, ys in cleaned]) if cleaned else []
-    if len(all_k) == 0:
+    ks = np.asarray(ks, dtype=float)
+    values = np.asarray(values, dtype=float)
+    keep = np.isfinite(ks) & np.isfinite(values) & (values > 0.0)
+    ks, ys = ks[keep], np.log10(values[keep])
+    if len(ks) == 0:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, -1.0, 1.0
     else:
-        x_lo, x_hi = float(np.min(all_k)), float(np.max(all_k))
-        y_lo, y_hi = float(np.min(all_y)), float(np.max(all_y))
+        x_lo, x_hi = float(np.min(ks)), float(np.max(ks))
+        y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
         if x_hi <= x_lo:
             x_hi = x_lo + 1.0
         if y_hi <= y_lo:
             y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
         pad = 0.04 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
+    # y ticks at whole decades; a range inside one decade widens to its ends
+    lo_dec, hi_dec = int(np.ceil(y_lo)), int(np.floor(y_hi))
+    if lo_dec > hi_dec:
+        lo_dec, hi_dec = hi_dec, lo_dec
+        y_lo, y_hi = float(lo_dec), float(hi_dec)
 
     plot_w = _WIDTH - _ML - _MR
     plot_h = _HEIGHT - _MT - _MB
@@ -74,9 +69,6 @@ def render_rate_plot(path, series, guide=None, title=None):
             f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16">{_esc(title)}</text>')
 
-    # y ticks at whole decades
-    lo_dec = int(np.ceil(y_lo))
-    hi_dec = int(np.floor(y_hi))
     step = max(1, int(np.ceil((hi_dec - lo_dec + 1) / 8.0)))
     for dec in range(lo_dec, hi_dec + 1, step):
         yy = py(float(dec))
@@ -103,47 +95,33 @@ def render_rate_plot(path, series, guide=None, title=None):
         f'text-anchor="middle" font-family="sans-serif" '
         f'font-size="12">iteration</text>')
 
-    if guide is not None and len(all_k) > 0:
-        rate, glabel = guide
-        rate = float(rate)
-        if rate > 0.0:
-            slope = np.log10(rate)
-            k_anchor, y_anchor = None, None
-            for _, ks, ys in cleaned:
-                if len(ks):
-                    k_anchor, y_anchor = float(ks[0]), float(ys[0])
-                    break
-            if k_anchor is not None:
-                k_end = x_hi
-                if slope < 0.0:
-                    k_end = min(x_hi, k_anchor + (y_lo - y_anchor) / slope)
-                y_end = y_anchor + slope * (k_end - k_anchor)
-                parts.append(
-                    f'<polyline id="theory-guide" fill="none" stroke="#555" '
-                    f'stroke-width="1.5" stroke-dasharray="6,4" points="'
-                    f'{px(k_anchor):.2f},{py(y_anchor):.2f} '
-                    f'{px(k_end):.2f},{py(y_end):.2f}"/>')
-                parts.append(
-                    f'<text x="{px(k_end) - 4:.2f}" '
-                    f'y="{py(y_end) - 6:.2f}" text-anchor="end" '
-                    f'font-family="sans-serif" font-size="11" '
-                    f'fill="#555">{_esc(glabel)}</text>')
-
-    for idx, (label, ks, ys) in enumerate(cleaned):
-        color = _PALETTE[idx % len(_PALETTE)]
-        if len(ks):
-            points = " ".join(f"{px(k):.2f},{py(y):.2f}"
-                              for k, y in zip(ks, ys))
-            parts.append(
-                f'<polyline fill="none" stroke="{color}" '
-                f'stroke-width="1.5" points="{points}"/>')
+    if guide is not None and len(ks) and guide[0] > 0.0:
+        slope = np.log10(float(guide[0]))
+        k_anchor, y_anchor = float(ks[0]), float(ys[0])
+        k_end = x_hi
+        if slope < 0.0:
+            k_end = min(x_hi, k_anchor + (y_lo - y_anchor) / slope)
+        y_end = y_anchor + slope * (k_end - k_anchor)
         parts.append(
-            f'<text x="{_ML + 10}" y="{_MT + 16 + 15 * idx}" '
-            f'font-family="sans-serif" font-size="12" '
-            f'fill="{color}">{_esc(label)}</text>')
+            f'<polyline id="theory-guide" fill="none" stroke="#555" '
+            f'stroke-width="1.5" stroke-dasharray="6,4" points="'
+            f'{px(k_anchor):.2f},{py(y_anchor):.2f} '
+            f'{px(k_end):.2f},{py(y_end):.2f}"/>')
+        parts.append(
+            f'<text x="{px(k_end) - 4:.2f}" y="{py(y_end) - 6:.2f}" '
+            f'text-anchor="end" font-family="sans-serif" font-size="11" '
+            f'fill="#555">{_esc(guide[1])}</text>')
+
+    if len(ks):
+        points = " ".join(f"{px(k):.2f},{py(y):.2f}" for k, y in zip(ks, ys))
+        parts.append(
+            f'<polyline fill="none" stroke="#1f77b4" '
+            f'stroke-width="1.5" points="{points}"/>')
+    parts.append(
+        f'<text x="{_ML + 10}" y="{_MT + 16}" font-family="sans-serif" '
+        f'font-size="12" fill="#1f77b4">{_esc(label)}</text>')
 
     parts.append("</svg>")
     text = "\n".join(parts)
-    if path is not None:
-        Path(path).write_text(text)
+    Path(path).write_text(text)
     return text

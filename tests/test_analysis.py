@@ -318,6 +318,9 @@ class TestClosedForms:
         assert theoretical_rate("queens", "sdr") is None
         assert theoretical_rate("circle-line", "sdr") is None
         assert theoretical_rate("sudoku", "ddr", 99.0) is None
+        # gamma = inf steps sdr, so it has sdr's theory
+        assert theoretical_rate("sudoku", "ddr", np.inf) == SUDOKU_SDR_RATE
+        assert theoretical_rate("queens", "ddr", np.inf) is None
 
 
 class TestSudokuLinearization:

@@ -177,6 +177,14 @@ class TestConfigFile:
                                "--config", str(cfg))
         assert code == 1
 
+    def test_repeated_config_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=1\n# the second seed\nseed = 2\n")
+        code, out, err = run_cli(capsys, "solve", "--puzzle", "4x4",
+                                 "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert f"{cfg}:3:" in err and "'seed'" in err and "line 1" in err
+
 
 class TestNegativeSeed:
     @pytest.mark.parametrize("command", [
@@ -264,6 +272,31 @@ class TestRatesCommand:
         assert "theory=0.545455" in out
         rec = json.loads(report.read_text())
         assert abs(rec["deviation"]) < 1e-4
+
+    def test_objective_theory_is_the_squared_rate(self, capsys, tmp_path):
+        # half a squared distance decays at the square of the z rate
+        svg, report = tmp_path / "rate.svg", tmp_path / "rate.json"
+        code, out, _ = run_cli(
+            capsys, "rates", "--puzzle", PUZZLE4, "--seed", "3",
+            "--quantity", "objective", "--out", str(svg),
+            "--report", str(report))
+        assert code == 0
+        assert "theory=0.200000 deviation=+0.001546" in out
+        rec = json.loads(report.read_text())
+        assert abs(rec["theory"] - 0.2) < 1e-12
+        assert abs(rec["deviation"]) < 0.02
+        assert ">theory 0.2000</text>" in svg.read_text()
+
+    def test_gamma_inf_has_the_sdr_theory(self, capsys, tmp_path):
+        report = tmp_path / "rate.json"
+        code, out, _ = run_cli(
+            capsys, "rates", "--puzzle", "9x9-22", "--method", "ddr",
+            "--gamma", "inf", "--seed", "2", "--report", str(report))
+        assert code == 0
+        assert "slope=0.447221" in out and "theory=0.447214" in out
+        rec = json.loads(report.read_text())
+        assert rec["theory"] == pytest.approx(np.sqrt(5.0) / 5.0, abs=1e-15)
+        assert abs(rec["deviation"]) < 0.02
 
     def test_rates_from_trace_file(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
