@@ -71,6 +71,7 @@ def fit_linear_rate(trace, quantity, tail_fraction):
     or below the noise floor and the last few (reference-polluted) records
     are always excluded.  When the requested window holds fewer than 10
     clean points the fit falls back to the last 10 clean points overall.
+    A series that ends above the noise floor has no decay to 0 to fit.
     """
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError(
@@ -89,6 +90,9 @@ def fit_linear_rate(trace, quantity, tail_fraction):
     if len(pts) < _FIT_MIN_POINTS:
         raise InsufficientDataError(
             f"only {len(pts)} residuals above the {_FIT_FLOOR} noise floor")
+    if not r[-1] <= _FIT_FLOOR:
+        raise InsufficientDataError(
+            f"{quantity} ends at {float(r[-1])!r}, above the noise floor")
     y = np.log10(r[pts])
     design = np.vstack([pts.astype(float), np.ones(len(pts))]).T
     (slope_log, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)

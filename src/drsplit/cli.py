@@ -251,11 +251,16 @@ def _resolve_method(args):
 
 
 def _resolve_policy(args, stop_on_feasible=True):
-    """The given stop flags over `StopPolicy`'s defaults."""
-    given = {"max_iter": args.max_iter, "min_iter": args.min_iter,
-             "z_step_tol": args.tol}
-    return StopPolicy(stop_on_feasible=stop_on_feasible,
-                      **{k: v for k, v in given.items() if v is not None})
+    """The given stop flags over `StopPolicy`'s defaults; with no min_iter
+    given, the default floor is cut to max_iter."""
+    cap = StopPolicy.max_iter if args.max_iter is None else args.max_iter
+    floor = args.min_iter
+    if floor is None:
+        floor = min(StopPolicy.min_iter, cap)
+    elif not 0 <= floor <= cap:
+        raise CliError(f"--min-iter {floor} is not in [0, --max-iter {cap}]")
+    tol = StopPolicy.z_step_tol if args.tol is None else args.tol
+    return StopPolicy(cap, floor, tol, stop_on_feasible)
 
 
 def _reject_ignored(args, names, reason):

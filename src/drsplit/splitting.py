@@ -17,15 +17,15 @@ carry through when the set projections accept (runs, n) rows.
 
 One loop, `_iterate`, steps every run, a lone row as a single state:
 `run_batch` is that loop over a batch, and `run` is its batch of one,
-whose `_Recorder` keeps the trace.
+whose `_Recorder` streams what `run` builds its trace from.
 A product-space step over lowest-index-tie `GroupProjection`s and
 `ClueProjection`s is a function of z alone: once such a run's iterate
 equals, bit for bit, the one two steps back (a fixed point or a 2-cycle),
-the rest repeats with period 2, so the loop works out the run's exit, and
-the trace its last rows, at once.  A trace keeps no iterates: it streams
-each block's last change of u, and fills its other columns by stepping the
-run again from the start (full recomputation, the zero-checkpoint end of
-Griewank & Walther's revolve trade-off).
+the rest repeats with period 2, so the loop works out the run's exit at
+once and reports the orbit's k.  A trace keeps no iterates: `run` streams
+each block's last change of u, and the trace fills its other columns by
+stepping the run again from the start (full recomputation, the
+zero-checkpoint end of Griewank & Walther's revolve trade-off).
 """
 
 import copy
@@ -238,9 +238,9 @@ class IterationTrace:
     blocks) counts the coordinates of each block's u that differ (exact
     float inequality) from its final u.  `run` also streams each block's
     last change of u (`u_last_change`), which shows finite termination of
-    combinatorial blocks without a replay.  A run that ends in an exact
-    orbit records rows up to its final iterate; past them, row i is row
-    i - 2.
+    combinatorial blocks without a replay; a trace built from columns
+    reads it off its u_mismatch.  A run that ends in an exact orbit
+    records rows up to its final iterate; past them, row i is row i - 2.
     """
 
     def __init__(self, n_blocks=1, **columns):
@@ -255,21 +255,16 @@ class IterationTrace:
         mismatch = self._table.get("u_mismatch")
         if mismatch and np.shape(mismatch)[1:] != (self.n_blocks,):
             raise ValueError(f"u_mismatch rows must be {self.n_blocks} wide")
-        self._replay = None     # (z0, step, final (z, x, u)) of the run
-        self._last_change = None    # streamed by `run`'s `_Recorder`
-        self._end = 0           # the length of a run that ends in an orbit
+        self._replay = None     # (z0, step, final (z, x, u)) of a run
+        # a run sets its length and the last changes of u it streamed
+        self._length, self._last_change = len(self._table["z_step"]), None
+        if mismatch is not None:
+            changed = np.reshape(mismatch, (-1, self.n_blocks)) != 0
+            rows = np.arange(len(changed))[:, None]
+            self._last_change = np.where(changed, rows, -1).max(0, initial=-1)
 
     def __len__(self):
-        return max(self._end, len(self._table["z_step"]))
-
-    def append(self, z_step):
-        """Record one iteration.  A trace that holds any other column,
-        given or filled, is complete: its columns would not grow with
-        z_step."""
-        if len(self._table) > 1:
-            raise ValueError("cannot append to a trace that holds columns "
-                             f"other than z_step: {sorted(self._table)}")
-        self._table["z_step"].append(float(z_step))
+        return self._length
 
     def _fill(self, objective=False, reference=False):
         """Derive the objective and/or the reference columns by stepping a
@@ -334,11 +329,9 @@ class IterationTrace:
     @property
     def u_last_change(self):
         """Per block, the last row whose u differs from the next row's, or
-        -1: streamed by `run`, else read off u_mismatch."""
+        -1: streamed by `run`, or read off a given u_mismatch column."""
         if self._last_change is None:
-            mismatch = self.u_mismatch.reshape(len(self), self.n_blocks)
-            rows = np.arange(len(self))[:, None]
-            return np.where(mismatch != 0, rows, -1).max(axis=0, initial=-1)
+            raise ValueError("the trace was built without a u_mismatch column")
         # past the recorded rows a block changes on every row when the
         # last two recorded rows differ
         n = len(self._table["z_step"])
@@ -477,7 +470,8 @@ def _row_norms(d):
 def _iterate(step, z, policy, feasible, record=None):
     """The one loop over iterations: step the batch z (runs, ...) under
     `policy`, drop each run when it stops, and return each run's (outcome,
-    iterations, wall_s), wall_s being its share of the stepping time.
+    iterations, wall_s, orbit_k), wall_s being its share of the stepping
+    time and orbit_k the k of a closed orbit, else None.
 
     A lone row is stepped as a single state, `step(z[0])`, with the run
     axis put back on the result: this is the one place that picks the
@@ -486,14 +480,14 @@ def _iterate(step, z, policy, feasible, record=None):
     `_PureStep`, a row whose z_k equals z_{k-2} bit for bit (the z going
     into the previous step is held by reference) has closed an orbit at k
     and leaves with its exit from `_orbit_exit`.  `record`, the
-    `_Recorder` of a batch of one, is called with each step's size, and
-    `record.orbit(k, end)` when the run's orbit closes at k.
+    `_Recorder` of a batch of one, is called with each step's size.
     """
     if not np.all(np.isfinite(z)):
         raise ValueError("initial state contains non-finite entries")
     pure = isinstance(step, _PureStep)
     outcomes = [MAX_ITER] * len(z)
     iterations = [policy.max_iter] * len(z)
+    orbits = [None] * len(z)
     wall = np.zeros(len(z))
     active = np.arange(len(z))
     # the previous iteration's step sizes, and the z going into it
@@ -544,8 +538,7 @@ def _iterate(step, z, policy, feasible, record=None):
                     policy, k + 1, steps[r],
                     lambda j: feasible is not None and feasible(_candidate(
                         (z, z_new)[(j - k) % 2][r:r + 1], None))[0])
-            if record is not None:
-                record.orbit(k, exits[r][1])
+            orbits[active[r]] = k
         z_back = z if pure else None    # only a pure step's orbit closes
         back, z = steps, z_new
         if exits:
@@ -563,49 +556,36 @@ def _iterate(step, z, policy, feasible, record=None):
                 z_back = z_back[kept]
     else:
         wall[active] += (time.perf_counter() - t) / len(active)
-    return list(zip(outcomes, iterations, wall.tolist()))
+    return list(zip(outcomes, iterations, wall.tolist(), orbits))
 
 
 class _Recorder:
-    """The trace of the loop's batch of one: `step` is the run's own step,
-    which keeps the latest iteration's (z in, (z, x, u), step size) as
-    `last`, the size None until a call appends that iteration's row.  Each
-    row's u is compared, block by block, with the previous row's, held in
-    one buffer that takes a block's new u only when it changed."""
+    """The record of the loop's batch of one: `step` is the run's own step,
+    which keeps the latest iteration's (z in, (z, x, u)) as `last`, and
+    each call appends that iteration's step size to `z_step`.  Each row's
+    u is compared, block by block, with the previous row's, held in one
+    buffer that takes a block's new u only when it changed; `last_change`
+    is each block's last row that differs from the next one, or -1."""
 
-    def __init__(self, step, trace):
-        self._step, self.trace = step, trace
-        self.last = self.orbit_k = self._u = None
-        trace._last_change = np.full(trace.n_blocks, -1)
+    def __init__(self, step, n_blocks):
+        self._step, self.last_change = step, np.full(n_blocks, -1)
+        self.z_step, self.last, self._u = [], None, None
 
     def step(self, z):
         self.last = None    # lets `_Stacked` reuse the array of the last u
         iterates = self._step(z)
-        self.last = z, iterates, None
+        self.last = z, iterates
         return iterates
 
     def __call__(self, step_size):
-        self.last = self.last[:2] + (step_size,)
-        self.trace.append(step_size)
-        u = self.last[1][2].reshape(self.trace.n_blocks, -1)
+        self.z_step.append(step_size)
+        u = self.last[1][2].reshape(len(self.last_change), -1)
         if self._u is None:
             self._u = u.copy()
         changed = np.logical_or.reduce(u != self._u, axis=1)
         if changed.any():   # the row before this one differs from it
-            self.trace._last_change[changed] = len(self.trace) - 2
+            self.last_change[changed] = len(self.z_step) - 2
             np.copyto(self._u, u)   # the other blocks are equal
-
-    def orbit(self, k, end):
-        """z_k equalled z_{k-2}, so iterations k + 1 to end repeat k - 1 and
-        k in turn.  The last row recorded is the final iterate: when end - k
-        is odd, k + 1 is stepped from z_k, with k's step size, bit for bit
-        (z_{k+1} - z_k = z_{k-1} - z_k); the trace repeats the rest."""
-        self.orbit_k = k
-        if (end - k) % 2:
-            size = self.last[2]
-            self.step(self.last[1][0])
-            self(size)
-        self.trace._end = end
 
 
 def run(step, z0, policy, feasible=None, keep_iterates=False):
@@ -625,21 +605,29 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
     can replay the run to fill its other columns.
     """
     z = np.array(z0, dtype=float)
-    trace = IterationTrace(n_blocks=z.shape[0] if z.ndim == 2 else 1)
+    n_blocks = z.shape[0] if z.ndim == 2 else 1
     pure = isinstance(step, _PureStep)
     # a step with a random stream replays from a copy of its first state
     replay = copy.deepcopy(step) if keep_iterates and not pure else step
-    record = _Recorder(step, trace)
-    [(outcome, k, _)] = _iterate(
+    record = _Recorder(step, n_blocks)
+    [(outcome, k, _, orbit_k)] = _iterate(
         _PureStep(record.step) if pure else record.step, z[None], policy,
         None if feasible is None else (lambda rows: [feasible(rows[0])]),
         record)
-    z_in, (z_end, x, u), _ = record.last
+    # past an orbit closed at orbit_k, row i repeats row i - 2; the last
+    # row recorded is the final iterate: when k - orbit_k is odd, one step
+    # from z_{orbit_k}, whose size is orbit_k's, bit for bit
+    if orbit_k is not None and (k - orbit_k) % 2:
+        record.step(record.last[1][0])
+        record(record.z_step[-1])
+    z_in, (z_end, x, u) = record.last
+    trace = IterationTrace(n_blocks, z_step=record.z_step)
+    trace._length, trace._last_change = k, record.last_change
     if keep_iterates:   # z is this run's own copy of z0
         trace._replay = (z, replay, (z_end, x, u))
     # a two-set run's candidate is its x itself
     candidate = x if z_in.ndim == 1 else _consensus(z_in)
-    return RunResult(outcome, k, z_end, x, u, candidate, trace, record.orbit_k)
+    return RunResult(outcome, k, z_end, x, u, candidate, trace, orbit_k)
 
 
 def run_batch(step, z0s, policy, feasible):
@@ -657,4 +645,5 @@ def run_batch(step, z0s, policy, feasible):
     if not len(z0s):
         return []
     # no name holds the copy, so it is freed once the loop steps past it
-    return _iterate(step, np.array(z0s, dtype=float), policy, feasible)
+    return [row[:3] for row in _iterate(step, np.array(z0s, dtype=float),
+                                        policy, feasible)]

@@ -69,6 +69,13 @@ class TestRateFitting:
         with pytest.raises(InsufficientDataError):
             fit_linear_rate(synthetic_trace(0.5 ** np.arange(20)), "z_res", 0.5)
 
+    def test_series_that_levels_off_rejected(self):
+        # it decays at 0.5 towards 2.0, not towards 0: no rate to fit
+        r = 2.0 + 0.5 ** np.arange(100)
+        with pytest.raises(InsufficientDataError,
+                           match=r"z_res ends at 2\.0, above the noise"):
+            fit_linear_rate(synthetic_trace(r), "z_res", 0.5)
+
     def test_too_few_usable_points_rejected(self):
         r = np.full(100, 1e-15)           # everything below the floor
         with pytest.raises(InsufficientDataError):
@@ -111,28 +118,19 @@ class TestRateFitting:
 
 class TestFiniteTermination:
     def test_constant_trace_terminates_at_zero(self):
-        tr = IterationTrace(n_blocks=1)
-        for _ in range(50):
-            tr.append(z_step=0.0)
+        tr = IterationTrace(1, z_step=[0.0] * 50)
         assert detect_finite_termination(tr, "z") == 0
 
     def test_last_change_index(self):
-        tr = IterationTrace(n_blocks=1)
-        steps = [1.0] * 10 + [0.0] * 10
-        for s in steps:
-            tr.append(z_step=s)
+        tr = IterationTrace(1, z_step=[1.0] * 10 + [0.0] * 10)
         assert detect_finite_termination(tr, "z") == 10
 
     def test_noisy_tail_returns_none(self):
-        tr = IterationTrace(n_blocks=1)
-        for s in [1.0] * 10 + [1e-3] * 10:
-            tr.append(z_step=s)
+        tr = IterationTrace(1, z_step=[1.0] * 10 + [1e-3] * 10)
         assert detect_finite_termination(tr, "z") is None
 
     def test_dither_below_tolerance_counts_as_frozen(self):
-        tr = IterationTrace(n_blocks=1)
-        for s in [1.0] * 10 + [3e-15] * 10:
-            tr.append(z_step=s)
+        tr = IterationTrace(1, z_step=[1.0] * 10 + [3e-15] * 10)
         assert detect_finite_termination(tr, "z") == 10
 
     def test_queens_run_freezes_z_and_all_u_blocks(self):
@@ -169,8 +167,7 @@ class TestFiniteTermination:
         assert detect_finite_termination(res.trace, "z") is None
 
     def test_unknown_block_rejected(self):
-        tr = IterationTrace(n_blocks=2)
-        tr.append(z_step=0.0)
+        tr = IterationTrace(2, z_step=[0.0])
         with pytest.raises(ValueError):
             detect_finite_termination(tr, "u7")
 

@@ -212,6 +212,42 @@ class TestNegativeSeed:
             assert "--seed" in err and "-4" in err
 
 
+class TestMaxIterBelowTheFloor:
+    """With no min_iter given, the default floor of 100 is cut to a
+    smaller max_iter."""
+
+    @pytest.mark.parametrize("command,line", [
+        (["solve", "--puzzle", "4x4"], "outcome=feasible-found iterations=50"),
+        (["bench", "--puzzle", "4x4", "--runs", "2"], "mean_iter=50.0"),
+        (["rates", "--puzzle", "4x4"], "outcome=max-iter iterations=50"),
+    ])
+    def test_short_runs(self, capsys, command, line):
+        code, out, err = run_cli(capsys, *command, "--max-iter", "50")
+        assert code == 0 and err == ""
+        assert line in out
+
+    def test_config_max_iter(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 50\n")
+        code, out, _ = run_cli(capsys, "solve", "--puzzle", "4x4",
+                               "--config", str(cfg))
+        assert code == 0 and "iterations=50 " in out
+
+    @pytest.mark.parametrize("flags,config", [
+        (["--min-iter", "60", "--max-iter", "50"], None),
+        (["--max-iter", "50"], "min_iter = 60\n"),
+        ([], "min_iter = 60\nmax_iter = 50\n"),
+    ])
+    def test_floor_above_max_iter_names_both_flags(self, capsys, tmp_path,
+                                                   flags, config):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            flags = flags + ["--config", str(tmp_path / "run.cfg")]
+        code, out, err = run_cli(capsys, "solve", "--puzzle", "4x4", *flags)
+        assert code == 1 and out == ""
+        assert "--min-iter 60 is not in [0, --max-iter 50]" in err
+
+
 class TestBenchCommand:
     def test_bench_writes_sorted_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "bench.csv"
@@ -286,6 +322,20 @@ class TestRatesCommand:
         assert abs(rec["theory"] - 0.2) < 1e-12
         assert abs(rec["deviation"]) < 0.02
         assert ">theory 0.2000</text>" in svg.read_text()
+
+    def test_objective_that_does_not_decay_has_no_rate(self, capsys,
+                                                        tmp_path):
+        # this ddr run stalls off the solution set: its objective levels
+        # off at 20.8 and has no rate to fit
+        report = tmp_path / "rate.json"
+        code, out, err = run_cli(
+            capsys, "rates", "--puzzle", "4x4", "--method", "ddr",
+            "--gamma", "0.2", "--seed", "3", "--quantity", "objective",
+            "--report", str(report))
+        assert code == 2
+        assert out == "outcome=stalled iterations=182\n"
+        assert "objective ends at 20.8" in err
+        assert not report.exists()
 
     def test_gamma_inf_has_the_sdr_theory(self, capsys, tmp_path):
         report = tmp_path / "rate.json"

@@ -41,6 +41,7 @@ from drsplit.splitting import (
     read_trace_csv,
     run,
     _consensus,
+    _iterate,
     _row_norms,
     run_batch,
     two_set_step,
@@ -487,6 +488,20 @@ class TestRunBatch:
         for zz in (z[0], z[:, 2], z[0].T):
             assert _consensus(zz).tobytes() == zz.mean(axis=0).tobytes()
 
+    def test_each_row_carries_its_orbit(self):
+        """One batch of 64 queens-8 rows, about half of which close an
+        exact orbit: each row's (outcome, iterations, orbit_k) is `run`'s
+        for its seed."""
+        prob = batch_problem("queens-8")
+        step = product_step(prob.projections, "sdr")
+        policy = StopPolicy(max_iter=1000)
+        z0s = starts("queens-8", range(64))
+        got = _iterate(step, z0s.copy(), policy, prob.feasible)
+        want = [(r.outcome, r.iterations, r.orbit_k) for r in
+                (run(step, z0, policy, feasible=prob.feasible) for z0 in z0s)]
+        assert [(o, k, orbit) for o, k, _, orbit in got] == want
+        assert 0 < sum(orbit is not None for *_, orbit in want) < 64
+
     def test_wall_shares_are_positive(self):
         got = run_batch(product_step(batch_problem("4x4").projections, "sdr"),
                         starts("4x4", range(4)), StopPolicy(),
@@ -913,37 +928,20 @@ class TestTrace:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), name
 
-    def test_hand_built_trace_takes_columns(self):
+    def test_hand_built_trace_takes_columns(self, tmp_path):
         r = 0.5 ** np.arange(4)
         tr = IterationTrace(2, z_step=r, objective=r,
                             u_mismatch=np.zeros((4, 2)))
         assert len(tr) == 4 and tr.n_blocks == 2
         assert tr.u_mismatch.shape == (4, 2)
+        tr.to_csv(tmp_path / "trace.csv")
+        assert len(read_trace_csv(tmp_path / "trace.csv")) == 4
         with pytest.raises(ValueError):     # no snapshots to fill z_res
             tr.residuals("z_res")
         with pytest.raises(ValueError):
             IterationTrace(1, z_resid=r)
         with pytest.raises(ValueError, match="differ in length"):
             IterationTrace(2, z_step=r, objective=r[:2])
-
-    def test_hand_built_trace_does_not_grow(self, tmp_path):
-        # its columns would not grow with z_step, and the CSV would drop
-        # the appended rows
-        r = np.arange(1.0, 5.0)
-        tr = IterationTrace(2, z_step=r, objective=r,
-                            u_mismatch=np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="other than z_step"):
-            tr.append(0.0)
-        tr.to_csv(tmp_path / "trace.csv")
-        assert len(tr) == len(read_trace_csv(tmp_path / "trace.csv")) == 4
-        grown = IterationTrace(2, z_step=r)
-        grown.append(0.0)
-        grown.to_csv(tmp_path / "grown.csv")
-        assert len(read_trace_csv(tmp_path / "grown.csv")) == len(grown) == 5
-        res, _ = self.make_run(keep=True)   # filled columns are fixed too
-        res.trace.residuals("z_res")
-        with pytest.raises(ValueError, match="other than z_step"):
-            res.trace.append(0.0)
 
     def test_csv_without_keep_iterates_has_nan_residuals(self, tmp_path):
         res, _ = self.make_run(keep=False)
@@ -1311,7 +1309,6 @@ class TestStreamedFreeze:
             trace = res.trace
             columns = IterationTrace(trace.n_blocks, z_step=trace.z_step,
                                      u_mismatch=trace.u_mismatch)
-            assert columns._last_change is None
             assert same_bits(trace.u_last_change, columns.u_last_change)
             assert freezes(trace) == freezes(columns)
             # streamed without keep_iterates, and so with no replay
@@ -1348,3 +1345,5 @@ class TestStreamedFreeze:
                                                         [0, 0], [0, 0]])
         assert same_bits(trace.u_last_change, [-1, 0])
         assert freezes(trace) == [None, 1, 2]
+        with pytest.raises(ValueError, match="without a u_mismatch"):
+            IterationTrace(2, z_step=r).u_last_change
