@@ -254,12 +254,16 @@ def _resolve_policy(args, stop_on_feasible=True):
     """The given stop flags over `StopPolicy`'s defaults; with no min_iter
     given, the default floor is cut to max_iter."""
     cap = StopPolicy.max_iter if args.max_iter is None else args.max_iter
+    if cap < 1:
+        raise CliError(f"--max-iter must be >= 1, got {cap}")
     floor = args.min_iter
     if floor is None:
         floor = min(StopPolicy.min_iter, cap)
     elif not 0 <= floor <= cap:
         raise CliError(f"--min-iter {floor} is not in [0, --max-iter {cap}]")
     tol = StopPolicy.z_step_tol if args.tol is None else args.tol
+    if not tol >= 0.0:      # nan too
+        raise CliError(f"--tol must be >= 0, got {tol}")
     return StopPolicy(cap, floor, tol, stop_on_feasible)
 
 

@@ -105,7 +105,8 @@ class GroupProjection:
     tuples.  An entry -1 is padding, which lets groups of different lengths
     share one table; the tie-breaks read a row in table order, so pad on the
     right.  Groups must be non-empty and disjoint; coordinates outside every
-    group pass through unchanged.
+    group pass through unchanged.  ``allow_zero`` is one bool for every
+    group or a sequence of one bool per group.
 
     A call projects one vector of shape (n,) or each row of a (runs, n)
     batch; each row comes out as it would alone.  With ``out``, a
@@ -117,8 +118,12 @@ class GroupProjection:
     batch is gathered member-leading, (m, G, runs), so that each group
     maximum is a reduction over m long vectors; the first maximum is the
     largest of the ranks m..1 where an entry equals it, which is argmax's
-    choice, NaN included, bit for bit.  A random-tie batch is projected
-    row by row, row 0 first, as the single vectors it stands for.
+    choice, NaN included, bit for bit.  The groups are gathered in chunks
+    whose gather holds no more values than the batch itself.  A random-tie
+    batch is projected row by row, row 0 first, as the single vectors it
+    stands for.
+
+    `merged` builds one projection of a product of blocks from several.
     """
 
     def __init__(self, groups, n, allow_zero=False, tie_break="lowest",
@@ -139,6 +144,11 @@ class GroupProjection:
         twice = np.flatnonzero(counts > 1)
         if twice.size:
             raise ValueError(f"index {twice[0]} appears in two groups")
+        g, m = idx.shape
+        zero = np.array(allow_zero, dtype=bool)
+        if zero.shape not in ((), (g,)):
+            raise ValueError(f"allow_zero must be one bool or one per "
+                             f"group ({g}), got shape {zero.shape}")
         self.n = n
         self.allow_zero = allow_zero
         self.tie_break = tie_break
@@ -146,23 +156,56 @@ class GroupProjection:
             else None
         self._idx = idx
         self._flat = idx.ravel()
-        # groups that are consecutive runs of every coordinate (sudoku
-        # pillars, queens rows) are read from one vector as a reshape view
-        self._consecutive = idx.size == n and np.array_equal(
-            self._flat, np.arange(n))
-        self._starts = np.arange(0, idx.size, idx.shape[1])    # row starts
-        # None when the table has no padding / covers every coordinate
+        self._starts = np.arange(0, idx.size, m)    # row starts
+        # per group, whether it may go to zero; None when none may, and
+        # else the groups that spike whatever their maximum
+        self._zero = np.broadcast_to(zero, (g,))
+        self._spike = ~self._zero if zero.any() else None
+        # None when the table has no padding
         self._pad = None if mask.all() else ~mask
-        self._covered = None if counts.all() else np.flatnonzero(counts)
-        # the batched kernel's member-leading tables: cols (m, G), its
-        # padding with a run axis, the ranks m..1 of the members, and each
-        # group's column for the flat winner positions amax * G + group
-        g, m = idx.shape
-        self._cols = np.ascontiguousarray(idx.T)
-        self._cols_pad = None if self._pad is None else self._pad.T[..., None]
+        # the runs of coordinates outside every group, as slices
+        edges = np.flatnonzero(np.diff(np.concatenate(
+            ([False], counts == 0, [False])))).tolist()
+        self._through = [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
+        # the batched kernel's member-leading tables, in chunks of groups
+        # whose gather (m, groups, runs) holds no more values than the
+        # (runs, n) input, which bounds the kernel's largest transient (a
+        # merged queens table gathers 1.4 values per coordinate): per
+        # chunk, its cols (m, Gc), their padding with a run axis, each
+        # group's column for the flat winner positions amax * Gc + group,
+        # and its groups' spike flags; and the ranks m..1 of the members
+        self._chunks, per = [], max(1, n // m)
+        for rows in (slice(a, a + per) for a in range(0, g, per)):
+            cols = np.ascontiguousarray(idx[rows].T)
+            self._chunks.append((
+                cols,
+                None if self._pad is None else self._pad[rows].T[..., None],
+                np.arange(cols.shape[1])[:, None],
+                None if self._spike is None else self._spike[rows, None]))
         self._rank = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[
             :, None, None]
-        self._group = np.arange(g)[:, None]
+
+    @classmethod
+    def merged(cls, blocks, n_blocks):
+        """One projection of the flattened product of n_blocks copies of
+        R^n, for a dict {i: lowest-tie projection of R^n} that projects
+        block i; the other blocks pass through.  Block i's groups enter
+        the table offset by i * n and padded with -1 on the right to the
+        widest group, each with its own allow_zero, so every group spikes
+        the entry its block's own call spikes."""
+        placed = sorted(blocks.items())
+        n = {p.n for _, p in placed}
+        if len(n) != 1 or any(p.tie_break != "lowest" for _, p in placed):
+            raise ValueError("merged blocks must be lowest-tie projections "
+                             "of one length")
+        n = n.pop()
+        tables = [np.where(p._idx >= 0, p._idx + i * n, -1)
+                  for i, p in placed]
+        width = max(t.shape[1] for t in tables)
+        table = np.concatenate([np.pad(t, ((0, 0), (0, width - t.shape[1])),
+                                       constant_values=-1) for t in tables])
+        return cls(table, n_blocks * n,
+                   allow_zero=np.concatenate([p._zero for _, p in placed]))
 
     def __call__(self, x, out=None):
         x = np.asarray(x, dtype=float)
@@ -176,18 +219,15 @@ class GroupProjection:
             return out
         winners = self._single_winners(x) if x.ndim == 1 \
             else self._batch_winners(x)
-        if self._covered is None:
-            out.fill(0.0)
-        else:
-            out[...] = x
-            out[..., self._covered] = 0.0
+        out.fill(0.0)
+        for run in self._through:
+            out[..., run] = x[..., run]
         out.reshape(-1)[winners] = 1.0
         return out
 
     def _single_winners(self, x):
         """Flat indices into x of the spiked entries, one vector."""
-        vals = x.reshape(self._idx.shape) if self._consecutive \
-            else x[self._idx]
+        vals = x[self._idx]
         if self._pad is not None:
             np.copyto(vals, -np.inf, where=self._pad)
         amax = vals.argmax(axis=-1)     # the first NaN, else lowest tie
@@ -202,28 +242,35 @@ class GroupProjection:
                             keys.argmax(axis=-1))
         at = self._starts + amax        # the winners' flat table positions
         winners = self._flat[at]
-        if self.allow_zero:
-            winners = winners[vals.reshape(-1)[at] >= 0.5]
+        if self._spike is not None:
+            winners = winners[(vals.reshape(-1)[at] >= 0.5) | self._spike]
         return winners
 
     def _batch_winners(self, x):
         """Flat indices into the C-ordered (runs, n) output of the spiked
-        entries under lowest ties: vals (m, G, runs) is reduced over its
-        leading axis."""
-        vals = x.T[self._cols]
-        if self._cols_pad is not None:
-            np.copyto(vals, -np.inf, where=self._cols_pad)
-        top = np.maximum.reduce(vals, axis=0)
-        hit = vals == top
-        if np.isnan(top).any():     # argmax's rule: a group's first NaN wins
-            hit |= np.isnan(vals)
-        best = np.maximum.reduce(hit * self._rank, axis=0)
-        amax = len(self._rank) - best.astype(np.intp)   # first hit
-        winners = (self._cols.ravel()[amax * len(self._group) + self._group]
-                   + self.n * np.arange(len(x)))
-        if self.allow_zero:     # the winner's value is its group's maximum
-            winners = winners[top >= 0.5]
-        return winners
+        entries under lowest ties, chunk by chunk: each chunk's vals
+        (m, Gc, runs) is reduced over its leading axis and freed before the
+        next chunk is gathered."""
+        winners = []
+        for cols, pad, group, spike in self._chunks:
+            vals = x.T[cols]
+            if pad is not None:
+                np.copyto(vals, -np.inf, where=pad)
+            top = np.maximum.reduce(vals, axis=0)
+            hit = vals == top
+            if np.isnan(top).any():     # argmax's rule: a group's first
+                hit |= np.isnan(vals)   # NaN wins
+            del vals
+            at = np.maximum.reduce(hit * self._rank, axis=0).astype(np.intp)
+            del hit
+            np.subtract(len(self._rank), at, out=at)    # the first hit
+            at *= len(group)
+            at += group
+            won = cols.ravel()[at]
+            won += self.n * np.arange(len(x))
+            # a winner's value is its group's maximum
+            winners.append(won if spike is None else won[(top >= 0.5) | spike])
+        return np.concatenate(winners, axis=None)
 
 
 class ClueProjection:
@@ -246,22 +293,25 @@ class ClueProjection:
         self._fixed_values = values.ravel()[self._fixed]
 
     def __call__(self, x, out=None):
-        """Clamp x; with ``out``, a C-contiguous float array of x's shape,
-        write the result there and return it."""
+        """Clamp x; with ``out``, a float array of x's shape (of any
+        strides, such as one block of a stacked batch) that does not
+        overlap x, write the result there and return it."""
         x = np.asarray(x)
-        out = _output(x, out)
+        out = _output(x, out, contiguous=False)
         out[...] = x
         out[..., self._fixed] = self._fixed_values
         return out
 
 
-def _output(x, out):
-    """`out`, checked to be a C-contiguous float array of the array x's
-    shape, or a new one: the projections write through flat indices."""
+def _output(x, out, contiguous=True):
+    """`out`, checked to be a float array of the array x's shape (and
+    C-contiguous for a projection that writes through flat indices), or a
+    new one."""
     if out is None:
         return np.empty(x.shape)
-    if out.shape != x.shape or out.dtype != float \
-            or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous float array of the "
-                         "input's shape")
+    if out.shape != x.shape or out.dtype != float:
+        raise ValueError("out must be a float array of the input's shape")
+    if contiguous and not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous: the projection writes "
+                         "through flat indices")
     return out

@@ -76,14 +76,18 @@ _COLUMNS = ("z_step", "objective", "z_res", "x_res", "u_mismatch")
 # broadcasts below tile to the state's shape (a no-op on two-set states)
 
 # Each expression is evaluated in its written order, the later operations
-# in place on the first one's fresh array, which has z's shape: the same
-# bits as the plain expression, with fewer arrays made.
+# in place on the first one's array, which has z's shape: the same bits as
+# the plain expression, with fewer arrays made.  A step writes its
+# reflection (and ddr its relaxed x) in the array that `reflected(shape)`
+# (`relaxed(shape)`) gives: a fresh one by default, a `_Reused` one in a
+# bound step.
 
-def _reflect(x, z):
-    """2x - z."""
-    r = 2.0 * x
-    if r.shape != z.shape:      # a consensus row
-        return r - z
+def _reflect(x, z, r):
+    """2x - z, written in r: a consensus row is doubled before it is
+    broadcast, an x of z's shape in r itself."""
+    if x.shape != z.shape:
+        return np.subtract(2.0 * x, z, out=r)
+    np.multiply(2.0, x, out=r)
     r -= z
     return r
 
@@ -95,28 +99,29 @@ def _update(z, u, x):
     return t
 
 
-def dr_step(pa, pb, z):
+def dr_step(pa, pb, z, reflected=np.empty):
     x = pa(z)
-    u = pb(_reflect(x, z))
+    u = pb(_reflect(x, z, reflected(z.shape)))
     return _update(z, u, x), x, u
 
 
-def dr_step_switched(pa, pb, z):
+def dr_step_switched(pa, pb, z, reflected=np.empty):
     """Same update with the projection order reversed."""
     x = pb(z)
-    u = np.broadcast_to(pa(_reflect(x, z)), x.shape).copy()
+    u = np.broadcast_to(pa(_reflect(x, z, reflected(z.shape))),
+                        x.shape).copy()
     return _update(z, u, x), x, u
 
 
-def ddr_step(pa, pb, gamma, z):
+def ddr_step(pa, pb, gamma, z, relaxed=np.empty, reflected=np.empty):
     """Damped step: move only partway toward the first projection."""
     lam = ddr_affine_rate(gamma)
     if lam == 1.0:
-        return dr_step(pa, pb, z)
-    x = pa(z) - z
+        return dr_step(pa, pb, z, reflected)
+    x = np.subtract(pa(z), z, out=relaxed(z.shape))
     x *= lam
     x += z      # z + lam * (pa(z) - z): addition commutes, bit for bit
-    u = pb(_reflect(x, z))
+    u = pb(_reflect(x, z, reflected(z.shape)))
     return _update(z, u, x), x, u
 
 
@@ -127,65 +132,93 @@ def ap_step(pa, pb, z):
     return np.broadcast_to(x, u.shape).copy(), x, u
 
 
-_STEPS = {"sdr": dr_step, "sdr-switched": dr_step_switched,
-          "altproj": ap_step}
+_STEPS = {"sdr": dr_step, "sdr-switched": dr_step_switched}
+
+
+class _Reused:
+    """Gives one array of a shape again on every call while nothing but
+    this object holds it or a view of it (every view holds a reference to
+    it, so its reference count is then back at its value of when it was
+    new), and a new one otherwise.  A loop that drops what a step made
+    writes warm memory instead of faulting in fresh pages every step."""
+
+    def __init__(self):
+        self._array = None
+        self._unshared = None   # the array's reference count when unshared
+
+    def __call__(self, shape):
+        if self._array is None or self._array.shape != shape or \
+                sys.getrefcount(self._array) != self._unshared:
+            self._array = np.empty(shape)
+            self._unshared = sys.getrefcount(self._array)
+        return self._array
 
 
 def two_set_step(pa, pb, method, gamma=None):
-    """Bind two projections and a method into a step z -> (z_next, x, u)."""
+    """Bind two projections and a method into a step z -> (z_next, x, u),
+    which reuses its reflection's array, and ddr's relaxed x, while nothing
+    else holds them."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if method == "altproj":
+        return functools.partial(ap_step, pa, pb)
     if method == "ddr":
         ddr_affine_rate(gamma)      # reject a bad gamma now, not mid-run
-        return functools.partial(ddr_step, pa, pb, gamma)
-    return functools.partial(_STEPS[method], pa, pb)
+        return functools.partial(ddr_step, pa, pb, gamma, relaxed=_Reused(),
+                                 reflected=_Reused())
+    return functools.partial(_STEPS[method], pa, pb, reflected=_Reused())
 
 
 def _consensus(z):
     """Mean of the block rows of z (blocks, n); for a (runs, blocks, n)
     batch, each run's mean as a (runs, 1, n) array that broadcasts
     against z.  This is z.mean's own sum and division, bit for bit,
-    without its argument handling."""
-    return np.add.reduce(z, axis=-2, keepdims=z.ndim == 3) / z.shape[-2]
+    without its argument handling, the division in place."""
+    mean = np.add.reduce(z, axis=-2, keepdims=z.ndim == 3)
+    mean /= z.shape[-2]
+    return mean
 
 
 class _Stacked:
     """The product of the set projections: each block's projection of its
-    own row(s) of z, as z's shape.
+    own row(s) of z, as an array of z's shape, (blocks, n) or (runs,
+    blocks, n).
 
-    The result is a view of one block-major array, (blocks, n), or (blocks,
-    runs, n) for a batch, in whose contiguous slices the projections of
-    this module write in place; any other callable's result is copied in.
-    A call reuses the previous call's array when nothing else holds it or
-    a view of it any more, so a loop that drops each u (`_iterate`) writes
-    warm memory instead of faulting in fresh pages on every step.
+    The lowest-tie `GroupProjection` blocks are merged, once, into one
+    projection of the flattened rows (`GroupProjection.merged`), so a call
+    projects them all at once, writing every block of the result; each
+    other block (a clue clamp, a random-tie projection, any other callable)
+    then projects its own row(s) into its slice, in place when it is one of
+    this package's projections and the slice suits it, else by a copy.  The
+    result is a `_Reused` array: a loop that drops each u (`_iterate`)
+    writes warm memory.
     """
 
     def __init__(self, blocks):
         self.blocks = list(blocks)
-        self._in_place = [isinstance(p, (GroupProjection, ClueProjection))
-                          for p in self.blocks]
-        self._slab = None
-        self._unshared = None   # the slab's reference count when unshared
-
-    def _slab_for(self, shape):
-        # every view of the slab holds a reference to it, so the count is
-        # back at its value of when the slab was new once they are gone
-        if self._slab is None or self._slab.shape != shape or \
-                sys.getrefcount(self._slab) != self._unshared:
-            self._slab = np.empty(shape)
-            self._unshared = sys.getrefcount(self._slab)
-        return self._slab
+        merged = {i: p for i, p in enumerate(self.blocks)
+                  if isinstance(p, GroupProjection)
+                  and p.tie_break == "lowest"}
+        self._merged = GroupProjection.merged(merged, len(self.blocks)) \
+            if merged else None
+        self._rest = [(i, p) for i, p in enumerate(self.blocks)
+                      if i not in merged]
+        self._u = _Reused()
 
     def __call__(self, z):
-        z_rows = z.swapaxes(0, -2)
-        slab = self._slab_for(z_rows.shape)
-        for i, proj in enumerate(self.blocks):
-            if self._in_place[i]:
-                proj(z_rows[i], out=slab[i])
+        u = self._u(z.shape)
+        if self._merged is not None:
+            rows = z.reshape(z.shape[:-2] + (-1,))
+            self._merged(rows, out=u.reshape(rows.shape))
+        for i, proj in self._rest:
+            block = u[..., i, :]
+            if isinstance(proj, ClueProjection) or (
+                    isinstance(proj, GroupProjection)
+                    and block.flags.c_contiguous):
+                proj(z[..., i, :], out=block)
             else:
-                slab[i] = proj(z_rows[i])
-        return slab.swapaxes(0, -2)
+                block[...] = proj(z[..., i, :])
+        return u
 
 
 class _PureStep(functools.partial):

@@ -1,9 +1,9 @@
 """Small helpers that only the tests use: an instance's clue grid, its
 text form and its free coordinates, a planted solution grid, a digit grid
-or a 0/1 board as a flat vector, the slow queens validator, a bench CSV
-read back, the spectral radius of a matrix, and the dense 4x4 oracles of
-the linearized sudoku map that `analysis.sudoku_linear_model` reduces to
-5x5 blocks.
+or a 0/1 board as a flat vector, the slow queens validator, the per-group
+loop oracle of the group projections, a bench CSV read back, the spectral
+radius of a matrix, and the dense 4x4 oracles of the linearized sudoku
+map that `analysis.sudoku_linear_model` reduces to 5x5 blocks.
 """
 
 import csv
@@ -79,6 +79,43 @@ def validate_queens(board, inst):
         if sum(g[i, i - d] for i in range(s) if 0 <= i - d < s) > 1:
             violations.append(("diag", d))
     return not violations, violations
+
+
+def first_argmax(v):
+    """Index of the first NaN, else of the first largest entry (the rule of
+    np.argmax), found by a plain loop."""
+    for i, a in enumerate(v):
+        if a != a:
+            return i
+    best = 0
+    for i, a in enumerate(v):
+        if a > v[best]:
+            best = i
+    return best
+
+
+def loop_project(table, x, allow_zero, draws=None):
+    """The group projection of a vector, one group at a time; allow_zero
+    is one bool or one per group.  With `draws` (one uniform per table
+    cell, as the random tie-break draws them), the tie winner is the entry
+    with the largest draw among the real entries equal to the group's
+    maximum.  A group holding a NaN spikes its first NaN under either
+    rule."""
+    out = x.copy()
+    table = np.asarray(table)
+    zero = np.broadcast_to(allow_zero, len(table))
+    for r, row in enumerate(table):
+        g = [int(i) for i in row if i >= 0]
+        v = [float(x[i]) for i in g]
+        k = first_argmax(v)
+        if draws is not None and v[k] == v[k]:
+            ties = [i for i, a in enumerate(v) if a == v[k]]
+            k = max(ties, key=lambda i: draws[r][i])
+        for i in g:
+            out[i] = 0.0
+        if not zero[r] or v[k] >= 0.5:
+            out[g[k]] = 1.0
+    return out
 
 
 def read_bench_csv(path):

@@ -248,6 +248,45 @@ class TestMaxIterBelowTheFloor:
         assert "--min-iter 60 is not in [0, --max-iter 50]" in err
 
 
+class TestStopFlagsNameThemselves:
+    """A stop flag out of range is rejected under its own name before any
+    problem is built, not under the name of a `StopPolicy` field."""
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--puzzle", "4x4"],
+        ["bench", "--puzzle", "4x4", "--runs", "2"],
+        ["rates", "--puzzle", "4x4"],
+        ["rates", "--queens-size", "8"],
+    ])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-iter", "0", "--max-iter must be >= 1, got 0"),
+        ("--max-iter", "-5", "--max-iter must be >= 1, got -5"),
+        ("--tol", "-1", "--tol must be >= 0, got -1.0"),
+        ("--tol", "nan", "--tol must be >= 0, got nan"),
+    ])
+    def test_flag_is_named(self, capsys, monkeypatch, command, flag, value,
+                           message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a problem was built")
+        monkeypatch.setattr("drsplit.cli.build_problem", unreachable)
+        monkeypatch.setattr("drsplit.cli.bench_puzzle", unreachable)
+        code, out, err = run_cli(capsys, *command, flag, value)
+        assert code == 1 and out == ""
+        assert message in err
+        assert "max_iter" not in err and "z_step_tol" not in err
+
+    def test_circle_line_and_config_take_the_same_path(self, capsys,
+                                                      tmp_path):
+        code, out, err = run_cli(capsys, "solve", "--circle-line",
+                                 "--tol", "-1")
+        assert code == 1 and out == "" and "--tol must be >= 0" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 0\n")
+        code, out, err = run_cli(capsys, "solve", "--puzzle", "4x4",
+                                 "--config", str(cfg))
+        assert code == 1 and out == "" and "--max-iter must be >= 1" in err
+
+
 class TestBenchCommand:
     def test_bench_writes_sorted_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "bench.csv"

@@ -18,7 +18,7 @@ from drsplit.constraints import (
 )
 from drsplit.puzzles import SudokuInstance, bundled_sudoku
 
-from helpers import free_mask
+from helpers import free_mask, loop_project
 
 RNG = np.random.default_rng(99)
 
@@ -339,46 +339,13 @@ class TestGroupProjection:
 # tables that cover all or only some coordinates, single vectors and
 # strided or Fortran-ordered batches, both tie-breaks, allow_zero on and off
 
-def first_argmax(v):
-    """Index of the first NaN, else of the first largest entry (the rule of
-    np.argmax), found by a plain loop."""
-    for i, a in enumerate(v):
-        if a != a:
-            return i
-    best = 0
-    for i, a in enumerate(v):
-        if a > v[best]:
-            best = i
-    return best
-
-
-def loop_project(table, x, allow_zero, draws=None):
-    """One group at a time.  With `draws` (one uniform per table cell, as
-    the random tie-break draws them), the tie winner is the entry with the
-    largest draw among the real entries equal to the group's maximum.  A
-    group holding a NaN spikes its first NaN under either rule."""
-    out = x.copy()
-    for r, row in enumerate(np.asarray(table)):
-        g = [int(i) for i in row if i >= 0]
-        v = [float(x[i]) for i in g]
-        k = first_argmax(v)
-        if draws is not None and v[k] == v[k]:
-            ties = [i for i, a in enumerate(v) if a == v[k]]
-            k = max(ties, key=lambda i: draws[r][i])
-        for i in g:
-            out[i] = 0.0
-        if not allow_zero or v[k] >= 0.5:
-            out[g[k]] = 1.0
-    return out
-
-
 ORACLE_TABLES = {
     "unpadded-full": (sudoku_groups(4, "block"), 64),
     "padded-full": (queens_groups(6, "diag"), 36),
     "unpadded-partial": (sudoku_groups(4, "row")[::3], 64),
     "padded-partial": (queens_groups(6, "antidiag")[1::2], 36),
     "ragged-partial": (padded([(0, 1, 2), (5,), (7, 9)], 3), 12),
-    # consecutive runs of every coordinate, read as a reshape view
+    # consecutive runs of every coordinate
     "consecutive-pillar": (sudoku_groups(4, "pillar"), 64),
     "consecutive-row": (queens_groups(6, "row"), 36),
 }
@@ -464,6 +431,86 @@ class TestGroupProjectionAgainstLoop:
             assert y[:2].sum() == 1.0 and y[2] == 1.0
 
 
+class TestPerGroupAllowZero:
+    @given(st.sampled_from(sorted(ORACLE_TABLES)), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_each_group_keeps_its_own_rule(self, label, rows, seed):
+        table, n = ORACLE_TABLES[label]
+        zero = np.random.default_rng(seed).random(len(table)) < 0.5
+        proj = GroupProjection(table, n, allow_zero=zero)
+        batch = batch_rows(n, rows, seed)
+        want = np.stack([loop_project(table, row, zero) for row in batch])
+        for row, w in zip(batch, want):
+            assert same_bits(proj(row), w)
+        for view in layouts(batch):
+            assert same_bits(proj(view), want)
+
+    def test_all_true_and_all_false_are_the_single_bool(self):
+        table = queens_groups(6, "diag")
+        batch = batch_rows(36, 5, 3, every_kind=True)
+        for flag in (False, True):
+            one = GroupProjection(table, 36, allow_zero=flag)
+            each = GroupProjection(table, 36, allow_zero=[flag] * len(table))
+            assert same_bits(each(batch), one(batch))
+            assert same_bits(each(batch[0]), one(batch[0]))
+
+    @pytest.mark.parametrize("zero", [[True, False], np.ones((2, 3), bool)])
+    def test_one_bool_per_group(self, zero):
+        with pytest.raises(ValueError, match="one per group"):
+            GroupProjection([(0, 1), (2, 3), (4, 5)], 6, allow_zero=zero)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMergedTable:
+    """`GroupProjection.merged`: one table over the flattened rows of a
+    (blocks, n) product, each given block's groups offset to its row."""
+
+    BLOCKS = {
+        "queens": [GroupProjection(queens_groups(6, kind), 36,
+                                   allow_zero=kind in ("antidiag", "diag"))
+                   for kind in ("row", "column", "antidiag", "diag")],
+        "sudoku": [GroupProjection(sudoku_groups(4, kind), 64)
+                   for kind in ("row", "column", "pillar", "block")],
+        "ragged": [GroupProjection(padded([(0, 1, 2), (5,), (7, 9)], 3), 12,
+                                   allow_zero=True),
+                   GroupProjection([(11, 0), (3, 4)], 12)],
+    }
+
+    @given(st.sampled_from(sorted(BLOCKS)), st.integers(0, 3),
+           st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_each_row_is_its_block(self, label, skip, rows, seed):
+        """Blocks placed at rows 0, 1, 3, ... with row 2 left out (it
+        passes through), and one block dropped."""
+        blocks = self.BLOCKS[label]
+        n = blocks[0].n
+        placed = {i + (i >= 2): p for i, p in enumerate(blocks)
+                  if i != skip % len(blocks)}
+        count = len(blocks) + 1
+        merged = GroupProjection.merged(placed, count)
+        batch = batch_rows(count * n, rows, seed, every_kind=True)
+        want = batch.reshape(rows, count, n).copy()
+        for i, p in placed.items():
+            want[:, i] = [loop_project(p._idx, row, p._zero)
+                          for row in batch.reshape(rows, count, n)[:, i]]
+        want = want.reshape(rows, -1)
+        assert same_bits(merged(batch), want)
+        for row, w in zip(batch, want):
+            assert same_bits(merged(row), w)
+
+    def test_only_lowest_tie_blocks_of_one_length_merge(self):
+        a = GroupProjection(queens_groups(4, "row"), 16)
+        for other in (GroupProjection(queens_groups(4, "row"), 16,
+                                      tie_break="random", seed=1),
+                      GroupProjection(queens_groups(5, "row"), 25)):
+            with pytest.raises(ValueError, match="lowest-tie"):
+                GroupProjection.merged({0: a, 1: other}, 2)
+
+
 class TestClueProjection:
     def test_clamps_full_pillar(self):
         # one clue (i=0, j=0, digit 2) on a 4-cube
@@ -514,12 +561,24 @@ class TestClueProjection:
 @pytest.mark.parametrize("proj", [
     ClueProjection(4, [(0, 0, 2)]),
     GroupProjection(sudoku_groups(4, "row"), 64)])
-def test_out_must_be_a_contiguous_float_array_of_the_shape(proj):
+def test_out_must_be_a_float_array_of_the_shape(proj):
     x = RNG.normal(size=(2, 64))
-    for out in (np.empty((2, 2, 64))[:, 0], np.empty((2, 63)),
-                np.empty((2, 64), dtype=np.float32)):
-        with pytest.raises(ValueError, match="C-contiguous"):
+    for out in (np.empty((2, 63)), np.empty((2, 64), dtype=np.float32)):
+        with pytest.raises(ValueError, match="float array of the input's"):
             proj(x, out=out)
+
+
+def test_a_group_projection_out_must_be_contiguous():
+    """It writes through flat indices; a clue clamp takes any strides."""
+    x = RNG.normal(size=(2, 64))
+    proj = GroupProjection(sudoku_groups(4, "row"), 64)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        proj(x, out=np.empty((2, 2, 64))[:, 0])
+    clue = ClueProjection(4, [(0, 0, 2)])
+    stacked = np.full((2, 3, 64), 7.0)
+    assert clue(x, out=stacked[:, 1]).base is stacked
+    assert same_bits(stacked[:, 1], clue(x))
+    assert (stacked[:, [0, 2]] == 7.0).all()
 
 
 # ---------------------------------------------------------------------------

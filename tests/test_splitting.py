@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from drsplit.analysis import (
     detect_finite_termination,
     fit_linear_rate,
 )
+from drsplit.bench import BATCH_BYTES
 from drsplit.constraints import GroupProjection, project_unit_sphere
 from drsplit.puzzles import (
     Hyperplane,
     QueensInstance,
+    SudokuInstance,
     bundled_sudoku,
     circle_line_instance,
     queens_problem,
@@ -47,7 +50,7 @@ from drsplit.splitting import (
     two_set_step,
 )
 
-from helpers import lift_grid, reference_run
+from helpers import lift_grid, planted_grid, reference_run
 
 RNG = np.random.default_rng(11)
 
@@ -711,6 +714,183 @@ class TestStackedAgainstBlockLoop:
 
 
 # ---------------------------------------------------------------------------
+# the merged group projection: a product step over the problem's blocks
+# against the same step over each block behind a lambda, which `_Stacked`
+# does not merge, so that each block projects its own rows
+
+def planted_16():
+    """A 16x16 instance with 45% of the box-shift solution's cells clued."""
+    sol = planted_grid(16)
+    keep = np.random.default_rng(16).random((16, 16)) < 0.45
+    return SudokuInstance(16, tuple(
+        (i, j, int(sol[i, j])) for i, j in zip(*np.nonzero(keep))))
+
+
+MERGED_PROBLEMS = {
+    **{key: functools.partial(sudoku_problem, bundled_sudoku(key))
+       for key in ("4x4", "9x9-37", "9x9-22")},
+    "16x16": lambda: sudoku_problem(planted_16()),
+    **{f"queens-{s}": functools.partial(queens_problem, QueensInstance(s))
+       for s in range(4, 33)},
+}
+
+
+def merged_inputs(prob, seed=3):
+    """A lone state and 2-, 35- and 512-row batches, as far as a bench
+    batch holds them (BATCH_BYTES), each as uniform starts, exact ties
+    and NaN-holed starts."""
+    rng = np.random.default_rng(seed)
+    shape = (prob.n_blocks, prob.ambient_dim)
+    for rows in (None, 2, 35, 512):
+        if (rows or 1) * prob.n_blocks * prob.ambient_dim * 8 > BATCH_BYTES:
+            continue
+        size = shape if rows is None else (rows,) + shape
+        z = rng.uniform(0.0, 1.0, size=size)
+        ties = rng.integers(0, 3, size=size) / 2.0
+        holed = z.copy()
+        holed.reshape(-1)[rng.integers(holed.size, size=3)] = np.nan
+        yield from (z, ties, holed)
+
+
+def assert_steps_are_the_wrapped_steps(blocks, twins, method, gamma, z,
+                                       steps=3):
+    """Step z with `blocks` and with every one of `twins` (the same
+    projections, or equally seeded copies) behind a lambda."""
+    step = product_step(blocks, method, gamma=gamma)
+    per_block = wrapped(twins, range(len(twins)))
+    assert splitting._Stacked(per_block)._merged is None
+    oracle = product_step(per_block, method, gamma=gamma)
+    for _ in range(steps):
+        got, want = step(z), oracle(z)
+        for name, g, w in zip("zxu", got, want):
+            assert same_bits(g, w), name
+        z = want[0]
+
+
+class TestMergedProjection:
+    @pytest.mark.parametrize("key", sorted(MERGED_PROBLEMS))
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
+    def test_steps_are_the_per_block_steps(self, key, method, gamma):
+        prob = MERGED_PROBLEMS[key]()
+        for z in merged_inputs(prob):
+            with np.errstate(invalid="ignore"):
+                assert_steps_are_the_wrapped_steps(
+                    prob.projections, prob.projections, method, gamma, z)
+
+    @pytest.mark.parametrize("key", ["4x4", "9x9-22", "queens-8"])
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
+    def test_group_blocks_need_not_come_first(self, key, method, gamma):
+        """The last block (the clue clamp, or a queens diagonal behind a
+        lambda) moved to the front: the merged table skips its rows."""
+        prob = batch_problem(key) if key in BATCH_PROBLEMS else \
+            MERGED_PROBLEMS[key]()
+        last = prob.projections[-1]
+        if isinstance(last, GroupProjection):
+            last = wrapped([last], {0})[0]
+        blocks = [last] + prob.projections[:-1]
+        assert [i for i, _ in splitting._Stacked(blocks)._rest] == [0]
+        for z in merged_inputs(prob):
+            with np.errstate(invalid="ignore"):
+                assert_steps_are_the_wrapped_steps(blocks, blocks, method,
+                                                   gamma, z)
+
+    @pytest.mark.parametrize("build", [
+        lambda **kw: sudoku_problem(bundled_sudoku("9x9-37"), **kw),
+        lambda **kw: queens_problem(QueensInstance(8), **kw)])
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
+    def test_a_random_tie_block_stays_separate(self, build, method, gamma):
+        lowest = build().projections
+        blocks, twins = ([p if i != 1 else build(
+            tie_break="random", tie_seed=5).projections[1]
+            for i, p in enumerate(lowest)] for _ in range(2))
+        assert [i for i, _ in splitting._Stacked(blocks)._rest] == \
+            [1] + [i for i, p in enumerate(lowest)
+                   if not isinstance(p, GroupProjection)]
+        for z in merged_inputs(build()):
+            with np.errstate(invalid="ignore"):
+                assert_steps_are_the_wrapped_steps(blocks, twins, method,
+                                                   gamma, z)
+
+    @pytest.mark.parametrize("key", ["4x4", "9x9-37", "9x9-22", "queens-8",
+                                     "queens-32"])
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
+    def test_one_group_call_per_step(self, monkeypatch, key, method, gamma):
+        calls = []
+        project = GroupProjection.__call__
+
+        def counted(self, x, out=None):
+            calls.append(None)
+            return project(self, x, out=out)
+        monkeypatch.setattr(GroupProjection, "__call__", counted)
+        prob = MERGED_PROBLEMS[key]()
+        step = product_step(prob.projections, method, gamma=gamma)
+        z = prob.initial_state(0)
+        for _ in range(3):
+            z = step(z)[0]
+        step(np.stack([z, z]))
+        assert len(calls) == 4
+
+
+class TestReusedArrays:
+    """A step reuses the array of its reflection (given to the second
+    projection) and ddr's relaxed x from one call to the next, but not
+    while anything else holds them."""
+
+    @staticmethod
+    def spy_step(method, seen, hold=False):
+        """A two-set step whose projection of the reflection (the second,
+        or the first when switched) records a weak reference to it, or the
+        reflection itself."""
+        def spy(project):
+            def spied(r):
+                seen.append(r if hold else weakref.ref(r))
+                return project(r)
+            return spied
+        first, second = (lambda z: 0.5 * z), np.round
+        if method == "sdr-switched":
+            first = spy(first)
+        else:
+            second = spy(second)
+        return two_set_step(first, second, method, gamma=0.3)
+
+    @pytest.mark.parametrize("method", ["sdr", "ddr", "sdr-switched"])
+    def test_an_unshared_reflection_is_reused(self, method):
+        seen = []
+        step = self.spy_step(method, seen)
+        zs = RNG.normal(size=(3, 4, 8))
+        for z in zs:
+            want = two_set_step(lambda z: 0.5 * z, np.round, method,
+                                gamma=0.3)(z)
+            for g, w in zip(step(z), want):
+                assert same_bits(g, w)
+        # one array, alive in the step: fresh ones would have been freed
+        assert seen[0]() is not None
+        assert all(ref() is seen[0]() for ref in seen)
+
+    @pytest.mark.parametrize("method", ["sdr", "ddr", "sdr-switched"])
+    def test_a_held_reflection_is_fresh(self, method):
+        held = []
+        step = self.spy_step(method, held, hold=True)
+        zs = RNG.normal(size=(3, 4, 8))
+        xs = [step(z)[1] for z in zs]
+        assert len({id(r) for r in held}) == 3
+        for z, x, r in zip(zs, xs, held):
+            assert same_bits(r, 2.0 * x - z)
+
+    def test_ddr_relaxed_x(self):
+        step = two_set_step(lambda z: 0.5 * z, np.round, "ddr", gamma=0.3)
+        zs = RNG.normal(size=(3, 4, 8))
+        xs = [step(z)[1] for z in zs]       # held: each call a new array
+        assert len({id(x) for x in xs}) == 3
+        for z, x in zip(zs, xs):
+            assert same_bits(x, ddr_step(lambda z: 0.5 * z, np.round, 0.3,
+                                         z)[1])
+        dropped = [weakref.ref(step(z)[1]) for z in zs]
+        assert dropped[0]() is not None
+        assert all(ref() is dropped[0]() for ref in dropped)
+
+
+# ---------------------------------------------------------------------------
 # exact orbits: a step of `product_step` over lowest-tie projections is a
 # function of z alone, so its runs are replayed once z_k equals z_{k-2};
 # the same step behind a lambda is stepped in full, and the two runs must
@@ -795,24 +975,25 @@ class TestOrbitReplay:
         assert (res.orbit_k < policy.min_iter) == (when == "before")
 
     def test_closed_orbits_are_not_stepped(self, monkeypatch):
+        """An altproj step projects onto the product once: count steps."""
         calls = []
-        project = GroupProjection.__call__
+        project = splitting._Stacked.__call__
 
-        def counted(self, x, out=None):
+        def counted(self, z):
             calls.append(None)
-            return project(self, x, out=out)
-        monkeypatch.setattr(GroupProjection, "__call__", counted)
+            return project(self, z)
+        monkeypatch.setattr(splitting._Stacked, "__call__", counted)
         prob = batch_problem("queens-5")
         step = product_step(prob.projections, "altproj")
         policy = StopPolicy(max_iter=10 ** 5, min_iter=10 ** 5,
                             stop_on_feasible=False)
         z0s = starts("queens-5", range(4))
         got = run_batch(step, z0s, policy, prob.feasible)
-        assert len(calls) <= 4 * 8          # every orbit closes by k = 7
+        assert len(calls) <= 8          # every orbit closes by k = 7
         assert [(o, k) for o, k, _ in got] == [(STALLED, 10 ** 5)] * 4
         del calls[:]
         res = run(step, z0s[0], policy, feasible=prob.feasible)
-        assert len(calls) == 4 * recorded_rows(res)
+        assert len(calls) == recorded_rows(res)
         assert (res.outcome, res.iterations) == (STALLED, 10 ** 5)
         assert len(res.trace) == 10 ** 5
 
