@@ -150,7 +150,6 @@ class GroupProjection:
             raise ValueError(f"allow_zero must be one bool or one per "
                              f"group ({g}), got shape {zero.shape}")
         self.n = n
-        self.allow_zero = allow_zero
         self.tie_break = tie_break
         self._rng = np.random.default_rng(seed) if tie_break == "random" \
             else None
@@ -287,8 +286,6 @@ class ClueProjection:
         clued = np.zeros((s * s, s), dtype=bool)
         values[cells, ijk[:, 2]] = 1.0
         clued[cells] = True
-        self.s = s
-        self.clues = tuple(clues)
         self._fixed = np.flatnonzero(clued)
         self._fixed_values = values.ravel()[self._fixed]
 

@@ -275,7 +275,6 @@ class Problem:
     feasibility predicate of a vector: a vectorized check equal to
     ``validate_*(round(v))[0]``."""
 
-    instance: object
     projections: list
     ambient_dim: int
     round: object
@@ -305,7 +304,7 @@ def sudoku_problem(inst, tie_break="lowest", tie_seed=None):
     feasible = functools.partial(
         sudoku_feasible, s=s, line_keys=_sudoku_line_keys(s),
         clue_cells=clues[:, 0] * s + clues[:, 1], clue_digits=clues[:, 2])
-    return Problem(inst, projections, n, functools.partial(round_cube, s=s),
+    return Problem(projections, n, functools.partial(round_cube, s=s),
                    feasible)
 
 
@@ -321,7 +320,7 @@ def queens_problem(inst, tie_break="lowest", tie_seed=None):
                         seed=None if tie_seed is None else tie_seed + off)
         for off, (kind, zero) in enumerate(specs)
     ]
-    return Problem(inst, projections, n, functools.partial(round_board, s=s),
+    return Problem(projections, n, functools.partial(round_board, s=s),
                    functools.partial(queens_feasible, s=s,
                                      line_keys=_queens_line_keys(s)))
 

@@ -195,13 +195,13 @@ class _Stacked:
     """
 
     def __init__(self, blocks):
-        self.blocks = list(blocks)
-        merged = {i: p for i, p in enumerate(self.blocks)
+        blocks = list(blocks)
+        merged = {i: p for i, p in enumerate(blocks)
                   if isinstance(p, GroupProjection)
                   and p.tie_break == "lowest"}
-        self._merged = GroupProjection.merged(merged, len(self.blocks)) \
+        self._merged = GroupProjection.merged(merged, len(blocks)) \
             if merged else None
-        self._rest = [(i, p) for i, p in enumerate(self.blocks)
+        self._rest = [(i, p) for i, p in enumerate(blocks)
                       if i not in merged]
         self._u = _Reused()
 
@@ -354,10 +354,6 @@ class IterationTrace:
     @property
     def z_step(self):
         return self.residuals("z_step")
-
-    @property
-    def u_mismatch(self):
-        return self.residuals("u_mismatch")
 
     @property
     def u_last_change(self):

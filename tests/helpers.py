@@ -2,15 +2,19 @@
 text form and its free coordinates, a planted solution grid, a digit grid
 or a 0/1 board as a flat vector, the slow queens validator, the per-group
 loop oracle of the group projections, a bench CSV read back, the spectral
-radius of a matrix, and the dense 4x4 oracles of the linearized sudoku
-map that `analysis.sudoku_linear_model` reduces to 5x5 blocks.
+radius of a matrix, the textbook oracles of the product step
+(`oracle_step`) and of a run (`reference_run`), and the dense 4x4 oracles
+of the linearized sudoku map that `analysis.sudoku_linear_model` reduces
+to 5x5 blocks.
 """
 
 import csv
+import functools
 
 import numpy as np
 
 from drsplit.bench import BenchRecord, BenchReport
+from drsplit.constraints import ClueProjection, GroupProjection
 from drsplit.puzzles import format_grid
 
 
@@ -132,42 +136,157 @@ def spectral_radius(matrix):
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
-def reference_run(step, z0, policy, feasible=None):
-    """The textbook loop that `splitting.run` and `splitting.run_batch`
-    must agree with: every iteration stepped, no orbit replay, and each
-    z step taken by np.linalg.norm (one BLAS dot, as the library's norms
-    are for the at most 8192 elements of every test problem).
+# ---------------------------------------------------------------------------
+# the textbook oracles of the product step and of a run
 
-    Returns (outcome, iterations, z, x, u, candidate, z_steps, objectives):
-    the last step's output, the candidate the oracle saw going into it
-    (the mean of the block rows of z for a product-space state, x for a
-    two-set one), and the per-iteration z steps and objectives.
+def stacked_oracle(blocks, z):
+    """The product of the set projections as a per-block loop: block i's
+    projection of row i of z (blocks, n), or of rows [:, i] of a batch
+    (runs, blocks, n), assigned into a new array of z's shape."""
+    out = np.empty_like(z)
+    z_rows, out_rows = z.swapaxes(0, -2), out.swapaxes(0, -2)
+    for i, proj in enumerate(blocks):
+        out_rows[i] = proj(z_rows[i])
+    return out
+
+
+def oracle_step(blocks, method, gamma, z):
+    """One product-space step as plain formulas: the consensus is the mean
+    of the block rows, the other set the product of `blocks`."""
+    def pa(v):
+        return v.mean(axis=-2, keepdims=v.ndim == 3)
+
+    def pb(v):
+        return stacked_oracle(blocks, v)
+    if method == "altproj":
+        u = pb(z)
+        x = pa(u)
+        return np.broadcast_to(x, u.shape).copy(), x, u
+    if method == "sdr-switched":
+        x = pb(z)
+        u = np.broadcast_to(pa(2.0 * x - z), x.shape).copy()
+        return z + u - x, x, u
+    if method == "sdr" or gamma == np.inf:
+        x = pa(z)
+    else:
+        x = z + gamma / (1.0 + gamma) * (pa(z) - z)
+    u = pb(2.0 * x - z)
+    return z + u - x, x, u
+
+
+class Textbook:
+    """The textbook product step, z -> oracle_step(blocks, method, gamma,
+    z).  It is a function of z alone (`pure`) when every block is a
+    lowest-tie group projection or a clue clamp, and it then keeps each
+    start's steps and runs, so that `reference_run` steps a start once
+    whatever the policies it runs it under."""
+
+    def __init__(self, blocks, method, gamma=None):
+        self.blocks, self.method, self.gamma = list(blocks), method, gamma
+        self.pure = all(isinstance(p, ClueProjection) or (
+            isinstance(p, GroupProjection) and p.tie_break == "lowest")
+            for p in self.blocks)
+        self._kept = {}
+
+    def __call__(self, z):
+        return oracle_step(self.blocks, self.method, self.gamma, z)
+
+    def kept(self, z0):
+        """(z0's steps so far, its runs by (iterations, outcome))."""
+        if not self.pure:
+            return [], {}
+        return self._kept.setdefault((z0.shape, z0.tobytes()), ([], {}))
+
+
+class Reference:
+    """A reference run: its outcome and iterations, the last step's z, x
+    and u, the candidate the feasibility check saw going into it (the mean
+    of the block rows of z for a product-space state, x for a two-set one)
+    and the trace's z_step column.  The other columns, each block's last
+    change of u and orbit_k are worked out on first read."""
+
+    def __init__(self, outcome, steps, pure):
+        self.outcome, self.iterations = outcome, len(steps)
+        self._steps, self._pure = steps, pure    # (z in, z, x, u, size)
+        z_in, self.z, self.x, self.u, _ = steps[-1]
+        self.candidate = z_in.mean(axis=0) if z_in.ndim == 2 else self.x
+        self.z_step = np.array([size for *_, size in steps])
+
+    @functools.cached_property
+    def objective(self):    # half the squared spread of u
+        return np.array([0.5 * float(np.sum(
+            (u - (u.mean(axis=0) if u.ndim == 2 else x)) ** 2))
+            for _, _, x, u, _ in self._steps])
+
+    @functools.cached_property
+    def z_res(self):
+        return np.array([np.linalg.norm(z - self.z)
+                         for _, z, *_ in self._steps])
+
+    @functools.cached_property
+    def x_res(self):
+        return np.array([np.linalg.norm(x - self.x)
+                         for _, _, x, *_ in self._steps])
+
+    @functools.cached_property
+    def u_mismatch(self):
+        final = np.atleast_2d(self.u)
+        return np.array([np.count_nonzero(np.atleast_2d(u) != final, axis=1)
+                         for *_, u, _ in self._steps], dtype=float)
+
+    @functools.cached_property
+    def u_last_change(self):    # per block, the last row unlike the next
+        us = [np.atleast_2d(u) for *_, u, _ in self._steps]
+        last = np.full(len(us[-1]), -1)
+        for row, (a, b) in enumerate(zip(us, us[1:])):
+            last[(a != b).any(axis=1)] = row
+        return last
+
+    @functools.cached_property
+    def orbit_k(self):      # the first k with z_k == z_{k-2}, bit for bit
+        if not self._pure:
+            return None
+        path = [self._steps[0][0]] + [z for _, z, *_ in self._steps]
+        return next((k for k in range(2, len(path))
+                     if path[k].tobytes() == path[k - 2].tobytes()), None)
+
+
+def reference_run(step, z0, policy, feasible=None, pure=None):
+    """The run that `splitting.run`, each row of `splitting.run_batch` and
+    each row record of the loop must equal, bit for bit, as a `Reference`:
+    `step` (a `Textbook`, or any other step, such as a two-set one or a
+    seeded twin of a random-tie one) stepped in full from z0 under the
+    stop rule as written.  Each z step, and each distance to the final z
+    and x, is np.linalg.norm's (one BLAS dot, as the library's norms are
+    for the at most 8192 elements of a test run's state).  orbit_k is
+    read for a pure step: a `Textbook` one that says so, or any step given
+    with pure=True; it is None for any other.
     """
+    pure = getattr(step, "pure", False) if pure is None else pure
     z = np.array(z0, dtype=float)
-    z_steps, objectives = [], []
+    steps, runs = step.kept(z) if isinstance(step, Textbook) else ([], {})
     outcome = "max-iter"
     for k in range(1, policy.max_iter + 1):
-        z_new, x, u = step(z)
-        z_steps.append(float(np.linalg.norm(z_new - z)))
-        spread = u - (u.mean(axis=0) if u.ndim == 2 else x)
-        objectives.append(0.5 * float(np.sum(spread ** 2)))
-        candidate = z.mean(axis=0) if z.ndim == 2 else x
-        z = z_new
-        if not np.isfinite(z_steps[-1]):
+        if len(steps) < k:
+            z_new, x, u = (np.array(a, dtype=float) for a in step(z))
+            steps.append((z, z_new, x, u, float(np.linalg.norm(z_new - z))))
+        z_in, z, x, _, size = steps[k - 1]
+        if not np.isfinite(size):
             outcome = "non-finite"
             break
         if k < policy.min_iter:
             continue
-        stalled = z_steps[-1] <= policy.z_step_tol
+        stalled = size <= policy.z_step_tol
         if (feasible is not None and (policy.stop_on_feasible or stalled)
-                and feasible(candidate)):
+                and feasible(z_in.mean(axis=0) if z_in.ndim == 2 else x)):
             outcome = "feasible-found"
             break
         if stalled:
             outcome = "stalled"
             break
-    return (outcome, k, z, x, u, candidate, np.array(z_steps),
-            np.array(objectives))
+    if (k, outcome) not in runs:
+        runs[k, outcome] = Reference(outcome, steps[:k], pure)
+    return runs[k, outcome]
 
 
 def ddr_rate_block(gamma, p):

@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 from drsplit import splitting
 from drsplit.analysis import (
     InsufficientDataError,
-    ddr_affine_rate,
     auto_tail_fraction,
     detect_finite_termination,
     fit_linear_rate,
@@ -50,19 +49,18 @@ from drsplit.splitting import (
     two_set_step,
 )
 
-from helpers import lift_grid, planted_grid, reference_run
+from helpers import (
+    Textbook,
+    lift_grid,
+    oracle_step,
+    planted_grid,
+    reference_run,
+    stacked_oracle,
+)
 
 RNG = np.random.default_rng(11)
 
 LINE = Hyperplane(np.array([1.0, 2.0]), np.sqrt(2.0))
-
-
-def consensus_projection(m, n):
-    """Stacked-space projection onto the diagonal: every block gets the mean."""
-    def proj(v):
-        blocks = v.reshape(m, n)
-        return np.tile(blocks.mean(axis=0), m)
-    return proj
 
 
 class TestTwoSetSteps:
@@ -131,71 +129,7 @@ class TestTwoSetSteps:
 
 
 class TestProductSteps:
-    @pytest.mark.parametrize("m", [2, 3, 5])
-    def test_product_dr_equals_stacked_dr(self, m):
-        n = 12
-        groups = [tuple(range(i, n, 3)) for i in range(3)]
-        from drsplit.constraints import GroupProjection
-        blocks = [GroupProjection(groups, n, allow_zero=(i % 2 == 0))
-                  for i in range(m)]
-        z = RNG.normal(size=(m, n))
-
-        z_next, x, u = product_step(blocks, "sdr")(z)
-
-        def proj_c_stacked(v):
-            w = v.reshape(m, n).copy()
-            return np.concatenate([blocks[i](w[i]) for i in range(m)])
-
-        z2, x2, u2 = dr_step(consensus_projection(m, n), proj_c_stacked,
-                             z.ravel())
-        assert_allclose(z_next.ravel(), z2, atol=1e-10)
-        assert_allclose(np.tile(x, m), x2, atol=1e-10)
-        assert_allclose(u.ravel(), u2, atol=1e-10)
-
-    @pytest.mark.parametrize("m", [2, 5])
-    def test_product_ddr_equals_stacked_ddr(self, m):
-        n = 8
-        from drsplit.constraints import GroupProjection
-        blocks = [GroupProjection([tuple(range(n))], n, allow_zero=False)
-                  for _ in range(m)]
-        z = RNG.normal(size=(m, n))
-        gamma = 0.3
-
-        z_next, x, u = product_step(blocks, "ddr", gamma)(z)
-
-        def proj_c_stacked(v):
-            w = v.reshape(m, n)
-            return np.concatenate([blocks[i](w[i]) for i in range(m)])
-
-        z2, x2, u2 = ddr_step(consensus_projection(m, n), proj_c_stacked,
-                              gamma, z.ravel())
-        assert_allclose(z_next.ravel(), z2, atol=1e-10)
-        assert_allclose(x.ravel(), x2, atol=1e-10)
-        assert_allclose(u.ravel(), u2, atol=1e-10)
-
-    def test_product_ddr_infinite_gamma_is_product_dr(self):
-        prob = queens_problem(QueensInstance(4))
-        z = RNG.uniform(size=(4, 16))
-        a = product_step(prob.projections, "ddr", np.inf)(z)
-        b = product_step(prob.projections, "sdr")(z)
-        for ai, bi in zip(a, b):
-            assert np.array_equal(ai, bi)
-
     def test_step_factories_match_primitives(self):
-        prob = queens_problem(QueensInstance(4))
-        z = RNG.uniform(size=(4, 16))
-
-        def consensus(v):
-            return v.mean(axis=0)
-
-        def stacked(v):
-            return np.array([p(row) for p, row in zip(prob.projections, v)])
-
-        s1 = product_step(prob.projections, "sdr")
-        assert np.array_equal(s1(z)[0], dr_step(consensus, stacked, z)[0])
-        s2 = product_step(prob.projections, "ddr", gamma=0.5)
-        assert np.array_equal(
-            s2(z)[0], ddr_step(consensus, stacked, 0.5, z)[0])
         t1 = two_set_step(LINE.project, project_unit_sphere, "sdr-switched")
         w = RNG.normal(size=2)
         assert np.array_equal(
@@ -239,12 +173,6 @@ class TestRun:
                    StopPolicy(min_iter=100), feasible=prob.feasible)
         assert res2.outcome == FEASIBLE
         assert res2.iterations == 100
-
-    def test_every_iteration_has_one_trace_record(self):
-        prob = queens_problem(QueensInstance(5))
-        res = run(product_step(prob.projections, "sdr"),
-                  prob.initial_state(1), StopPolicy(), feasible=prob.feasible)
-        assert len(res.trace) == res.iterations
 
     def test_identical_seeds_give_bitwise_identical_traces(self):
         prob = queens_problem(QueensInstance(6))
@@ -316,7 +244,7 @@ class TestRun:
 
 
 # ---------------------------------------------------------------------------
-# the batched run against `run`, seed by seed
+# the batched run, row by row
 
 BATCH_PROBLEMS = {
     "4x4": lambda: sudoku_problem(bundled_sudoku("4x4")),
@@ -344,37 +272,21 @@ def batch_problem(key):
     return BATCH_PROBLEMS[key]()
 
 
-def batch_against_run(key, method, gamma, policy, z0s):
-    """(run_batch's results, run's (outcome, iterations) per row)."""
-    prob = batch_problem(key)
-    step = product_step(prob.projections, method, gamma=gamma)
-    got = run_batch(step, z0s, policy, prob.feasible)
-    want = [(r.outcome, r.iterations) for r in
-            (run(step, z0, policy, feasible=prob.feasible) for z0 in z0s)]
-    return got, want
-
-
 def starts(key, seeds):
     prob = batch_problem(key)
     return np.stack([prob.initial_state(seed) for seed in seeds])
 
 
+def textbook_rows(key, method, gamma, policy, z0s):
+    """The (outcome, iterations, orbit_k) of each start's reference run
+    under the textbook step, whose steps are dropped start by start."""
+    prob = batch_problem(key)
+    return [(w.outcome, w.iterations, w.orbit_k) for w in (
+        reference_run(Textbook(prob.projections, method, gamma), z0, policy,
+                      prob.feasible) for z0 in z0s)]
+
+
 class TestRunBatch:
-    @pytest.mark.parametrize("key", sorted(BATCH_PROBLEMS))
-    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
-    def test_each_seed_as_run(self, key, method, gamma):
-        got, want = batch_against_run(key, method, gamma, GRID_POLICIES[2],
-                                      starts(key, range(5)))
-        assert [(o, k) for o, k, _ in got] == want
-
-    @pytest.mark.parametrize("key", sorted(BATCH_PROBLEMS))
-    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
-    @pytest.mark.parametrize("policy", [GRID_POLICIES[i] for i in (7, 10)])
-    def test_each_seed_as_run_on_the_grid(self, key, method, gamma, policy):
-        got, want = batch_against_run(key, method, gamma, policy,
-                                      starts(key, range(5)))
-        assert [(o, k) for o, k, _ in got] == want
-
     @given(st.sampled_from(sorted(BATCH_PROBLEMS)),
            st.sampled_from(BATCH_METHODS),
            st.sampled_from(range(len(BATCH_POLICIES))),
@@ -382,25 +294,37 @@ class TestRunBatch:
     @settings(max_examples=80, deadline=None)
     def test_each_seed_as_run_under_every_policy(self, key, method, policy,
                                                  seeds):
-        got, want = batch_against_run(key, *method, BATCH_POLICIES[policy],
-                                      starts(key, seeds))
-        assert [(o, k) for o, k, _ in got] == want
+        """`run`, itself checked against the textbook step below, as the
+        oracle of batches of any policy and size."""
+        prob, policy = batch_problem(key), BATCH_POLICIES[policy]
+        step = product_step(prob.projections, method[0], gamma=method[1])
+        z0s = starts(key, seeds)
+        got = run_batch(step, z0s, policy, prob.feasible)
+        assert [(o, k) for o, k, _ in got] == [
+            (r.outcome, r.iterations) for r in
+            (run(step, z0, policy, feasible=prob.feasible) for z0 in z0s)]
 
     def test_rows_leave_at_their_own_iteration(self):
-        got, want = batch_against_run("queens-8", "sdr", None,
-                                      StopPolicy(max_iter=150),
-                                      starts("queens-8", range(8)))
-        assert [(o, k) for o, k, _ in got] == want
+        policy = StopPolicy(max_iter=150)
+        z0s = starts("queens-8", range(8))
+        got = run_batch(product_step(batch_problem("queens-8").projections,
+                                     "sdr"), z0s, policy,
+                        batch_problem("queens-8").feasible)
+        want = textbook_rows("queens-8", "sdr", None, policy, z0s)
+        assert [(o, k) for o, k, _ in got] == [w[:2] for w in want]
         assert len({k for _, k, _ in got}) > 2
         assert {o for o, _, _ in got} == {FEASIBLE, MAX_ITER}
 
     def test_non_finite_row_leaves_alone(self):
         z0s = starts("queens-8", range(6))
         z0s[2] = 1e308              # finite, but its first step overflows
+        policy = StopPolicy(max_iter=150)
+        prob = batch_problem("queens-8")
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = batch_against_run("queens-8", "sdr", None,
-                                          StopPolicy(max_iter=150), z0s)
-        assert [(o, k) for o, k, _ in got] == want
+            got = run_batch(product_step(prob.projections, "sdr"), z0s,
+                            policy, prob.feasible)
+            want = textbook_rows("queens-8", "sdr", None, policy, z0s)
+        assert [(o, k) for o, k, _ in got] == [w[:2] for w in want]
         assert got[2][:2] == (NON_FINITE, 1)
         assert sum(o == FEASIBLE for o, _, _ in got) >= 3
 
@@ -420,8 +344,8 @@ class TestRunBatch:
             return step(z)
         got = run_batch(spy, z0s, policy, prob.feasible)
         assert [(o, k) for o, k, _ in got] == [
-            (r.outcome, r.iterations) for r in
-            (run(step, z0, policy, feasible=prob.feasible) for z0 in z0s)]
+            w[:2] for w in textbook_rows("queens-8", "sdr", None, policy,
+                                         z0s)]
         active = [sum(k <= end for _, end, _ in got)
                   for k in range(1, max(end for _, end, _ in got) + 1)]
         assert active.count(1) == (28 if len(seeds) > 1 else len(active))
@@ -493,15 +417,14 @@ class TestRunBatch:
 
     def test_each_row_carries_its_orbit(self):
         """One batch of 64 queens-8 rows, about half of which close an
-        exact orbit: each row's (outcome, iterations, orbit_k) is `run`'s
-        for its seed."""
+        exact orbit: each row's (outcome, iterations, orbit_k) is the
+        textbook run's for its seed."""
         prob = batch_problem("queens-8")
         step = product_step(prob.projections, "sdr")
         policy = StopPolicy(max_iter=1000)
         z0s = starts("queens-8", range(64))
         got = _iterate(step, z0s.copy(), policy, prob.feasible)
-        want = [(r.outcome, r.iterations, r.orbit_k) for r in
-                (run(step, z0, policy, feasible=prob.feasible) for z0 in z0s)]
+        want = textbook_rows("queens-8", "sdr", None, policy, z0s)
         assert [(o, k, orbit) for o, k, _, orbit in got] == want
         assert 0 < sum(orbit is not None for *_, orbit in want) < 64
 
@@ -533,57 +456,104 @@ class TestRunBatch:
 
 
 # ---------------------------------------------------------------------------
-# `run` and every row of `run_batch` against the textbook loop of
-# helpers.reference_run, which steps in full: min_iter 0 and 100 with
-# feasibility stops, and a run to max_iter with them off, where most
-# queens orbits close and are replayed
+# `run`, every row of `run_batch` and every row record of the loop against
+# helpers.reference_run, which steps the textbook product step in full:
+# min_iter 0 with feasibility stops on and off, min_iter 100, and runs to
+# max_iter (odd and even) where most queens orbits close and are replayed
 
-REFERENCE_POLICIES = [GRID_POLICIES[i] for i in (0, 2, 11)]
-
-
-def assert_run_is_the_reference(step, z0, policy, feasible, want=None):
-    if want is None:
-        want = reference_run(step, z0, policy, feasible)
-    outcome, iterations, z, x, u, candidate, z_steps, objectives = want
-    for keep in (False, True):
-        res = run(step, z0, policy, feasible=feasible, keep_iterates=keep)
-        assert (res.outcome, res.iterations) == (outcome, iterations)
-        for name, w in (("z", z), ("x", x), ("u", u),
-                        ("candidate", candidate)):
-            assert same_bits(getattr(res, name), w), name
-        assert same_bits(res.trace.z_step, z_steps)
-        if keep:    # the objective derives from the snapshots
-            assert same_bits(res.trace.residuals("objective"), objectives)
-    return res
+REFERENCE_POLICIES = [GRID_POLICIES[i] for i in (0, 2, 7, 10, 11)]
 
 
-class TestAgainstReference:
-    @pytest.mark.parametrize("policy", REFERENCE_POLICIES)
+def assert_run_is(res, want, replayed=True):
+    """A `run` result against a reference run, every field bit for bit;
+    with keep_iterates (and `replayed`), one replay fills the trace's other
+    columns."""
+    assert (res.outcome, res.iterations, res.orbit_k) == \
+        (want.outcome, want.iterations, want.orbit_k)
+    for name in ("z", "x", "u", "candidate"):
+        assert same_bits(getattr(res, name), getattr(want, name)), name
+    columns = ("z_step",)
+    if replayed and res.trace._replay is not None:
+        res.trace._fill(objective=True, reference=True)
+        columns = splitting._COLUMNS
+    for name in columns:
+        assert same_bits(res.trace.residuals(name), getattr(want, name)), name
+    assert same_bits(res.trace.u_last_change, want.u_last_change)
+
+
+def column_trace(want):
+    """A trace built from a reference run's columns."""
+    return IterationTrace(len(want.u_last_change), **{
+        name: getattr(want, name) for name in splitting._COLUMNS})
+
+
+class TestAgainstTextbook:
     @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
     @pytest.mark.parametrize("key", sorted(BATCH_PROBLEMS))
-    def test_run_and_batch_rows_are_the_reference(self, key, method, gamma,
-                                                  policy):
+    def test_run_and_rows_are_the_textbook_run(self, monkeypatch, key,
+                                               method, gamma):
+        """Three uniform starts and one rounded to 0/1, which meets exact
+        ties from its first step, each run alone and all four as one
+        batch, whose rows leave at their own iterations.  A replay fills
+        the same columns for every run of a start that ends at the same
+        iteration, so each start's runs replay once per length."""
         prob = batch_problem(key)
         step = product_step(prob.projections, method, gamma=gamma)
-        z0s = starts(key, range(3))
-        wants = [reference_run(step, z0, policy, prob.feasible)
-                 for z0 in z0s]
-        for z0, want in zip(z0s[:2], wants):
-            assert_run_is_the_reference(step, z0, policy, prob.feasible,
-                                        want)
-        got = run_batch(step, z0s, policy, prob.feasible)
-        assert [(o, k) for o, k, _ in got] == [want[:2] for want in wants]
+        book = Textbook(prob.projections, method, gamma)
+        z0s = np.concatenate([starts(key, range(3)),
+                              np.round(starts(key, [3]))])
+        records = []
+
+        def iterate(*args):
+            records.append(_iterate(*args))
+            return records[-1]
+        monkeypatch.setattr(splitting, "_iterate", iterate)
+        replayed = set()
+        for policy in REFERENCE_POLICIES:
+            wants = [reference_run(book, z0, policy, prob.feasible)
+                     for z0 in z0s]
+            for i, (z0, want) in enumerate(zip(z0s, wants)):
+                assert_run_is(run(step, z0, policy, feasible=prob.feasible,
+                                  keep_iterates=True), want,
+                              (i, want.iterations) not in replayed)
+                replayed.add((i, want.iterations))
+            got = run_batch(step, z0s, policy, prob.feasible)
+            assert [(o, k) for o, k, _ in got] == \
+                [(w.outcome, w.iterations) for w in wants]
+            assert [(o, k, orbit) for o, k, _, orbit in records[-1]] == \
+                [(w.outcome, w.iterations, w.orbit_k) for w in wants]
+
+    @pytest.mark.parametrize("key", ["4x4", "queens-6"])
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
+    def test_random_tie_run_is_its_twins_textbook_run(self, key, method,
+                                                      gamma):
+        """Random ties against the textbook step over an equally seeded
+        twin's blocks, from a uniform start and a 0/1 one."""
+        z0 = MERGED_PROBLEMS[key]().initial_state(7)
+        for start in (z0, np.round(z0)):
+            prob, twin = (MERGED_PROBLEMS[key](tie_break="random", tie_seed=5)
+                          for _ in range(2))
+            res = run(product_step(prob.projections, method, gamma=gamma),
+                      start, GRID_POLICIES[11], feasible=prob.feasible,
+                      keep_iterates=True)
+            assert_run_is(res, reference_run(
+                Textbook(twin.projections, method, gamma), start,
+                GRID_POLICIES[11], twin.feasible))
 
     # the first policy is the one `drsplit solve --circle-line` uses, capped
     @pytest.mark.parametrize("policy", [
         StopPolicy(max_iter=1000, stop_on_feasible=False)]
         + REFERENCE_POLICIES)
-    @pytest.mark.parametrize("method,gamma", [("sdr", None), ("ddr", 0.2)])
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
     def test_circle_line_run_is_the_reference(self, method, gamma, policy):
         inst = circle_line_instance()
-        step = two_set_step(inst.line.project, inst.project_circle, method,
-                            gamma=gamma)
-        assert_run_is_the_reference(step, inst.z0, policy, inst.feasible)
+
+        def step():
+            return two_set_step(inst.line.project, inst.project_circle,
+                                method, gamma=gamma)
+        assert_run_is(run(step(), inst.z0, policy, feasible=inst.feasible,
+                          keep_iterates=True),
+                      reference_run(step(), inst.z0, policy, inst.feasible))
 
     @pytest.mark.parametrize("min_iter", [0, 1, 10, 11])
     def test_orbit_phases_of_unequal_feasibility(self, min_iter):
@@ -597,85 +567,149 @@ class TestAgainstReference:
 
         def positive(c):
             return np.asarray(c)[..., 0] > 0
-        for z0 in z0s:
-            res = assert_run_is_the_reference(step, z0, policy, positive)
+        wants = [reference_run(flip, z0, policy, positive, pure=True)
+                 for z0 in z0s]
+        for z0, want in zip(z0s, wants):
+            res = run(step, z0, policy, feasible=positive,
+                      keep_iterates=True)
+            assert_run_is(res, want)
             assert res.orbit_k == (2 if res.iterations >= 2 else None)
         got = run_batch(step, z0s, policy, positive)
         assert [(o, k) for o, k, _ in got] == [
-            reference_run(step, z0, policy, positive)[:2] for z0 in z0s]
+            (w.outcome, w.iterations) for w in wants]
         first = max(min_iter, 1)    # one start is feasible there, one next
         assert {k for _, k, _ in got} == {first, first + 1}
 
-    def test_orbits_are_replayed_on_the_grid(self):
-        """The grid above reaches the replay: queens orbits close before
-        max_iter, and the pure step's run is then not stepped in full."""
-        prob = batch_problem("queens-6")
-        step = product_step(prob.projections, "sdr-switched")
-        res = assert_run_is_the_reference(step, prob.initial_state(5),
-                                          REFERENCE_POLICIES[2],
-                                          prob.feasible)
-        assert res.orbit_k is not None and res.orbit_k + 1 < res.iterations
-
 
 # ---------------------------------------------------------------------------
-# the product step against what it replaces, kept here as the oracle: each
-# block's projection assigned into a stacked output, and each step written
-# as one plain expression
+# the product step against helpers.oracle_step, each block's projection of
+# its own rows assigned into a stacked output and each step one plain
+# expression: `_Stacked` merges the lowest-tie group blocks into one call
+# and projects the other blocks into their slices
 
-def stacked_oracle(blocks, z):
-    out = np.empty_like(z)
-    z_rows, out_rows = z.swapaxes(0, -2), out.swapaxes(0, -2)
-    for i, proj in enumerate(blocks):
-        out_rows[i] = proj(z_rows[i])
-    return out
-
-
-def oracle_step(blocks, method, gamma, z):
-    pa, pb = _consensus, functools.partial(stacked_oracle, blocks)
-    if method == "altproj":
-        u = pb(z)
-        x = pa(u)
-        return np.broadcast_to(x, u.shape).copy(), x, u
-    if method == "sdr-switched":
-        x = pb(z)
-        u = np.broadcast_to(pa(2.0 * x - z), x.shape).copy()
-        return z + u - x, x, u
-    lam = 1.0 if method == "sdr" else ddr_affine_rate(gamma)
-    x = pa(z) if lam == 1.0 else z + lam * (pa(z) - z)
-    u = pb(2.0 * x - z)
-    return z + u - x, x, u
+def planted_16():
+    """A 16x16 instance with 45% of the box-shift solution's cells clued."""
+    sol = planted_grid(16)
+    keep = np.random.default_rng(16).random((16, 16)) < 0.45
+    return SudokuInstance(16, tuple(
+        (i, j, int(sol[i, j])) for i, j in zip(*np.nonzero(keep))))
 
 
-def wrapped(blocks, which):
-    """The blocks with those at the indices `which` behind a lambda."""
-    return [(lambda v, p=p: p(v)) if i in which else p
-            for i, p in enumerate(blocks)]
+MERGED_PROBLEMS = {
+    **{key: functools.partial(sudoku_problem, bundled_sudoku(key))
+       for key in ("4x4", "9x9-37", "9x9-22")},
+    "16x16": lambda: sudoku_problem(planted_16()),
+    **{f"queens-{s}": functools.partial(queens_problem, QueensInstance(s))
+       for s in range(4, 33)},
+}
 
 
-def assert_steps_are_the_oracle(blocks, twins, method, gamma, z, steps=25):
-    """Step z with product_step over `blocks` and with the oracle over
-    `twins` (the same projections, or equally seeded copies)."""
-    step = product_step(blocks, method, gamma=gamma)
-    for _ in range(steps):
-        got, want = step(z), oracle_step(twins, method, gamma, z)
-        for g, w in zip(got, want):
-            assert same_bits(g, w)
-        z = want[0]
+def merged_inputs(prob, sizes=(None, 2, 35, 512), seed=3):
+    """A lone state and 2-, 35- and 512-row batches (or the given sizes),
+    as far as a bench batch holds them (BATCH_BYTES), each as uniform
+    starts, exact ties and NaN-holed starts."""
+    rng = np.random.default_rng(seed)
+    shape = (prob.n_blocks, prob.ambient_dim)
+    for rows in sizes:
+        if (rows or 1) * prob.n_blocks * prob.ambient_dim * 8 > BATCH_BYTES:
+            continue
+        size = shape if rows is None else (rows,) + shape
+        z = rng.uniform(0.0, 1.0, size=size)
+        ties = rng.integers(0, 3, size=size) / 2.0
+        holed = z.copy()
+        holed.reshape(-1)[rng.integers(holed.size, size=3)] = np.nan
+        yield from (z, ties, holed)
 
 
-class TestStackedAgainstBlockLoop:
-    @pytest.mark.parametrize("key", sorted(BATCH_PROBLEMS))
+def arranged(key, arrangement):
+    """(problem, blocks, their equally seeded twins, the indices of the
+    blocks that `_Stacked` projects on their own, or None when it merges
+    none) for one way of laying out a problem's blocks."""
+    build = MERGED_PROBLEMS[key]
+    prob = build()
+    blocks = twins = prob.projections
+    own = [i for i, p in enumerate(blocks)
+           if not isinstance(p, GroupProjection)]
+    if arrangement == "last first":     # the clue clamp, or a diagonal
+        last = blocks[-1]               # behind a lambda
+        if isinstance(last, GroupProjection):
+            last = (lambda v, p=last: p(v))
+        return prob, [last] + blocks[:-1], [last] + blocks[:-1], [0]
+    if arrangement == "one random tie":
+        blocks, twins = (blocks[:1] + build(
+            tie_break="random", tie_seed=5).projections[1:2] + blocks[2:]
+            for _ in range(2))
+        return prob, blocks, twins, [1] + own
+    if arrangement == "all random ties":
+        return prob, *(build(tie_break="random", tie_seed=5).projections
+                       for _ in range(2)), None
+    return prob, blocks, twins, own
+
+
+STEP_CASES = [(key, "as built") for key in sorted(MERGED_PROBLEMS)] + [
+    ("4x4", "last first"), ("9x9-22", "last first"),
+    ("queens-8", "last first"), ("9x9-37", "one random tie"),
+    ("queens-8", "one random tie"), ("4x4", "all random ties"),
+    ("queens-6", "all random ties")]
+
+
+class TestStepsAgainstOracle:
     @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
-    def test_steps_are_the_per_block_assignment(self, key, method, gamma):
-        prob = batch_problem(key)
-        blocks = prob.projections
-        last = len(blocks) - 1
-        for which in (set(), {0, last}, set(range(last + 1))):
-            for z in (starts(key, range(3)), prob.initial_state(7)):
-                stacked = splitting._Stacked(wrapped(blocks, which))
-                assert same_bits(stacked(z), stacked_oracle(blocks, z))
-                assert_steps_are_the_oracle(wrapped(blocks, which), blocks,
-                                            method, gamma, z)
+    @pytest.mark.parametrize("key,arrangement", STEP_CASES)
+    def test_steps_are_the_oracle(self, key, arrangement, method, gamma):
+        """Three steps of product_step from each input, z, x and u bit for
+        bit, each next step from the oracle's z."""
+        prob, blocks, twins, own = arranged(key, arrangement)
+        stacked = splitting._Stacked(blocks)
+        if own is None:
+            assert stacked._merged is None
+        else:
+            assert [i for i, _ in stacked._rest] == own
+        step = product_step(blocks, method, gamma=gamma)
+        # a batch of random-tie blocks alone is projected row by row
+        for z in merged_inputs(prob, (None, 2, 35) if own is None else
+                               (None, 2, 35, 512)):
+            for _ in range(3):
+                with np.errstate(invalid="ignore"):
+                    got, want = step(z), oracle_step(twins, method, gamma, z)
+                for name, g, w in zip("zxu", got, want):
+                    assert same_bits(g, w), name
+                z = want[0]
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("method,gamma",
+                             BATCH_METHODS + [("ddr", 0.3), ("ddr", 0.5)])
+    def test_steps_over_other_tables_are_the_oracle(self, m, method, gamma):
+        """Blocks over hand-built tables: strided groups with allow_zero
+        on every other block, and one group of every coordinate."""
+        n = 12
+        blocks = [GroupProjection([tuple(range(i, n, 3)) for i in range(3)],
+                                  n, allow_zero=(i % 2 == 0)) if i % 3 else
+                  GroupProjection([tuple(range(n))], n) for i in range(m)]
+        z = RNG.normal(size=(m, n))
+        for zz in (z, np.stack([z, -z])):
+            got = product_step(blocks, method, gamma=gamma)(zz)
+            for g, w in zip(got, oracle_step(blocks, method, gamma, zz)):
+                assert same_bits(g, w)
+
+    @pytest.mark.parametrize("key", ["4x4", "9x9-37", "9x9-22", "queens-8",
+                                     "queens-32"])
+    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
+    def test_one_group_call_per_step(self, monkeypatch, key, method, gamma):
+        calls = []
+        project = GroupProjection.__call__
+
+        def counted(self, x, out=None):
+            calls.append(None)
+            return project(self, x, out=out)
+        monkeypatch.setattr(GroupProjection, "__call__", counted)
+        prob = MERGED_PROBLEMS[key]()
+        step = product_step(prob.projections, method, gamma=gamma)
+        z = prob.initial_state(0)
+        for _ in range(3):
+            z = step(z)[0]
+        step(np.stack([z, z]))
+        assert len(calls) == 4
 
     def test_a_held_result_is_never_written_again(self):
         prob = batch_problem("9x9-37")
@@ -698,137 +732,6 @@ class TestStackedAgainstBlockLoop:
         again = stacked(zs[::-1])
         assert again.__array_interface__["data"][0] == where
         assert same_bits(again, stacked_oracle(prob.projections, zs[::-1]))
-
-    @pytest.mark.parametrize("build", [
-        lambda **kw: sudoku_problem(bundled_sudoku("4x4"), **kw),
-        lambda **kw: queens_problem(QueensInstance(6), **kw)])
-    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
-    def test_random_tie_steps_are_the_per_block_assignment(self, build,
-                                                            method, gamma):
-        prob, twin = (build(tie_break="random", tie_seed=5)
-                      for _ in range(2))
-        for z in (np.stack([prob.initial_state(s) for s in range(3)]),
-                  prob.initial_state(7)):
-            assert_steps_are_the_oracle(prob.projections, twin.projections,
-                                        method, gamma, z)
-
-
-# ---------------------------------------------------------------------------
-# the merged group projection: a product step over the problem's blocks
-# against the same step over each block behind a lambda, which `_Stacked`
-# does not merge, so that each block projects its own rows
-
-def planted_16():
-    """A 16x16 instance with 45% of the box-shift solution's cells clued."""
-    sol = planted_grid(16)
-    keep = np.random.default_rng(16).random((16, 16)) < 0.45
-    return SudokuInstance(16, tuple(
-        (i, j, int(sol[i, j])) for i, j in zip(*np.nonzero(keep))))
-
-
-MERGED_PROBLEMS = {
-    **{key: functools.partial(sudoku_problem, bundled_sudoku(key))
-       for key in ("4x4", "9x9-37", "9x9-22")},
-    "16x16": lambda: sudoku_problem(planted_16()),
-    **{f"queens-{s}": functools.partial(queens_problem, QueensInstance(s))
-       for s in range(4, 33)},
-}
-
-
-def merged_inputs(prob, seed=3):
-    """A lone state and 2-, 35- and 512-row batches, as far as a bench
-    batch holds them (BATCH_BYTES), each as uniform starts, exact ties
-    and NaN-holed starts."""
-    rng = np.random.default_rng(seed)
-    shape = (prob.n_blocks, prob.ambient_dim)
-    for rows in (None, 2, 35, 512):
-        if (rows or 1) * prob.n_blocks * prob.ambient_dim * 8 > BATCH_BYTES:
-            continue
-        size = shape if rows is None else (rows,) + shape
-        z = rng.uniform(0.0, 1.0, size=size)
-        ties = rng.integers(0, 3, size=size) / 2.0
-        holed = z.copy()
-        holed.reshape(-1)[rng.integers(holed.size, size=3)] = np.nan
-        yield from (z, ties, holed)
-
-
-def assert_steps_are_the_wrapped_steps(blocks, twins, method, gamma, z,
-                                       steps=3):
-    """Step z with `blocks` and with every one of `twins` (the same
-    projections, or equally seeded copies) behind a lambda."""
-    step = product_step(blocks, method, gamma=gamma)
-    per_block = wrapped(twins, range(len(twins)))
-    assert splitting._Stacked(per_block)._merged is None
-    oracle = product_step(per_block, method, gamma=gamma)
-    for _ in range(steps):
-        got, want = step(z), oracle(z)
-        for name, g, w in zip("zxu", got, want):
-            assert same_bits(g, w), name
-        z = want[0]
-
-
-class TestMergedProjection:
-    @pytest.mark.parametrize("key", sorted(MERGED_PROBLEMS))
-    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
-    def test_steps_are_the_per_block_steps(self, key, method, gamma):
-        prob = MERGED_PROBLEMS[key]()
-        for z in merged_inputs(prob):
-            with np.errstate(invalid="ignore"):
-                assert_steps_are_the_wrapped_steps(
-                    prob.projections, prob.projections, method, gamma, z)
-
-    @pytest.mark.parametrize("key", ["4x4", "9x9-22", "queens-8"])
-    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
-    def test_group_blocks_need_not_come_first(self, key, method, gamma):
-        """The last block (the clue clamp, or a queens diagonal behind a
-        lambda) moved to the front: the merged table skips its rows."""
-        prob = batch_problem(key) if key in BATCH_PROBLEMS else \
-            MERGED_PROBLEMS[key]()
-        last = prob.projections[-1]
-        if isinstance(last, GroupProjection):
-            last = wrapped([last], {0})[0]
-        blocks = [last] + prob.projections[:-1]
-        assert [i for i, _ in splitting._Stacked(blocks)._rest] == [0]
-        for z in merged_inputs(prob):
-            with np.errstate(invalid="ignore"):
-                assert_steps_are_the_wrapped_steps(blocks, blocks, method,
-                                                   gamma, z)
-
-    @pytest.mark.parametrize("build", [
-        lambda **kw: sudoku_problem(bundled_sudoku("9x9-37"), **kw),
-        lambda **kw: queens_problem(QueensInstance(8), **kw)])
-    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
-    def test_a_random_tie_block_stays_separate(self, build, method, gamma):
-        lowest = build().projections
-        blocks, twins = ([p if i != 1 else build(
-            tie_break="random", tie_seed=5).projections[1]
-            for i, p in enumerate(lowest)] for _ in range(2))
-        assert [i for i, _ in splitting._Stacked(blocks)._rest] == \
-            [1] + [i for i, p in enumerate(lowest)
-                   if not isinstance(p, GroupProjection)]
-        for z in merged_inputs(build()):
-            with np.errstate(invalid="ignore"):
-                assert_steps_are_the_wrapped_steps(blocks, twins, method,
-                                                   gamma, z)
-
-    @pytest.mark.parametrize("key", ["4x4", "9x9-37", "9x9-22", "queens-8",
-                                     "queens-32"])
-    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
-    def test_one_group_call_per_step(self, monkeypatch, key, method, gamma):
-        calls = []
-        project = GroupProjection.__call__
-
-        def counted(self, x, out=None):
-            calls.append(None)
-            return project(self, x, out=out)
-        monkeypatch.setattr(GroupProjection, "__call__", counted)
-        prob = MERGED_PROBLEMS[key]()
-        step = product_step(prob.projections, method, gamma=gamma)
-        z = prob.initial_state(0)
-        for _ in range(3):
-            z = step(z)[0]
-        step(np.stack([z, z]))
-        assert len(calls) == 4
 
 
 class TestReusedArrays:
@@ -893,8 +796,7 @@ class TestReusedArrays:
 # ---------------------------------------------------------------------------
 # exact orbits: a step of `product_step` over lowest-tie projections is a
 # function of z alone, so its runs are replayed once z_k equals z_{k-2};
-# the same step behind a lambda is stepped in full, and the two runs must
-# agree bit for bit
+# the textbook run steps in full, and the two must agree bit for bit
 
 def stepped_in_full(step):
     return lambda z: step(z)
@@ -909,30 +811,19 @@ def recorded_rows(res):
     return res.orbit_k + (res.iterations - res.orbit_k) % 2
 
 
-def assert_same_run(a, b, keep, tmp):
-    assert (a.outcome, a.iterations) == (b.outcome, b.iterations)
-    for name in ("z", "x", "u", "candidate"):
-        assert same_bits(getattr(a, name), getattr(b, name)), name
-    columns = (splitting._COLUMNS if keep else ("z_step",))
-    for name in columns:
-        assert same_bits(a.trace.residuals(name),
-                         b.trace.residuals(name)), name
-    assert same_bits(a.trace.u_last_change, b.trace.u_last_change)
-    a.trace.to_csv(tmp / "a.csv")
-    b.trace.to_csv(tmp / "b.csv")
-    assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
-
-
-def replay_against_full(key, method, gamma, policy, seed, keep, tmp):
+def replay_against_textbook(key, method, gamma, policy, seed, keep, tmp):
     prob = batch_problem(key)
-    step = product_step(prob.projections, method, gamma=gamma)
     z0 = prob.initial_state(seed)
-    fast = run(step, z0, policy, feasible=prob.feasible, keep_iterates=keep)
-    full = run(stepped_in_full(step), z0, policy, feasible=prob.feasible,
-               keep_iterates=keep)
-    assert full.orbit_k is None
-    assert_same_run(fast, full, keep, tmp)
-    return fast
+    res = run(product_step(prob.projections, method, gamma=gamma), z0,
+              policy, feasible=prob.feasible, keep_iterates=keep)
+    want = reference_run(Textbook(prob.projections, method, gamma), z0,
+                         policy, prob.feasible)
+    assert_run_is(res, want)
+    if keep:
+        res.trace.to_csv(tmp / "a.csv")
+        column_trace(want).to_csv(tmp / "b.csv")
+        assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
+    return res
 
 
 class TestOrbitReplay:
@@ -943,8 +834,8 @@ class TestOrbitReplay:
     @settings(max_examples=120, deadline=None)
     def test_replay_is_full_stepping(self, tmp_path_factory, key, method,
                                      policy, seed, keep):
-        replay_against_full(key, *method, policy, seed, keep,
-                            tmp_path_factory.mktemp("csv"))
+        replay_against_textbook(key, *method, policy, seed, keep,
+                                tmp_path_factory.mktemp("csv"))
 
     # (problem, method, seed, policy, where the orbit closes, outcome)
     CASES = [
@@ -968,8 +859,8 @@ class TestOrbitReplay:
     @pytest.mark.parametrize("case", CASES)
     def test_orbits_before_and_after_min_iter(self, tmp_path, case, keep):
         key, method, seed, policy, when, outcome = case
-        res = replay_against_full(key, method, None, policy, seed, keep,
-                                  tmp_path)
+        res = replay_against_textbook(key, method, None, policy, seed, keep,
+                                      tmp_path)
         assert res.outcome == outcome
         assert res.orbit_k is not None and res.orbit_k + 1 < res.iterations
         assert (res.orbit_k < policy.min_iter) == (when == "before")
@@ -998,47 +889,19 @@ class TestOrbitReplay:
         assert len(res.trace) == 10 ** 5
 
     def test_an_orbit_tail_is_not_recorded(self):
-        """The run records at most orbit_k + 1 rows and reads as the run
-        stepped in full (streamed here: 10**5 rows of queens-5 snapshots
-        would hold 180 MB)."""
+        """The run records at most orbit_k + 1 rows (the orbit closes at
+        4) and reads as the textbook run, which steps all 10**4."""
         prob = batch_problem("queens-5")
-        step = product_step(prob.projections, "altproj")
         z0 = prob.initial_state(0)
-        policy = StopPolicy(max_iter=10 ** 5, min_iter=10 ** 5,
+        policy = StopPolicy(max_iter=10 ** 4, min_iter=10 ** 4,
                             stop_on_feasible=False)
-        res = run(step, z0, policy, feasible=prob.feasible,
-                  keep_iterates=True)
-        trace = res.trace
-        assert len(trace) == res.iterations == 10 ** 5
-        assert len(trace._table["z_step"]) <= res.orbit_k + 1
-        for name, want in zip(splitting._COLUMNS, stepped_columns(step, z0,
-                                                                  res)):
-            assert same_bits(trace.residuals(name), want), name
-
-    def test_random_ties_are_stepped_in_full(self):
-        prob = queens_problem(QueensInstance(5), tie_break="random",
-                              tie_seed=0)
-        step = product_step(prob.projections, "altproj")
-        res = run(step, prob.initial_state(0), GRID_POLICIES[-1],
-                  feasible=prob.feasible)
-        assert res.orbit_k is None and res.iterations == 151
-        lowest = batch_problem("queens-5")
-        assert run(product_step(lowest.projections, "altproj"),
-                   lowest.initial_state(0), GRID_POLICIES[-1],
-                   feasible=lowest.feasible).orbit_k == 4
-
-    def test_wrapped_and_two_set_steps_are_stepped_in_full(self):
-        prob = batch_problem("queens-5")
-        step = product_step(prob.projections, "altproj")
-        blocks = [stepped_in_full(p) for p in prob.projections]
-        for other in (stepped_in_full(step), product_step(blocks, "altproj")):
-            res = run(other, prob.initial_state(0), GRID_POLICIES[-1],
-                      feasible=prob.feasible)
-            assert res.orbit_k is None and res.iterations == 151
-        inst = circle_line_instance()
-        res = run(two_set_step(inst.line.project, inst.project_circle,
-                               "sdr"), inst.z0, GRID_POLICIES[-1])
-        assert res.orbit_k is None
+        res = run(product_step(prob.projections, "altproj"), z0, policy,
+                  feasible=prob.feasible, keep_iterates=True)
+        assert len(res.trace) == res.iterations == 10 ** 4
+        assert len(res.trace._table["z_step"]) <= res.orbit_k + 1 == 5
+        assert_run_is(res, reference_run(
+            Textbook(prob.projections, "altproj"), z0, policy,
+            prob.feasible))
 
 
 class TestTrace:
@@ -1048,24 +911,6 @@ class TestTrace:
                    prob.initial_state(0),
                    StopPolicy(stop_on_feasible=False),
                    feasible=prob.feasible, keep_iterates=keep), prob
-
-    def test_reference_residuals_use_final_iterate_by_default(self):
-        res, _ = self.make_run(keep=True)
-        res.trace.set_reference()
-        r = res.trace.residuals("z_res")
-        assert len(r) == res.iterations
-        assert r[-1] == 0.0
-        assert r[0] > r[-2]
-
-    def test_mismatch_counts_are_integers_per_block(self):
-        res, _ = self.make_run(keep=True)
-        res.trace.set_reference()
-        mm = res.trace.u_mismatch
-        assert mm.shape == (res.iterations, 5)
-        assert np.all(mm >= 0)
-        assert np.all(mm == np.round(mm))
-        # binary blocks lock eventually
-        assert mm[-1, 0] == 0
 
     def test_residuals_require_keep_iterates(self):
         res, _ = self.make_run(keep=False)
@@ -1114,7 +959,7 @@ class TestTrace:
         tr = IterationTrace(2, z_step=r, objective=r,
                             u_mismatch=np.zeros((4, 2)))
         assert len(tr) == 4 and tr.n_blocks == 2
-        assert tr.u_mismatch.shape == (4, 2)
+        assert tr.residuals("u_mismatch").shape == (4, 2)
         tr.to_csv(tmp_path / "trace.csv")
         assert len(read_trace_csv(tmp_path / "trace.csv")) == 4
         with pytest.raises(ValueError):     # no snapshots to fill z_res
@@ -1141,63 +986,20 @@ class TestTrace:
         assert len(back) == res.iterations
         assert np.isnan(back.residuals("objective")).all()
 
-    def test_objective_is_consensus_violation(self):
-        res, _ = self.make_run(keep=True)
-        obj = res.trace.residuals("objective")
-        u = res.u
-        want = 0.5 * np.sum((u - u.mean(axis=0)) ** 2)
-        assert_allclose(obj[-1], want, atol=1e-12)
-        assert np.all(obj >= 0.0)
-
 
 # ---------------------------------------------------------------------------
-# the replayed columns and the loop against per-iteration oracles: a step
-# wrapper keeps its own copy of every (z_in, z, x, u), and the oracles are
-# the formulas the run loop and the trace used on one array at a time
+# the replayed columns against the textbook run's; a step wrapper counts
+# its calls where a test counts replays
 
-def recorded(step):
-    """The step behind a wrapper that keeps a copy of every call's (z_in,
-    z, x, u).  A wrapper is its own deep copy, so a fill replays the run
-    through it: the run's own calls are the first `iterations` kept."""
-    kept = []
+def counted(step):
+    """The step behind a wrapper that counts its calls in a list.  A
+    wrapper is its own deep copy, so a fill replays the run through it."""
+    calls = []
 
-    def rec(z):
-        z_new, x, u = step(z)
-        kept.append(tuple(np.array(a, dtype=float) for a in (z, z_new, x, u)))
-        return z_new, x, u
-    return rec, kept
-
-
-def oracle_objective(x, u):
-    if u.ndim == 2:
-        return 0.5 * float(np.sum((u - u.mean(axis=0)) ** 2))
-    return 0.5 * float(np.sum((u - x) ** 2))
-
-
-def stepped_columns(step, z, res):
-    """The trace columns of res, in _COLUMNS order, from stepping z in full
-    for len(res.trace) iterations: one np.linalg.norm / count_nonzero per
-    iteration, against res's final iterate, which the steps must reach."""
-    rows = []
-    for _ in range(len(res.trace)):
-        z_new, x, u = step(z)
-        rows.append((np.linalg.norm(z_new - z), oracle_objective(x, u),
-                     np.linalg.norm(z_new - res.z), np.linalg.norm(x - res.x),
-                     np.count_nonzero(np.atleast_2d(u != res.u), axis=1)))
-        z = z_new
-    assert same_bits(z, res.z)
-    return [np.array(column, dtype=float) for column in zip(*rows)]
-
-
-def oracle_reference(kept):
-    """z_res, x_res and u_mismatch, one np.linalg.norm / count_nonzero
-    per snapshot."""
-    _, zs, xs, us = zip(*kept)
-    u_ref = np.atleast_2d(us[-1])
-    return (np.array([float(np.linalg.norm(zz - zs[-1])) for zz in zs]),
-            np.array([float(np.linalg.norm(xx - xs[-1])) for xx in xs]),
-            np.array([np.count_nonzero(np.atleast_2d(uu) != u_ref, axis=1)
-                      for uu in us], dtype=float))
+    def wrapper(z):
+        calls.append(None)
+        return step(z)
+    return wrapper, calls
 
 
 def blockwise_norm(v):
@@ -1217,21 +1019,21 @@ def same_bits(a, b):
 
 SNAPSHOT_POLICY = StopPolicy(max_iter=150, min_iter=150,
                              stop_on_feasible=False)
-SNAPSHOT_PROBLEMS = {
-    "4x4": lambda: sudoku_problem(bundled_sudoku("4x4")),
-    "9x9-37": lambda: sudoku_problem(bundled_sudoku("9x9-37")),
-    "queens-8": lambda: queens_problem(QueensInstance(8)),
-}
+SNAPSHOT_PROBLEMS = ["4x4", "9x9-37", "queens-8"]
 
 
 def snapshot_case(name, method, gamma):
-    """(step, start, feasible) of one problem, or of the circle/line pair."""
+    """(step, its reference step, start, feasible) of one problem, whose
+    reference is the textbook step, or of the circle/line pair, whose
+    reference is a second two-set step."""
     if name == "circle-line":
         inst = circle_line_instance()
-        return (two_set_step(inst.line.project, inst.project_circle, method,
-                             gamma=gamma), inst.z0, inst.feasible)
-    prob = SNAPSHOT_PROBLEMS[name]()
+        return (*(two_set_step(inst.line.project, inst.project_circle,
+                               method, gamma=gamma) for _ in range(2)),
+                inst.z0, inst.feasible)
+    prob = batch_problem(name)
     return (product_step(prob.projections, method, gamma=gamma),
+            Textbook(prob.projections, method, gamma),
             prob.initial_state(1), prob.feasible)
 
 
@@ -1252,55 +1054,35 @@ class Poisoned:
 
 
 class TestReplayedColumns:
-    @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
-    @pytest.mark.parametrize("name", sorted(SNAPSHOT_PROBLEMS)
-                             + ["circle-line"])
-    def test_refilled_objective_is_the_running_one(self, name, method,
-                                                   gamma):
-        step, z0, feasible = snapshot_case(name, method, gamma)
-        rec, kept = recorded(step)
-        kept_run = run(rec, z0, SNAPSHOT_POLICY, feasible=feasible,
-                       keep_iterates=True)
-        got = kept_run.trace.residuals("objective")
-        assert same_bits(got, reference_run(step, z0, SNAPSHOT_POLICY,
-                                            feasible)[-1])
-        assert same_bits(got, [oracle_objective(x, u)
-                               for _, _, x, u in kept[:150]])
-
     @pytest.mark.parametrize("name", ["4x4", "9x9-37", "circle-line"])
-    def test_refilled_reference_is_the_per_snapshot_one(self, name):
-        step, z0, feasible = snapshot_case(name, "sdr", None)
-        rec, kept = recorded(step)
-        res = run(rec, z0, SNAPSHOT_POLICY, feasible=feasible,
+    def test_one_replay_fills_the_reference_columns(self, name):
+        step, twin, z0, feasible = snapshot_case(name, "sdr", None)
+        wrapper, calls = counted(step)
+        res = run(wrapper, z0, SNAPSHOT_POLICY, feasible=feasible,
                   keep_iterates=True)
         res.trace.set_reference()       # fills nothing yet
-        assert res.iterations == len(kept) == 150
-        want = oracle_reference(kept)
-        got = [res.trace.residuals(name_)
-               for name_ in ("z_res", "x_res", "u_mismatch")]
-        assert len(kept) == 300         # one replay filled all three
-        for name_, g, w in zip(("z_res", "x_res", "u_mismatch"), got, want):
-            assert same_bits(g, w), name_
+        assert res.iterations == len(calls) == 150
+        want = reference_run(twin, z0, SNAPSHOT_POLICY, feasible)
+        for name_ in ("z_res", "x_res", "u_mismatch"):
+            assert same_bits(res.trace.residuals(name_),
+                             getattr(want, name_)), name_
+        assert len(calls) == 300        # one replay filled all three
 
     def test_reference_of_a_non_finite_run(self):
-        prob = SNAPSHOT_PROBLEMS["9x9-37"]()
+        prob = batch_problem("9x9-37")
         z0 = prob.initial_state(2)
-        step = product_step(prob.projections, "sdr")
-        rec, kept = recorded(Poisoned(step, at=38))
         with np.errstate(invalid="ignore"):
-            run(rec, z0, StopPolicy(), feasible=prob.feasible)
-            res = run(Poisoned(step, at=38), z0, StopPolicy(),
-                      feasible=prob.feasible, keep_iterates=True)
-            want = oracle_reference(kept)
-            got = [res.trace.residuals(name_)
-                   for name_ in ("z_res", "x_res", "u_mismatch")]
-        assert res.outcome == NON_FINITE and res.iterations == len(kept) == 38
-        assert np.isfinite(want[1]).all() and np.isinf(want[0][:-1]).all()
+            res = run(Poisoned(product_step(prob.projections, "sdr"), at=38),
+                      z0, StopPolicy(), feasible=prob.feasible,
+                      keep_iterates=True)
+            want = reference_run(Poisoned(Textbook(prob.projections, "sdr"),
+                                          at=38), z0, StopPolicy(),
+                                 prob.feasible)
+            assert_run_is(res, want)
+        assert res.outcome == NON_FINITE and res.iterations == 38
+        assert np.isfinite(want.x_res).all()
+        assert np.isinf(want.z_res[:-1]).all()
         assert not np.isfinite(res.z).all()
-        for g, w in zip(got, want):
-            assert same_bits(g, w)
-        assert same_bits(res.trace.residuals("objective"),
-                         [oracle_objective(x, u) for _, _, x, u in kept])
 
     def test_a_step_that_does_not_replay_raises(self):
         """A random-tie step behind a lambda is its own deep copy, so the
@@ -1318,36 +1100,16 @@ class TestReplayedColumns:
         res = run(step, z0, SNAPSHOT_POLICY, keep_iterates=True)
         assert same_bits(res.trace.residuals("z_res")[-1], 0.0)
 
-    @pytest.mark.parametrize("policy", [
-        StopPolicy(), StopPolicy(max_iter=60, min_iter=0),
-        StopPolicy(max_iter=150, min_iter=0, z_step_tol=1e-6,
-                   stop_on_feasible=False),
-        StopPolicy(max_iter=30, min_iter=30)])
-    @pytest.mark.parametrize("name", ["queens-8", "9x9-37"])
-    def test_candidate_is_the_mean_going_into_the_last_step(self, name,
-                                                            policy):
-        step, z0, feasible = snapshot_case(name, "ddr", 0.2)
-        rec, kept = recorded(step)
-        res = run(rec, z0, policy, feasible=feasible)
-        assert same_bits(res.candidate, kept[-1][0].mean(axis=0))
-
-    def test_candidate_of_a_non_finite_run(self):
-        step, z0, feasible = snapshot_case("queens-8", "sdr", None)
-        rec, kept = recorded(Poisoned(step, at=5))
-        res = run(rec, z0, StopPolicy(), feasible=feasible)
-        assert res.outcome == NON_FINITE and res.iterations == 5
-        assert same_bits(res.candidate, kept[-1][0].mean(axis=0))
-
     def test_candidate_of_a_two_set_run_is_x(self):
-        step, z0, feasible = snapshot_case("circle-line", "ddr", 0.2)
+        step, _, z0, feasible = snapshot_case("circle-line", "ddr", 0.2)
         res = run(step, z0, StopPolicy(), feasible=feasible)
         assert res.candidate is res.x
 
 
 # ---------------------------------------------------------------------------
 # the replay: everything read off a run's trace is recomputed, bit for bit,
-# by stepping again from the start, and equals what the run stepped in full
-# reads
+# by stepping again from the start, and equals what a trace built from the
+# textbook run's columns reads
 
 BUDGET_METHODS = [("sdr", None), ("ddr", 0.2), ("sdr-switched", None),
                   ("altproj", None)]
@@ -1384,6 +1146,13 @@ def readings(res, path, csv_first):
                      freezes(trace)))
 
 
+def textbook_readings(want, path):
+    """The readings of a reference run, off a trace of its columns."""
+    return readings(splitting.RunResult(
+        want.outcome, want.iterations, want.z, want.x, want.u,
+        want.candidate, column_trace(want), want.orbit_k), path, False)
+
+
 def assert_same_readings(a, b):
     (arrays_a, rest_a), (arrays_b, rest_b) = a, b
     for i, (got, want) in enumerate(zip(arrays_a, arrays_b)):
@@ -1393,15 +1162,13 @@ def assert_same_readings(a, b):
 
 class TestReplay:
     @pytest.mark.parametrize("method,gamma", BUDGET_METHODS)
-    @pytest.mark.parametrize("name", sorted(SNAPSHOT_PROBLEMS))
+    @pytest.mark.parametrize("name", SNAPSHOT_PROBLEMS)
     def test_refilled_trace_is_the_full_one(self, tmp_path, name, method,
                                             gamma):
-        replay_against_full(name, method, gamma, SNAPSHOT_POLICY, 1, True,
-                            tmp_path)
-        step, z0, feasible = snapshot_case(name, method, gamma)
-        full = run(stepped_in_full(step), z0, SNAPSHOT_POLICY,
-                   feasible=feasible, keep_iterates=True)
-        want = readings(full, tmp_path / "full.csv", csv_first=False)
+        step, twin, z0, feasible = snapshot_case(name, method, gamma)
+        want = textbook_readings(reference_run(twin, z0, SNAPSHOT_POLICY,
+                                               feasible),
+                                 tmp_path / "full.csv")
         for csv_first in (True, False):
             res = run(step, z0, SNAPSHOT_POLICY, feasible=feasible,
                       keep_iterates=True)
@@ -1414,23 +1181,24 @@ class TestReplay:
     def test_replay_past_an_orbit(self, tmp_path, case):
         key, method, seed, steps = case
         prob = batch_problem(key)
-        step = product_step(prob.projections, method)
         z0 = prob.initial_state(seed)
         policy = StopPolicy(max_iter=steps, min_iter=steps,
                             stop_on_feasible=False)
-        full = run(stepped_in_full(step), z0, policy, feasible=prob.feasible,
-                   keep_iterates=True)
-        res = run(step, z0, policy, feasible=prob.feasible,
-                  keep_iterates=True)
+        res = run(product_step(prob.projections, method), z0, policy,
+                  feasible=prob.feasible, keep_iterates=True)
         assert res.orbit_k is not None
         assert (len(res.trace._table["z_step"]) == recorded_rows(res)
                 <= res.orbit_k + 1 < res.iterations)
-        assert_same_readings(readings(res, tmp_path / "a.csv", False),
-                             readings(full, tmp_path / "b.csv", False))
+        assert_same_readings(
+            readings(res, tmp_path / "a.csv", False),
+            textbook_readings(reference_run(
+                Textbook(prob.projections, method), z0, policy,
+                prob.feasible), tmp_path / "b.csv"))
 
     def test_other_steps_replay_from_their_copy(self):
         """Steps that are not functions of z alone are copied before their
-        first step; their columns are those of a twin stepped in full."""
+        first step; their columns are those of the textbook run of a twin
+        (the circle/line pair's: a second two-set step)."""
         prob = batch_problem("queens-8")
         z0 = np.round(prob.initial_state(0))
         pure = product_step(prob.projections, "sdr")
@@ -1438,26 +1206,30 @@ class TestReplay:
         inst = circle_line_instance()
 
         def ties():
-            return product_step(queens_problem(
-                QueensInstance(8), tie_break="random",
-                tie_seed=0).projections, "sdr")
+            return queens_problem(QueensInstance(8), tie_break="random",
+                                  tie_seed=0).projections
+        # run alone, the pure step closes an orbit; the others never do
+        assert run(pure, z0, SNAPSHOT_POLICY).orbit_k == 39
         for step, twin, start in [
-                (ties(), ties(), z0),
-                (stepped_in_full(pure), pure, z0),
-                (product_step(blocks, "sdr"), pure, z0),
+                (product_step(ties(), "sdr"), Textbook(ties(), "sdr"), z0),
+                (stepped_in_full(pure), Textbook(prob.projections, "sdr"),
+                 z0),
+                (product_step(blocks, "sdr"),
+                 Textbook(prob.projections, "sdr"), z0),
                 (two_set_step(inst.line.project, inst.project_circle, "sdr"),
                  two_set_step(inst.line.project, inst.project_circle, "sdr"),
                  inst.z0)]:
             res = run(step, start, SNAPSHOT_POLICY, keep_iterates=True)
             assert res.orbit_k is None and len(res.trace) == 150
-            for name, want in zip(splitting._COLUMNS,
-                                  stepped_columns(twin, start, res)):
-                assert same_bits(res.trace.residuals(name), want), name
+            want = reference_run(twin, start, SNAPSHOT_POLICY)
+            for name in splitting._COLUMNS:
+                assert same_bits(res.trace.residuals(name),
+                                 getattr(want, name)), name
 
 
 # ---------------------------------------------------------------------------
 # streamed freezes: each block's last change of u, kept by the run loop,
-# against the one read off the replayed u_mismatch column
+# against the textbook run's and the one read off its u_mismatch column
 
 FREEZE_PROBLEMS = {
     "4x4": lambda **ties: sudoku_problem(bundled_sudoku("4x4"), **ties),
@@ -1484,16 +1256,20 @@ class TestStreamedFreeze:
     @pytest.mark.parametrize("name", sorted(FREEZE_PROBLEMS))
     def test_streamed_freeze_is_the_mismatch_one(self, name, method, gamma,
                                                  tie_break):
-        runs = zip(freeze_runs(name, method, gamma, tie_break),
-                   freeze_runs(name, method, gamma, tie_break, keep=False))
-        for res, lean in runs:
-            trace = res.trace
-            columns = IterationTrace(trace.n_blocks, z_step=trace.z_step,
-                                     u_mismatch=trace.u_mismatch)
-            assert same_bits(trace.u_last_change, columns.u_last_change)
-            assert freezes(trace) == freezes(columns)
-            # streamed without keep_iterates, and so with no replay
-            assert same_bits(lean.trace.u_last_change, trace.u_last_change)
+        """Streamed without keep_iterates, and so with no replay; the
+        textbook run steps an equally seeded twin."""
+        runs = freeze_runs(name, method, gamma, tie_break, keep=False)
+        for seed, res in enumerate(runs):
+            twin = FREEZE_PROBLEMS[name](tie_break=tie_break, tie_seed=seed)
+            z0 = twin.initial_state(seed)
+            want = reference_run(Textbook(twin.projections, method, gamma),
+                                 np.round(z0) if seed == 1 else z0,
+                                 FREEZE_POLICY, twin.feasible)
+            columns = IterationTrace(res.trace.n_blocks, z_step=want.z_step,
+                                     u_mismatch=want.u_mismatch)
+            assert same_bits(res.trace.u_last_change, want.u_last_change)
+            assert same_bits(columns.u_last_change, want.u_last_change)
+            assert freezes(res.trace) == freezes(columns)
 
     def test_the_grid_closes_orbits_and_freezes_blocks(self):
         orbits, frozen = [], []

@@ -171,7 +171,8 @@ def digest(res, snapshots):
     if snapshots:
         res.trace.set_reference()
         columns += [res.trace.residuals("z_res"),
-                    res.trace.residuals("x_res"), res.trace.u_mismatch]
+                    res.trace.residuals("x_res"),
+                    res.trace.residuals("u_mismatch")]
     for a in columns:
         a = np.ascontiguousarray(a, dtype=np.float64)
         h.update(str(a.shape).encode())
