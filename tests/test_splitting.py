@@ -159,9 +159,7 @@ class TestStopPolicy:
 
 class TestRun:
     def test_solved_start_reports_feasible_at_min_iter(self):
-        inst = bundled_sudoku("4x4")
-        prob = sudoku_problem(inst)
-        sol = None
+        prob = sudoku_problem(bundled_sudoku("4x4"))
         # solve once to find any valid completion
         res = run(product_step(prob.projections, "sdr"),
                   prob.initial_state(0), StopPolicy(), feasible=prob.feasible)
@@ -183,12 +181,10 @@ class TestRun:
                       feasible=prob.feasible)
             out.append((res.iterations, res.trace.z_step.copy(), res.z.copy()))
         assert out[0][0] == out[1][0]
-        assert np.array_equal(out[0][1], out[1][1])
-        assert np.array_equal(out[0][2], out[1][2])
+        assert all(map(np.array_equal, out[0][1:], out[1][1:]))
 
     def test_no_stop_before_min_iter(self):
-        # damped run on queens collapses almost immediately, but min_iter
-        # keeps it going
+        # damped queens runs collapse almost at once; min_iter keeps them on
         prob = queens_problem(QueensInstance(8))
         res = run(product_step(prob.projections, "ddr", gamma=0.2),
                   prob.initial_state(0), StopPolicy(), feasible=prob.feasible)
@@ -203,8 +199,7 @@ class TestRun:
 
     def test_max_iter_outcome(self):
         prob = queens_problem(QueensInstance(8))
-        res = run(product_step(prob.projections, "sdr"),
-                  prob.initial_state(0),
+        res = run(product_step(prob.projections, "sdr"), prob.initial_state(0),
                   StopPolicy(max_iter=105, min_iter=100),
                   feasible=lambda x: False)
         assert res.outcome == MAX_ITER
@@ -212,14 +207,12 @@ class TestRun:
 
     def test_stall_with_feasibility_off_still_reports_feasible(self):
         prob = sudoku_problem(bundled_sudoku("4x4"))
-        res = run(product_step(prob.projections, "sdr"),
-                  prob.initial_state(0),
+        res = run(product_step(prob.projections, "sdr"), prob.initial_state(0),
                   StopPolicy(stop_on_feasible=False), feasible=prob.feasible)
         assert res.outcome == FEASIBLE       # classified at the stall
         assert res.trace.z_step[-1] <= 1e-12
 
     def test_two_set_circle_line_smoke(self):
-        from drsplit.puzzles import circle_line_instance
         inst = circle_line_instance()
         res = run(two_set_step(inst.line.project, inst.project_circle, "ddr",
                                gamma=0.2),
@@ -487,58 +480,62 @@ def column_trace(want):
         name: getattr(want, name) for name in splitting._COLUMNS})
 
 
+@functools.lru_cache(maxsize=1)     # held while its policies run in turn
+def textbook_case(key, method, gamma):
+    """(problem, step, textbook step, starts, replayed (start, length))"""
+    prob = batch_problem(key)
+    z0s = np.concatenate([starts(key, range(3)), np.round(starts(key, [3]))])
+    return (prob, product_step(prob.projections, method, gamma=gamma),
+            Textbook(prob.projections, method, gamma), z0s, set())
+
+
 class TestAgainstTextbook:
+    @pytest.mark.parametrize("policy", REFERENCE_POLICIES)
     @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
     @pytest.mark.parametrize("key", sorted(BATCH_PROBLEMS))
     def test_run_and_rows_are_the_textbook_run(self, monkeypatch, key,
-                                               method, gamma):
+                                               method, gamma, policy):
         """Three uniform starts and one rounded to 0/1, which meets exact
         ties from its first step, each run alone and all four as one
-        batch, whose rows leave at their own iterations.  A replay fills
-        the same columns for every run of a start that ends at the same
-        iteration, so each start's runs replay once per length."""
-        prob = batch_problem(key)
-        step = product_step(prob.projections, method, gamma=gamma)
-        book = Textbook(prob.projections, method, gamma)
-        z0s = np.concatenate([starts(key, range(3)),
-                              np.round(starts(key, [3]))])
+        batch, whose rows leave at their own iterations.  The textbook
+        steps each start once, and a start's runs replay once per length."""
+        prob, step, book, z0s, replayed = textbook_case(key, method, gamma)
         records = []
 
         def iterate(*args):
             records.append(_iterate(*args))
             return records[-1]
         monkeypatch.setattr(splitting, "_iterate", iterate)
-        replayed = set()
-        for policy in REFERENCE_POLICIES:
-            wants = [reference_run(book, z0, policy, prob.feasible)
-                     for z0 in z0s]
-            for i, (z0, want) in enumerate(zip(z0s, wants)):
-                assert_run_is(run(step, z0, policy, feasible=prob.feasible,
-                                  keep_iterates=True), want,
-                              (i, want.iterations) not in replayed)
-                replayed.add((i, want.iterations))
-            got = run_batch(step, z0s, policy, prob.feasible)
-            assert [(o, k) for o, k, _ in got] == \
-                [(w.outcome, w.iterations) for w in wants]
-            assert [(o, k, orbit) for o, k, _, orbit in records[-1]] == \
-                [(w.outcome, w.iterations, w.orbit_k) for w in wants]
+        wants = [reference_run(book, z0, policy, prob.feasible)
+                 for z0 in z0s]
+        for i, (z0, want) in enumerate(zip(z0s, wants)):
+            assert_run_is(run(step, z0, policy, feasible=prob.feasible,
+                              keep_iterates=True), want,
+                          (i, want.iterations) not in replayed)
+            replayed.add((i, want.iterations))
+        got = run_batch(step, z0s, policy, prob.feasible)
+        assert [(o, k) for o, k, _ in got] == \
+            [(w.outcome, w.iterations) for w in wants]
+        assert [(o, k, orbit) for o, k, _, orbit in records[-1]] == \
+            [(w.outcome, w.iterations, w.orbit_k) for w in wants]
 
+    @pytest.mark.parametrize("rounded", [False, True])
     @pytest.mark.parametrize("key", ["4x4", "queens-6"])
     @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
     def test_random_tie_run_is_its_twins_textbook_run(self, key, method,
-                                                      gamma):
+                                                      gamma, rounded):
         """Random ties against the textbook step over an equally seeded
         twin's blocks, from a uniform start and a 0/1 one."""
         z0 = MERGED_PROBLEMS[key]().initial_state(7)
-        for start in (z0, np.round(z0)):
-            prob, twin = (MERGED_PROBLEMS[key](tie_break="random", tie_seed=5)
-                          for _ in range(2))
-            res = run(product_step(prob.projections, method, gamma=gamma),
-                      start, GRID_POLICIES[11], feasible=prob.feasible,
-                      keep_iterates=True)
-            assert_run_is(res, reference_run(
-                Textbook(twin.projections, method, gamma), start,
-                GRID_POLICIES[11], twin.feasible))
+        start = np.round(z0) if rounded else z0
+        prob, twin = (MERGED_PROBLEMS[key](tie_break="random", tie_seed=5)
+                      for _ in range(2))
+        res = run(product_step(prob.projections, method, gamma=gamma),
+                  start, GRID_POLICIES[11], feasible=prob.feasible,
+                  keep_iterates=True)
+        assert_run_is(res, reference_run(
+            Textbook(twin.projections, method, gamma), start,
+            GRID_POLICIES[11], twin.feasible))
 
     # the first policy is the one `drsplit solve --circle-line` uses, capped
     @pytest.mark.parametrize("policy", [
@@ -654,9 +651,11 @@ STEP_CASES = [(key, "as built") for key in sorted(MERGED_PROBLEMS)] + [
 
 
 class TestStepsAgainstOracle:
+    @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("method,gamma", BATCH_METHODS)
     @pytest.mark.parametrize("key,arrangement", STEP_CASES)
-    def test_steps_are_the_oracle(self, key, arrangement, method, gamma):
+    def test_steps_are_the_oracle(self, key, arrangement, method, gamma,
+                                  batched):
         """Three steps of product_step from each input, z, x and u bit for
         bit, each next step from the oracle's z."""
         prob, blocks, twins, own = arranged(key, arrangement)
@@ -667,8 +666,8 @@ class TestStepsAgainstOracle:
             assert [i for i, _ in stacked._rest] == own
         step = product_step(blocks, method, gamma=gamma)
         # a batch of random-tie blocks alone is projected row by row
-        for z in merged_inputs(prob, (None, 2, 35) if own is None else
-                               (None, 2, 35, 512)):
+        sizes = (2, 35) if own is None else (2, 35, 512)
+        for z in merged_inputs(prob, sizes if batched else (None,)):
             for _ in range(3):
                 with np.errstate(invalid="ignore"):
                     got, want = step(z), oracle_step(twins, method, gamma, z)
