@@ -351,6 +351,8 @@ def _cmd_bench(args):
         raise CliError(f"--workers must be >= 0 (0 for the default), "
                        f"got {args.workers}")
     runs = 20 if args.runs is None else args.runs
+    if runs < 1:
+        raise CliError(f"--runs must be >= 1, got {runs}")
     report = bench_puzzle(inst, method, args.gamma, policy, runs=runs,
                           base_seed=_resolve_seed(args),
                           workers=args.workers,
@@ -451,6 +453,8 @@ def _cmd_angles(args):
     n = s ** 3
     p = s * (s * s - len(inst.clues))       # the pillars of blank cells
     gamma = args.gamma
+    if not 0.0 < gamma <= 1.25:     # nan too
+        raise CliError(f"--gamma must lie in (0, 5/4], got {gamma}")
     levels = np.unique(ddr_rate_eigenvalues(gamma))
     print(f"instance={args.puzzle} ambient_dim={5 * n} blocks=5 "
           f"free_coordinates={p}")

@@ -109,9 +109,10 @@ class GroupProjection:
     group or a sequence of one bool per group.
 
     A call projects one vector of shape (n,) or each row of a (runs, n)
-    batch; each row comes out as it would alone.  With ``out``, a
-    C-contiguous array of x's shape, the result is written there and
-    returned; it must not overlap x.
+    batch; each row comes out as it would alone.  A random-tie projection
+    takes one vector only, since a batch's rows would share its stream.
+    With ``out``, a C-contiguous array of x's shape, the result is written
+    there and returned; it must not overlap x.
 
     A single vector is gathered group-major, (G, m) for G groups of m
     members, and argmax picks each group's winner.  Under lowest ties a
@@ -119,9 +120,7 @@ class GroupProjection:
     maximum is a reduction over m long vectors; the first maximum is the
     largest of the ranks m..1 where an entry equals it, which is argmax's
     choice, NaN included, bit for bit.  The groups are gathered in chunks
-    whose gather holds no more values than the batch itself.  A random-tie
-    batch is projected row by row, row 0 first, as the single vectors it
-    stands for.
+    whose gather holds no more values than the batch itself.
 
     `merged` builds one projection of a product of blocks from several.
     """
@@ -211,11 +210,10 @@ class GroupProjection:
         if x.ndim not in (1, 2):
             raise ValueError(f"x must have shape (n,) or (runs, n), got "
                              f"{x.shape}")
-        out = _output(x, out)
         if x.ndim == 2 and self._rng is not None:
-            for row, row_out in zip(x, out):
-                self(row, out=row_out)
-            return out
+            raise ValueError("a random-tie projection takes one vector: the "
+                             "rows of a batch would share its stream")
+        out = _output(x, out)
         winners = self._single_winners(x) if x.ndim == 1 \
             else self._batch_winners(x)
         out.fill(0.0)

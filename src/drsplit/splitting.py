@@ -92,25 +92,23 @@ def _reflect(x, z, r):
     return r
 
 
-def _update(z, u, x):
-    """z + u - x."""
+def _dr_update(x, pb, z, reflected):
+    """(z + u - x, x, u) for u = pb(2x - z), the update every
+    Douglas-Rachford variant ends with."""
+    u = pb(_reflect(x, z, reflected(z.shape)))
     t = z + u
     t -= x
-    return t
+    return t, x, u
 
 
 def dr_step(pa, pb, z, reflected=np.empty):
-    x = pa(z)
-    u = pb(_reflect(x, z, reflected(z.shape)))
-    return _update(z, u, x), x, u
+    return _dr_update(pa(z), pb, z, reflected)
 
 
 def dr_step_switched(pa, pb, z, reflected=np.empty):
     """Same update with the projection order reversed."""
-    x = pb(z)
-    u = np.broadcast_to(pa(_reflect(x, z, reflected(z.shape))),
-                        x.shape).copy()
-    return _update(z, u, x), x, u
+    z_next, x, u = _dr_update(pb(z), pa, z, reflected)
+    return z_next, x, np.broadcast_to(u, x.shape).copy()
 
 
 def ddr_step(pa, pb, gamma, z, relaxed=np.empty, reflected=np.empty):
@@ -121,8 +119,7 @@ def ddr_step(pa, pb, gamma, z, relaxed=np.empty, reflected=np.empty):
     x = np.subtract(pa(z), z, out=relaxed(z.shape))
     x *= lam
     x += z      # z + lam * (pa(z) - z): addition commutes, bit for bit
-    u = pb(_reflect(x, z, reflected(z.shape)))
-    return _update(z, u, x), x, u
+    return _dr_update(x, pb, z, reflected)
 
 
 def ap_step(pa, pb, z):
@@ -184,14 +181,13 @@ class _Stacked:
     own row(s) of z, as an array of z's shape, (blocks, n) or (runs,
     blocks, n).
 
-    The lowest-tie `GroupProjection` blocks are merged, once, into one
-    projection of the flattened rows (`GroupProjection.merged`), so a call
-    projects them all at once, writing every block of the result; each
-    other block (a clue clamp, a random-tie projection, any other callable)
-    then projects its own row(s) into its slice, in place when it is one of
-    this package's projections and the slice suits it, else by a copy.  The
-    result is a `_Reused` array: a loop that drops each u (`_iterate`)
-    writes warm memory.
+    Each block's path is fixed here.  The lowest-tie `GroupProjection`
+    blocks merge into one projection of the flattened rows
+    (`GroupProjection.merged`), whose call writes every block.  Each other
+    block projects its row(s) into its own slice: a clue clamp or a
+    random-tie group (one run only) in place, any other callable by a
+    copy.  `pure` says every unmerged block is a clue clamp, making the
+    product a function of z alone.  u is a `_Reused` array.
     """
 
     def __init__(self, blocks):
@@ -201,8 +197,10 @@ class _Stacked:
                   and p.tie_break == "lowest"}
         self._merged = GroupProjection.merged(merged, len(blocks)) \
             if merged else None
-        self._rest = [(i, p) for i, p in enumerate(blocks)
-                      if i not in merged]
+        self._rest = [(i, p if isinstance(p, (ClueProjection, GroupProjection))
+                       else functools.partial(_copied, p))
+                      for i, p in enumerate(blocks) if i not in merged]
+        self.pure = all(isinstance(p, ClueProjection) for _, p in self._rest)
         self._u = _Reused()
 
     def __call__(self, z):
@@ -211,14 +209,12 @@ class _Stacked:
             rows = z.reshape(z.shape[:-2] + (-1,))
             self._merged(rows, out=u.reshape(rows.shape))
         for i, proj in self._rest:
-            block = u[..., i, :]
-            if isinstance(proj, ClueProjection) or (
-                    isinstance(proj, GroupProjection)
-                    and block.flags.c_contiguous):
-                proj(z[..., i, :], out=block)
-            else:
-                block[...] = proj(z[..., i, :])
+            proj(z[..., i, :], out=u[..., i, :])
         return u
+
+
+def _copied(proj, x, out):
+    out[...] = proj(x)
 
 
 class _PureStep(functools.partial):
@@ -226,19 +222,13 @@ class _PureStep(functools.partial):
     state.  The run loop ends its exact orbits early (see `_iterate`)."""
 
 
-def _is_pure(block):
-    return (isinstance(block, ClueProjection)
-            or (isinstance(block, GroupProjection)
-                and block.tie_break == "lowest"))
-
-
 def product_step(blocks, method, gamma=None):
     """Bind a list of set projections into a single product-space step.
     When every block is a lowest-index-tie `GroupProjection` or a
     `ClueProjection`, the step is marked as a function of z alone."""
-    blocks = list(blocks)
-    step = two_set_step(_consensus, _Stacked(blocks), method, gamma)
-    return _PureStep(step) if all(map(_is_pure, blocks)) else step
+    stacked = _Stacked(blocks)
+    step = two_set_step(_consensus, stacked, method, gamma)
+    return _PureStep(step) if stacked.pure else step
 
 
 # ---------------------------------------------------------------------------
@@ -395,28 +385,35 @@ class IterationTrace:
 
 def read_trace_csv(path):
     """Build a trace from a `to_csv` file.  Absent columns read as nan,
-    except u_mismatch, which is then left out."""
+    except u_mismatch, which is then left out; its block columns must be
+    u0_mismatch, u1_mismatch, ... in order."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"empty trace file {path!r}")
-    header, body = rows[0], rows[1:]
+        header, *body = list(csv.reader(fh)) or [[]]
+    if "z_step" not in header:
+        raise ValueError(f"trace file {path!r} lacks a z_step column")
+    u_names = [name for name in header
+               if name.startswith("u") and name.endswith("_mismatch")]
+    if u_names != [f"u{i}_mismatch" for i in range(len(u_names))]:
+        raise ValueError(f"{path}: the u columns {u_names} are not "
+                         f"u0_mismatch, u1_mismatch, ... in order")
+    names = (*_COLUMNS[:-1], *u_names)
+    values = np.full((len(body), len(names)), np.nan)
+    at = [(j, header.index(name)) for j, name in enumerate(names)
+          if name in header]
     for line, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise ValueError(f"{path}:{line}: {len(row)} fields, "
                              f"the header has {len(header)}")
-    col = {name: i for i, name in enumerate(header)}
-    if "z_step" not in col:
-        raise ValueError(f"trace file {path!r} lacks a z_step column")
-    columns = {name: [float(row[col[name]]) if name in col else np.nan
-                      for row in body]
-               for name in ("z_step", "objective", "z_res", "x_res")}
-    u_cols = [i for i, name in enumerate(header)
-              if name.startswith("u") and name.endswith("_mismatch")]
-    if u_cols:
-        columns["u_mismatch"] = [[float(row[i]) for i in u_cols]
-                                 for row in body]
-    return IterationTrace(max(1, len(u_cols)), **columns)
+        for j, i in at:
+            try:
+                values[line - 2, j] = float(row[i])
+            except ValueError:
+                raise ValueError(f"{path}:{line}: column {names[j]}: "
+                                 f"{row[i]!r} is not a number") from None
+    columns = dict(zip(_COLUMNS, values.T[:4]))
+    if u_names:
+        columns["u_mismatch"] = values[:, 4:]
+    return IterationTrace(max(1, len(u_names)), **columns)
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +660,10 @@ def run_batch(step, z0s, policy, feasible):
     """`_iterate` over z0s (runs, blocks, n), with no trace: each run ends
     as `run` would; one (outcome, iterations, wall_s) per run, in order,
     the wall_s shares summing to the stepping time.  `step` and `feasible`
-    take the leading run axis, as those of `product_step` and `Problem` do;
-    `step` must also take a single state (blocks, n), as `product_step`'s
-    steps do, since the loop steps a lone row that way.  An empty batch
-    returns [] without a step.
+    take the leading run axis, as those of `product_step` and `Problem` do,
+    and `step` a single state (blocks, n), which a lone row is stepped as.
+    A random-tie step takes single states only: over two or more rows it
+    raises at the first step.  An empty batch returns [] without a step.
     """
     if np.ndim(z0s) != 3:
         raise ValueError(f"z0s must have shape (runs, blocks, n), got "

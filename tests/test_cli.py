@@ -313,6 +313,23 @@ class TestBenchCommand:
                                "--runs", "2", "--config", str(cfg))
         assert code == 1 and "--workers" in err
 
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_below_one_are_named(self, capsys, monkeypatch, tmp_path,
+                                      runs):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a batch was run")
+        monkeypatch.setattr("drsplit.cli.bench_puzzle", unreachable)
+        code, out, err = run_cli(capsys, "bench", "--puzzle", "4x4",
+                                 "--runs", runs)
+        assert code == 1 and out == ""
+        assert f"--runs must be >= 1, got {runs}" in err
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"runs = {runs}\n")
+        code, out, err = run_cli(capsys, "bench", "--puzzle", "4x4",
+                                 "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert f"--runs must be >= 1, got {runs}" in err
+
     def test_zero_workers_means_default(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--queens-size", "5",
                                "--runs", "2", "--workers", "0")
@@ -506,6 +523,21 @@ class TestRatesCommand:
         assert f"{trace}:{len(lines)}:" in err
 
 
+    def test_trace_field_that_is_not_a_number_is_named(self, capsys,
+                                                        tmp_path):
+        trace = tmp_path / "t.csv"
+        run_cli(capsys, "solve", "--puzzle", PUZZLE4, "--seed", "0",
+                "--run-to-stall", "--trace", str(trace))
+        lines = trace.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[lines[0].split(",").index("u3_mismatch")] = "x"
+        trace.write_text("\n".join(lines[:2] + [",".join(fields)]
+                                   + lines[3:]) + "\n")
+        code, out, err = run_cli(capsys, "rates", "--trace", str(trace))
+        assert code == 1 and out == ""
+        assert f"{trace}:3: column u3_mismatch: 'x' is not a number" in err
+
+
 class TestAnglesCommand:
     def test_reports_friedrichs_and_spectrum(self, capsys):
         code, out, _ = run_cli(capsys, "angles", "--puzzle", PUZZLE4,
@@ -538,6 +570,13 @@ class TestAnglesCommand:
         assert code == 1
         assert out == ""
         assert "5/4" in err
+
+    @pytest.mark.parametrize("gamma", ["2", "0", "-1", "nan", "inf"])
+    def test_gamma_out_of_range_is_named(self, capsys, gamma):
+        code, out, err = run_cli(capsys, "angles", "--puzzle", PUZZLE4,
+                                 "--gamma", gamma)
+        assert code == 1 and out == ""
+        assert f"--gamma must lie in (0, 5/4], got {float(gamma)}" in err
 
     def test_fully_clued_grid_has_no_rate(self, capsys, tmp_path):
         solved = tmp_path / "solved.txt"

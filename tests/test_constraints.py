@@ -357,15 +357,15 @@ def layouts(batch):
             np.asfortranarray(batch))
 
 
-def into_slab(proj, x):
-    """proj(x, out=) into the middle slice of a block-major buffer of three
-    x-shaped slices, as a product step writes one block; the slices on
-    either side must keep their fill."""
-    slab = np.full((3,) + x.shape, 7.0)
-    got = proj(x, out=slab[1])
-    assert got.base is slab
-    assert (slab[[0, 2]] == 7.0).all()
-    return slab[1]
+def into_block_slice(proj, x):
+    """proj(x, out=) into the middle slice of a buffer of three x-shaped
+    slices, as a product step writes one block; the slices on either side
+    must keep their fill."""
+    buffer = np.full((3,) + x.shape, 7.0)
+    got = proj(x, out=buffer[1])
+    assert got.base is buffer
+    assert (buffer[[0, 2]] == 7.0).all()
+    return buffer[1]
 
 
 class TestGroupProjectionAgainstLoop:
@@ -380,16 +380,20 @@ class TestGroupProjectionAgainstLoop:
                          for row in batch])
         for row, w in zip(batch, want):
             assert np.array_equal(proj(row), w, equal_nan=True)
-            assert np.array_equal(into_slab(proj, row), w, equal_nan=True)
+            assert np.array_equal(into_block_slice(proj, row), w,
+                                  equal_nan=True)
         for view in layouts(batch):
             assert np.array_equal(proj(view), want, equal_nan=True)
-            assert np.array_equal(into_slab(proj, view), want,
+            assert np.array_equal(into_block_slice(proj, view), want,
                                   equal_nan=True)
 
     @given(st.sampled_from(sorted(ORACLE_TABLES)), st.booleans(),
            st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=120, deadline=None)
     def test_random_ties(self, label, allow_zero, rows, seed):
+        """Lone vectors, returned and written into a block slice, against
+        the loop over the same draws; a batch is rejected without a draw,
+        so the stream goes on where it was."""
         table, n = ORACLE_TABLES[label]
         proj = GroupProjection(table, n, allow_zero=allow_zero,
                                tie_break="random", seed=seed)
@@ -398,28 +402,30 @@ class TestGroupProjectionAgainstLoop:
         batch = batch_rows(n, rows, seed)
         batch[0, ::2] = -np.inf         # groups whose real entries tie at -inf
         for row in batch:
-            want = loop_project(table, row, allow_zero, draws.random(shape))
-            assert np.array_equal(proj(row), want, equal_nan=True)
+            for call in (proj, functools.partial(into_block_slice, proj)):
+                want = loop_project(table, row, allow_zero,
+                                    draws.random(shape))
+                assert np.array_equal(call(row), want, equal_nan=True)
         for view in layouts(batch):
-            for call in (proj, functools.partial(into_slab, proj)):
-                u = draws.random((rows,) + shape)
-                want = np.stack([loop_project(table, row, allow_zero, u[r])
-                                 for r, row in enumerate(batch)])
-                assert np.array_equal(call(view), want, equal_nan=True)
+            with pytest.raises(ValueError, match="share its stream"):
+                proj(view)
         row = batch[-1]
         want = loop_project(table, row, allow_zero, draws.random(shape))
-        assert np.array_equal(into_slab(proj, row), want, equal_nan=True)
+        assert np.array_equal(into_block_slice(proj, row), want,
+                              equal_nan=True)
 
     @pytest.mark.parametrize("tie_break", ["lowest", "random"])
     def test_a_nan_group_spikes_its_first_nan(self, tie_break):
-        proj = GroupProjection([(0, 1, 2, -1), (3, 4, 5, 6)], 7,
-                               tie_break=tie_break, seed=3)
+        table = [(0, 1, 2, -1), (3, 4, 5, 6)]
+        proj = GroupProjection(table, 7, tie_break=tie_break, seed=3)
         x = np.array([0.9, np.nan, np.nan, 0.2, 0.7, 0.7, np.nan])
+        want = [[0, 1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0, 0]]
         for _ in range(10):
-            assert np.array_equal(proj(x), [0, 1, 0, 0, 0, 0, 1])
-            assert np.array_equal(proj(np.stack([x, x[::-1]])),
-                                  [[0, 1, 0, 0, 0, 0, 1],
-                                   [1, 0, 0, 0, 1, 0, 0]])
+            assert np.array_equal(proj(x), want[0])
+            assert np.array_equal(proj(x[::-1]), want[1])
+        # batches take lowest ties only
+        batch = np.stack([x, x[::-1]])
+        assert np.array_equal(GroupProjection(table, 7)(batch), want)
 
     def test_padding_never_wins_a_random_tie(self):
         proj = GroupProjection([(0, 1, -1), (2, -1, -1)], 4,
@@ -544,7 +550,7 @@ class TestClueProjection:
         proj = ClueProjection(inst.size, inst.clues)
         batch = batch_rows(729, 4, 5)
         for x in (batch, batch[0], layouts(batch)[0]):
-            assert np.array_equal(into_slab(proj, x), proj(x),
+            assert np.array_equal(into_block_slice(proj, x), proj(x),
                                   equal_nan=True)
 
     def test_duplicate_cell_rejected(self):
@@ -647,13 +653,21 @@ class TestRunAxis:
         assert_allclose(proj(batch), [[0.0, 1.0, 1.0, 5.0, -1.0],
                                       [0.0, 0.0, 0.0, 0.4, 2.0]])
 
-    @pytest.mark.parametrize("tie_break", ["lowest", "random"])
-    def test_empty_batch_keeps_its_shape(self, tie_break):
-        proj = GroupProjection(queens_groups(5, "diag"), 25, allow_zero=True,
-                               tie_break=tie_break, seed=1)
+    def test_empty_batch_keeps_its_shape(self):
+        proj = GroupProjection(queens_groups(5, "diag"), 25, allow_zero=True)
         assert proj(np.zeros((0, 25))).shape == (0, 25)
         out = np.empty((0, 25))
         assert proj(np.zeros((0, 25)), out=out) is out
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_a_random_tie_batch_is_rejected(self, rows):
+        """Its rows would share the one stream, each row's ties then
+        depending on the rows beside it: any (runs, n) input is refused."""
+        proj = GroupProjection(queens_groups(5, "diag"), 25, allow_zero=True,
+                               tie_break="random", seed=1)
+        for out in (None, np.empty((rows, 25))):
+            with pytest.raises(ValueError, match="share its stream"):
+                proj(np.zeros((rows, 25)), out=out)
 
     def test_single_vector_shape_is_kept(self):
         proj = GroupProjection(queens_groups(5, "diag"), 25, allow_zero=True)
@@ -702,22 +716,19 @@ class TestBatchAtTableWidths:
 
     @pytest.mark.parametrize("label", sorted(WIDE_TABLES))
     def test_random_ties(self, label):
+        """Lone rows of each kind at the table widths against the loop
+        over the same draws; the batch itself is rejected."""
         table, n, allow_zero, rows = WIDE_TABLES[label]
-        proj, twin = (GroupProjection(table, n, allow_zero=allow_zero,
-                                      tie_break="random", seed=16)
-                      for _ in range(2))
+        proj = GroupProjection(table, n, allow_zero=allow_zero,
+                               tie_break="random", seed=16)
         batch = batch_rows(n, rows, 17, every_kind=True)
-        draws = np.random.default_rng(16).random((rows,) + np.shape(table))
-        got = proj(batch)
-        want = np.stack([twin(row) for row in batch])
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        draws = np.random.default_rng(16)
+        with pytest.raises(ValueError, match="share its stream"):
+            proj(batch)
         for r in range(min(rows, 5)):       # one row of each kind
-            want = loop_project(table, batch[r], allow_zero, draws[r])
-            assert np.array_equal(got[r], want, equal_nan=True)
-        # the next call continues the one stream
-        assert np.array_equal(proj(batch[::-1]),
-                              np.stack([twin(row) for row in batch[::-1]]),
-                              equal_nan=True)
+            want = loop_project(table, batch[r], allow_zero,
+                                draws.random(np.shape(table)))
+            assert np.array_equal(proj(batch[r]), want, equal_nan=True)
 
 
 @pytest.mark.parametrize("shape", [(), (2, 3, 64), (1, 1, 1, 64)])

@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -18,7 +19,11 @@ from drsplit.analysis import (
     fit_linear_rate,
 )
 from drsplit.bench import BATCH_BYTES
-from drsplit.constraints import GroupProjection, project_unit_sphere
+from drsplit.constraints import (
+    ClueProjection,
+    GroupProjection,
+    project_unit_sphere,
+)
 from drsplit.puzzles import (
     Hyperplane,
     QueensInstance,
@@ -447,6 +452,35 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="non-finite"):
             run_batch(step, z0s, StopPolicy(), prob.feasible)
 
+    def test_random_ties_step_one_run_at_a_time(self):
+        """The rows of a random-tie batch would share its tie streams, so
+        `run_batch` over two or more rows raises at its first step; each
+        row stepped alone, as a batch of one, ends as `run` does."""
+        def problem():
+            return queens_problem(QueensInstance(8), tie_break="random",
+                                  tie_seed=7)
+        z0s = np.round(starts("queens-8", [1, 2, 3]))   # ties from the start
+        step, shapes = product_step(problem().projections, "sdr"), []
+
+        def counted(z):
+            shapes.append(z.shape)
+            return step(z)
+        for rows in (z0s, z0s[:2]):
+            with pytest.raises(ValueError, match="share its stream"):
+                run_batch(counted, rows, StopPolicy(), problem().feasible)
+        assert shapes == [z0s.shape, z0s[:2].shape]
+        alone = []
+        for z0 in z0s:
+            prob, twin = problem(), problem()
+            [(outcome, k, _)] = run_batch(
+                product_step(prob.projections, "sdr"), z0[None],
+                StopPolicy(), prob.feasible)
+            want = run(product_step(twin.projections, "sdr"), z0,
+                       StopPolicy(), feasible=twin.feasible)
+            assert (outcome, k) == (want.outcome, want.iterations)
+            alone.append(k)
+        assert alone == [154, 107, 100]
+
 
 # ---------------------------------------------------------------------------
 # `run`, every row of `run_batch` and every row record of the loop against
@@ -657,7 +691,8 @@ class TestStepsAgainstOracle:
     def test_steps_are_the_oracle(self, key, arrangement, method, gamma,
                                   batched):
         """Three steps of product_step from each input, z, x and u bit for
-        bit, each next step from the oracle's z."""
+        bit, each next step from the oracle's z.  A batch over a random-tie
+        block, whose rows would share its stream, is rejected."""
         prob, blocks, twins, own = arranged(key, arrangement)
         stacked = splitting._Stacked(blocks)
         if own is None:
@@ -665,15 +700,30 @@ class TestStepsAgainstOracle:
         else:
             assert [i for i, _ in stacked._rest] == own
         step = product_step(blocks, method, gamma=gamma)
-        # a batch of random-tie blocks alone is projected row by row
-        sizes = (2, 35) if own is None else (2, 35, 512)
-        for z in merged_inputs(prob, sizes if batched else (None,)):
+        shared = batched and "random" in arrangement
+        for z in merged_inputs(prob, (2, 35, 512) if batched else (None,)):
+            if shared:
+                with pytest.raises(ValueError, match="share its stream"):
+                    step(z)
+                continue
             for _ in range(3):
                 with np.errstate(invalid="ignore"):
                     got, want = step(z), oracle_step(twins, method, gamma, z)
                 for name, g, w in zip("zxu", got, want):
                     assert same_bits(g, w), name
                 z = want[0]
+
+    @pytest.mark.parametrize("key,arrangement", STEP_CASES)
+    def test_purity_is_decided_by_block_type(self, key, arrangement):
+        """A product step is marked a function of z alone exactly when
+        every block is a lowest-tie group projection or a clue clamp."""
+        _, blocks, _, _ = arranged(key, arrangement)
+        want = all(isinstance(p, ClueProjection) or (
+            isinstance(p, GroupProjection) and p.tie_break == "lowest")
+            for p in blocks)
+        for method, gamma in BATCH_METHODS:
+            step = product_step(blocks, method, gamma=gamma)
+            assert isinstance(step, splitting._PureStep) == want
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     @pytest.mark.parametrize("method,gamma",
@@ -961,12 +1011,33 @@ class TestTrace:
         assert tr.residuals("u_mismatch").shape == (4, 2)
         tr.to_csv(tmp_path / "trace.csv")
         assert len(read_trace_csv(tmp_path / "trace.csv")) == 4
-        with pytest.raises(ValueError):     # no snapshots to fill z_res
+        with pytest.raises(ValueError):     # no replay to fill z_res
             tr.residuals("z_res")
         with pytest.raises(ValueError):
             IterationTrace(1, z_resid=r)
         with pytest.raises(ValueError, match="differ in length"):
             IterationTrace(2, z_step=r, objective=r[:2])
+
+    @pytest.mark.parametrize("header", [
+        "k,z_step,u0_mismatch,u2_mismatch", "k,z_step,u1_mismatch",
+        "k,z_step,u_mismatch", "k,z_step,u1_mismatch,u0_mismatch",
+        "k,z_step,u0_mismatch,u0_mismatch"])
+    def test_csv_u_columns_are_numbered_in_order(self, tmp_path, header):
+        path = tmp_path / "trace.csv"
+        row = ["1", "0.5"] + ["0"] * (header.count(",") - 1)
+        path.write_text(f"{header}\n{','.join(row)}\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: the u columns")):
+            read_trace_csv(path)
+
+    def test_csv_field_that_is_not_a_number_is_named(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        for text, where in [("1,x,0", "2: column z_step: 'x'"),
+                            ("1,0.5,0\n2,0.25,", "3: column u0_mismatch: ''")]:
+            path.write_text(f"k,z_step,u0_mismatch\n{text}\n")
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{path}:{where} is not")):
+                read_trace_csv(path)
 
     def test_csv_without_keep_iterates_has_nan_residuals(self, tmp_path):
         res, _ = self.make_run(keep=False)
@@ -1016,12 +1087,12 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-SNAPSHOT_POLICY = StopPolicy(max_iter=150, min_iter=150,
-                             stop_on_feasible=False)
-SNAPSHOT_PROBLEMS = ["4x4", "9x9-37", "queens-8"]
+REPLAY_POLICY = StopPolicy(max_iter=150, min_iter=150,
+                           stop_on_feasible=False)
+REPLAY_PROBLEMS = ["4x4", "9x9-37", "queens-8"]
 
 
-def snapshot_case(name, method, gamma):
+def replay_case(name, method, gamma):
     """(step, its reference step, start, feasible) of one problem, whose
     reference is the textbook step, or of the circle/line pair, whose
     reference is a second two-set step."""
@@ -1055,13 +1126,13 @@ class Poisoned:
 class TestReplayedColumns:
     @pytest.mark.parametrize("name", ["4x4", "9x9-37", "circle-line"])
     def test_one_replay_fills_the_reference_columns(self, name):
-        step, twin, z0, feasible = snapshot_case(name, "sdr", None)
+        step, twin, z0, feasible = replay_case(name, "sdr", None)
         wrapper, calls = counted(step)
-        res = run(wrapper, z0, SNAPSHOT_POLICY, feasible=feasible,
+        res = run(wrapper, z0, REPLAY_POLICY, feasible=feasible,
                   keep_iterates=True)
         res.trace.set_reference()       # fills nothing yet
         assert res.iterations == len(calls) == 150
-        want = reference_run(twin, z0, SNAPSHOT_POLICY, feasible)
+        want = reference_run(twin, z0, REPLAY_POLICY, feasible)
         for name_ in ("z_res", "x_res", "u_mismatch"):
             assert same_bits(res.trace.residuals(name_),
                              getattr(want, name_)), name_
@@ -1090,17 +1161,17 @@ class TestReplayedColumns:
                               tie_seed=0)
         step = product_step(prob.projections, "sdr")
         z0 = np.round(prob.initial_state(0))    # meets ties from the start
-        res = run(lambda z: step(z), z0, SNAPSHOT_POLICY, keep_iterates=True)
+        res = run(lambda z: step(z), z0, REPLAY_POLICY, keep_iterates=True)
         with pytest.raises(ValueError, match="did not reach"):
             res.trace.residuals("z_res")
         with pytest.raises(ValueError, match="did not reach"):
             res.trace.to_csv(os.devnull)
         # the step itself is copied before its first step
-        res = run(step, z0, SNAPSHOT_POLICY, keep_iterates=True)
+        res = run(step, z0, REPLAY_POLICY, keep_iterates=True)
         assert same_bits(res.trace.residuals("z_res")[-1], 0.0)
 
     def test_candidate_of_a_two_set_run_is_x(self):
-        step, _, z0, feasible = snapshot_case("circle-line", "ddr", 0.2)
+        step, _, z0, feasible = replay_case("circle-line", "ddr", 0.2)
         res = run(step, z0, StopPolicy(), feasible=feasible)
         assert res.candidate is res.x
 
@@ -1161,15 +1232,15 @@ def assert_same_readings(a, b):
 
 class TestReplay:
     @pytest.mark.parametrize("method,gamma", BUDGET_METHODS)
-    @pytest.mark.parametrize("name", SNAPSHOT_PROBLEMS)
+    @pytest.mark.parametrize("name", REPLAY_PROBLEMS)
     def test_refilled_trace_is_the_full_one(self, tmp_path, name, method,
                                             gamma):
-        step, twin, z0, feasible = snapshot_case(name, method, gamma)
-        want = textbook_readings(reference_run(twin, z0, SNAPSHOT_POLICY,
+        step, twin, z0, feasible = replay_case(name, method, gamma)
+        want = textbook_readings(reference_run(twin, z0, REPLAY_POLICY,
                                                feasible),
                                  tmp_path / "full.csv")
         for csv_first in (True, False):
-            res = run(step, z0, SNAPSHOT_POLICY, feasible=feasible,
+            res = run(step, z0, REPLAY_POLICY, feasible=feasible,
                       keep_iterates=True)
             assert_same_readings(readings(res, tmp_path / "replay.csv",
                                           csv_first), want)
@@ -1208,7 +1279,7 @@ class TestReplay:
             return queens_problem(QueensInstance(8), tie_break="random",
                                   tie_seed=0).projections
         # run alone, the pure step closes an orbit; the others never do
-        assert run(pure, z0, SNAPSHOT_POLICY).orbit_k == 39
+        assert run(pure, z0, REPLAY_POLICY).orbit_k == 39
         for step, twin, start in [
                 (product_step(ties(), "sdr"), Textbook(ties(), "sdr"), z0),
                 (stepped_in_full(pure), Textbook(prob.projections, "sdr"),
@@ -1218,9 +1289,9 @@ class TestReplay:
                 (two_set_step(inst.line.project, inst.project_circle, "sdr"),
                  two_set_step(inst.line.project, inst.project_circle, "sdr"),
                  inst.z0)]:
-            res = run(step, start, SNAPSHOT_POLICY, keep_iterates=True)
+            res = run(step, start, REPLAY_POLICY, keep_iterates=True)
             assert res.orbit_k is None and len(res.trace) == 150
-            want = reference_run(twin, start, SNAPSHOT_POLICY)
+            want = reference_run(twin, start, REPLAY_POLICY)
             for name in splitting._COLUMNS:
                 assert same_bits(res.trace.residuals(name),
                                  getattr(want, name)), name

@@ -3,10 +3,11 @@
 Every method runs exactly 150 iterations (no stop on feasibility) on the
 4x4, 9x9-37 and 8-queens problems from seeds 0, 1 and 2, and on the
 circle/line pair from its bundled start.  A digest covers the final z, x,
-u and candidate, the per-iteration z steps and objectives (derived from
-the snapshots every run keeps), and, for seed 0 and the circle/line pair,
-the residuals against the final iterate.  Any change to the arithmetic of a step, the
-consensus average or a projection changes a digest; a refactor must not.
+u and candidate, the per-iteration z steps and objectives (the objectives
+filled by one replay of the run), and, for seed 0 and the circle/line
+pair, the residuals against the final iterate.  Any change to the
+arithmetic of a step, the consensus average or a projection changes a
+digest; a refactor must not.
 
 PINNED_RANDOM_TIES covers tie_break="random" (tie_seed 0) from seed 0,
 once from the uniform start and once from that start rounded to 0/1.  The
@@ -164,11 +165,11 @@ PINNED_RANDOM_TIES = {
 }
 
 
-def digest(res, snapshots):
+def digest(res, residuals):
     h = hashlib.sha256(f"{res.outcome} {res.iterations}".encode())
     columns = [res.z, res.x, res.u, res.candidate, res.trace.z_step,
                res.trace.residuals("objective")]
-    if snapshots:
+    if residuals:
         res.trace.set_reference()
         columns += [res.trace.residuals("z_res"),
                     res.trace.residuals("x_res"),
