@@ -66,40 +66,60 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def tail_fraction(text):
-    """'auto' or a float in (0, 1]: the argparse type of --tail-fraction."""
-    if text == "auto":
-        return text
-    value = float(text)
-    if not 0.0 < value <= 1.0:      # nan fails too
-        raise argparse.ArgumentTypeError(
-            f"must be 'auto' or lie in (0, 1], got {text}")
-    return value
+def _checked(convert, flag, ok, rule, word=None):
+    """An argparse type: `convert` the text (`word` passes as it is), then
+    raise `CliError` naming `flag` unless `ok` holds; nan fails every
+    rule.  argparse lets a CliError through, and reports a text that
+    `convert` refuses under the converter's name."""
+    def check(text):
+        if text == word:
+            return text
+        value = convert(text)
+        if not ok(value):
+            raise CliError(f"{flag} must {rule}, got {value}")
+        return value
+    check.__name__ = convert.__name__
+    return check
 
 
 def _add_instance_flags(sp, circle=False):
-    sp.add_argument("--puzzle", metavar="KEY_OR_FILE",
-                    help=f"bundled instance key ({', '.join(BUNDLED)}) "
-                         "or a puzzle text file")
-    sp.add_argument("--queens-size", type=int, dest="queens_size",
-                    metavar="S", help="s-queens board side")
+    """Add the instance flags; return their actions."""
+    actions = [
+        sp.add_argument("--puzzle", metavar="KEY_OR_FILE",
+                        help=f"bundled instance key ({', '.join(BUNDLED)}) "
+                             "or a puzzle text file"),
+        sp.add_argument("--queens-size", metavar="S", type=_checked(
+            int, "--queens-size", lambda s: s >= 4, "be >= 4"),
+            help="s-queens board side")]
     if circle:
-        sp.add_argument("--circle-line", action="store_true",
-                        dest="circle_line",
-                        help="the bundled 2-D circle/line pair")
+        actions.append(sp.add_argument(
+            "--circle-line", action="store_true",
+            help="the bundled 2-D circle/line pair"))
+    return actions
 
 
 def _add_solver_flags(sp):
-    sp.add_argument("--method", choices=list(METHODS), default=None)
-    sp.add_argument("--gamma", type=float, default=None,
-                    help="damping parameter for ddr; inf recovers sdr")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--max-iter", type=int, dest="max_iter", default=None)
-    sp.add_argument("--min-iter", type=int, dest="min_iter", default=None)
-    sp.add_argument("--tol", type=float, default=None,
-                    help="z-step stall tolerance")
-    sp.add_argument("--tie-break", choices=["lowest", "random"],
-                    dest="tie_break", default=None)
+    """Add the method and stop flags; return their actions."""
+    return [
+        sp.add_argument("--method", choices=list(METHODS)),
+        sp.add_argument("--gamma", type=_checked(
+            float, "--gamma", lambda g: g > 0, "be > 0"),
+            help="damping parameter for ddr; inf recovers sdr"),
+        sp.add_argument("--seed", type=_checked(
+            int, "--seed", lambda s: s >= 0, "be >= 0")),
+        sp.add_argument("--max-iter", type=_checked(
+            int, "--max-iter", lambda k: k >= 1, "be >= 1")),
+        sp.add_argument("--min-iter", type=int),
+        sp.add_argument("--tol", type=_checked(
+            float, "--tol", lambda t: t >= 0, "be >= 0"),
+            help="z-step stall tolerance"),
+        sp.add_argument("--tie-break", choices=["lowest", "random"])]
+
+
+def _config_flags(actions):
+    """The keys a config file may set: dest -> flag of each action that
+    takes a value."""
+    return {a.dest: a.option_strings[0] for a in actions if a.nargs is None}
 
 
 def _build_parser():
@@ -109,10 +129,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="run one instance from one seed")
-    _add_instance_flags(sp, circle=True)
-    _add_solver_flags(sp)
+    flags = _add_instance_flags(sp, circle=True) + _add_solver_flags(sp)
     sp.add_argument("--run-to-stall", action="store_true",
-                    dest="run_to_stall",
                     help="ignore feasibility, iterate until the z step "
                          "stalls or max-iter")
     sp.add_argument("--config", metavar="FILE",
@@ -121,60 +139,50 @@ def _build_parser():
                     help="write the rounded solution")
     sp.add_argument("--trace", metavar="FILE",
                     help="write the per-iteration trace CSV")
-    sp.set_defaults(func=_cmd_solve)
+    sp.set_defaults(func=_cmd_solve, config_flags=_config_flags(flags))
 
     sp = sub.add_parser("bench", help="batch of seeded runs")
-    _add_instance_flags(sp)
-    _add_solver_flags(sp)
-    sp.add_argument("--runs", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None)
+    flags = _add_instance_flags(sp) + _add_solver_flags(sp) + [
+        sp.add_argument("--runs", type=_checked(
+            int, "--runs", lambda r: r >= 1, "be >= 1")),
+        sp.add_argument("--workers", type=_checked(
+            int, "--workers", lambda w: w >= 0,
+            "be >= 0 (0 for the default)"))]
     sp.add_argument("--config", metavar="FILE")
     sp.add_argument("--out", metavar="FILE", help="write per-run CSV")
-    sp.set_defaults(func=_cmd_bench)
+    sp.set_defaults(func=_cmd_bench, config_flags=_config_flags(flags))
 
     sp = sub.add_parser("rates", help="fit the local linear rate of a run")
-    _add_instance_flags(sp, circle=True)
-    _add_solver_flags(sp)
+    flags = _add_instance_flags(sp, circle=True) + _add_solver_flags(sp)
     sp.add_argument("--trace", metavar="FILE",
                     help="fit a previously written trace CSV instead of "
                          "running")
-    sp.add_argument("--quantity", default=None,
-                    choices=["z_res", "x_res", "objective"])
-    sp.add_argument("--tail-fraction", dest="tail_fraction", default=None,
-                    type=tail_fraction,
-                    help="fraction of the run to fit, or 'auto'")
+    sp.add_argument("--quantity", choices=["z_res", "x_res", "objective"])
+    sp.add_argument("--tail-fraction", type=_checked(
+        float, "--tail-fraction", lambda f: 0 < f <= 1,
+        "be 'auto' or lie in (0, 1]", word="auto"),
+        help="fraction of the run to fit, or 'auto'")
     sp.add_argument("--out", metavar="FILE", help="write an SVG plot")
     sp.add_argument("--report", metavar="FILE", help="write a JSON report")
-    sp.set_defaults(func=_cmd_rates)
+    # what a run needs and a saved trace does not
+    sp.set_defaults(func=_cmd_rates, run_flags=[a.dest for a in flags])
 
     sp = sub.add_parser("angles",
                         help="subspace angles and the damped-map spectrum")
     sp.add_argument("--puzzle", metavar="KEY_OR_FILE", required=True)
-    sp.add_argument("--gamma", type=float, default=0.2)
+    sp.add_argument("--gamma", default=0.2, type=_checked(
+        float, "--gamma", lambda g: 0 < g <= 1.25, "lie in (0, 5/4]"))
     sp.set_defaults(func=_cmd_angles)
 
     return parser
 
 
-_CONFIG_TYPES = {
-    "method": str,
-    "gamma": float,
-    "seed": int,
-    "max_iter": int,
-    "min_iter": int,
-    "tol": float,
-    "tie_break": str,
-    "puzzle": str,
-    "queens_size": int,
-    "runs": int,
-    "workers": int,
-}
-
-
-def _apply_config(args):
-    """Fill parse results from a key=value file; flags keep priority
-    because only still-unset (None) values are overwritten, and the file's
-    gamma goes with its method=ddr when a flag overrides that."""
+def _apply_config(args, parser):
+    """Fill parse results from a key=value file, each line parsed as its
+    flag `--key=value`, so it meets the flag's type, range and choices.
+    Flags keep priority because only still-unset (None) values are
+    overwritten, and the file's gamma goes with its method=ddr when a
+    flag overrides that."""
     path = Path(args.config)
     if not path.exists():
         raise CliError(f"config file {args.config!r} not found")
@@ -183,28 +191,28 @@ def _apply_config(args):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{args.config}:{lineno}:"
         if "=" not in line:
-            raise CliError(
-                f"{args.config}:{lineno}: expected key=value, got {raw!r}")
+            raise CliError(f"{where} expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _CONFIG_TYPES or not hasattr(args, key):
-            raise CliError(f"{args.config}:{lineno}: unknown key {key!r}")
+        if key not in args.config_flags:
+            raise CliError(f"{where} unknown key {key!r}")
         if key in given:
-            raise CliError(f"{args.config}:{lineno}: key {key!r} repeats "
-                           f"line {given[key][0]}")
-        given[key] = (lineno, value)
+            raise CliError(f"{where} key {key!r} repeats line "
+                           f"{given[key][0]}")
+        try:     # one token, so a value such as -1e-3 is not a flag
+            one = parser.parse_args(
+                [args.command, f"{args.config_flags[key]}={value}"])
+        except CliError as exc:
+            raise CliError(f"{where} {exc}") from None
+        given[key] = (lineno, getattr(one, key))
     file_method = given.get("method", (0, None))[1]
     if file_method == "ddr" and args.method not in (None, "ddr"):
         given.pop("gamma", None)
-    for key, (lineno, value) in given.items():
+    for key, (_, value) in given.items():
         if getattr(args, key) is None:
-            try:
-                setattr(args, key, _CONFIG_TYPES[key](value))
-            except ValueError:
-                raise CliError(
-                    f"{args.config}:{lineno}: bad value {value!r} "
-                    f"for {key}") from None
+            setattr(args, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +249,6 @@ def _resolve_instance(args):
 
 def _resolve_method(args):
     method = args.method if args.method is not None else "sdr"
-    if method not in METHODS:
-        raise CliError(f"unknown method {method!r}; choose from {METHODS}")
     if method == "ddr" and args.gamma is None:
         raise CliError("--gamma is required for the damped method (ddr)")
     if method != "ddr":
@@ -254,16 +260,12 @@ def _resolve_policy(args, stop_on_feasible=True):
     """The given stop flags over `StopPolicy`'s defaults; with no min_iter
     given, the default floor is cut to max_iter."""
     cap = StopPolicy.max_iter if args.max_iter is None else args.max_iter
-    if cap < 1:
-        raise CliError(f"--max-iter must be >= 1, got {cap}")
     floor = args.min_iter
     if floor is None:
         floor = min(StopPolicy.min_iter, cap)
     elif not 0 <= floor <= cap:
         raise CliError(f"--min-iter {floor} is not in [0, --max-iter {cap}]")
     tol = StopPolicy.z_step_tol if args.tol is None else args.tol
-    if not tol >= 0.0:      # nan too
-        raise CliError(f"--tol must be >= 0, got {tol}")
     return StopPolicy(cap, floor, tol, stop_on_feasible)
 
 
@@ -278,8 +280,6 @@ def _reject_ignored(args, names, reason):
 
 
 def _resolve_seed(args):
-    if args.seed is not None and args.seed < 0:
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
     return 0 if args.seed is None else args.seed
 
 
@@ -347,13 +347,8 @@ def _cmd_bench(args):
         raise CliError("bench needs a puzzle instance")
     method = _resolve_method(args)
     policy = _resolve_policy(args)
-    if args.workers is not None and args.workers < 0:
-        raise CliError(f"--workers must be >= 0 (0 for the default), "
-                       f"got {args.workers}")
-    runs = 20 if args.runs is None else args.runs
-    if runs < 1:
-        raise CliError(f"--runs must be >= 1, got {runs}")
-    report = bench_puzzle(inst, method, args.gamma, policy, runs=runs,
+    report = bench_puzzle(inst, method, args.gamma, policy,
+                          runs=20 if args.runs is None else args.runs,
                           base_seed=_resolve_seed(args),
                           workers=args.workers,
                           tie_break=_resolve_tie_break(args))
@@ -367,16 +362,11 @@ def _cmd_bench(args):
     return 0
 
 
-# what a run needs and a saved trace does not
-_RUN_FLAGS = ("puzzle", "queens_size", "circle_line", "method", "gamma",
-              "seed", "max_iter", "min_iter", "tol", "tie_break")
-
-
 def _cmd_rates(args):
     quantity = args.quantity if args.quantity is not None else "z_res"
     kind = theory = guide = None
     if args.trace is not None:
-        _reject_ignored(args, _RUN_FLAGS, "--trace fits a saved trace")
+        _reject_ignored(args, args.run_flags, "--trace fits a saved trace")
         trace = read_trace_csv(args.trace)
     else:
         kind, inst = _resolve_instance(args)
@@ -453,8 +443,6 @@ def _cmd_angles(args):
     n = s ** 3
     p = s * (s * s - len(inst.clues))       # the pillars of blank cells
     gamma = args.gamma
-    if not 0.0 < gamma <= 1.25:     # nan too
-        raise CliError(f"--gamma must lie in (0, 5/4], got {gamma}")
     levels = np.unique(ddr_rate_eigenvalues(gamma))
     print(f"instance={args.puzzle} ambient_dim={5 * n} blocks=5 "
           f"free_coordinates={p}")
@@ -503,7 +491,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            _apply_config(args)
+            _apply_config(args, parser)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -386,7 +386,8 @@ class IterationTrace:
 def read_trace_csv(path):
     """Build a trace from a `to_csv` file.  Absent columns read as nan,
     except u_mismatch, which is then left out; its block columns must be
-    u0_mismatch, u1_mismatch, ... in order."""
+    u0_mismatch, u1_mismatch, ... in order.  A column of any other name,
+    or one that repeats, is an error."""
     with open(path, newline="") as fh:
         header, *body = list(csv.reader(fh)) or [[]]
     if "z_step" not in header:
@@ -396,6 +397,11 @@ def read_trace_csv(path):
     if u_names != [f"u{i}_mismatch" for i in range(len(u_names))]:
         raise ValueError(f"{path}: the u columns {u_names} are not "
                          f"u0_mismatch, u1_mismatch, ... in order")
+    for i, name in enumerate(header):
+        if name not in ("k", *_COLUMNS[:-1], *u_names):
+            raise ValueError(f"{path}: unknown column {name!r}")
+        if name in header[:i]:
+            raise ValueError(f"{path}: column {name!r} repeats")
     names = (*_COLUMNS[:-1], *u_names)
     values = np.full((len(body), len(names)), np.nan)
     at = [(j, header.index(name)) for j, name in enumerate(names)
@@ -631,6 +637,9 @@ def run(step, z0, policy, feasible=None, keep_iterates=False):
     can replay the run to fill its other columns.
     """
     z = np.array(z0, dtype=float)
+    if z.ndim not in (1, 2):
+        raise ValueError(f"z0 must have shape (n,) or (blocks, n), got "
+                         f"{z.shape}; a batch of runs goes to run_batch")
     n_blocks = z.shape[0] if z.ndim == 2 else 1
     pure = isinstance(step, _PureStep)
     # a step with a random stream replays from a copy of its first state

@@ -177,6 +177,23 @@ class TestConfigFile:
                                "--config", str(cfg))
         assert code == 1
 
+    @pytest.mark.parametrize("line,choices", [
+        ("method=foo", "'sdr', 'ddr', 'sdr-switched', 'altproj'"),
+        ("tie_break=Random", "'lowest', 'random'")])
+    def test_bad_choice_names_the_line(self, capsys, monkeypatch, tmp_path,
+                                       line, choices):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a problem was built")
+        monkeypatch.setattr("drsplit.cli.build_problem", unreachable)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        code, out, err = run_cli(capsys, "solve", "--puzzle", "4x4",
+                                 "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {cfg}:2: argument --")
+        assert f"invalid choice: '{line.split('=')[1]}'" in err
+        assert f"(choose from {choices})" in err
+
     def test_repeated_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=1\n# the second seed\nseed = 2\n")
@@ -257,12 +274,23 @@ class TestStopFlagsNameThemselves:
         ["bench", "--puzzle", "4x4", "--runs", "2"],
         ["rates", "--puzzle", "4x4"],
         ["rates", "--queens-size", "8"],
+        ["solve", "--puzzle", "4x4", "--method", "ddr"],
+        ["bench", "--puzzle", "4x4", "--runs", "2", "--method", "ddr"],
+        ["rates", "--puzzle", "4x4", "--method", "ddr"],
+        ["rates", "--queens-size", "8", "--method", "ddr"],
+        ["solve", "--circle-line", "--method", "ddr"],
     ])
     @pytest.mark.parametrize("flag,value,message", [
         ("--max-iter", "0", "--max-iter must be >= 1, got 0"),
         ("--max-iter", "-5", "--max-iter must be >= 1, got -5"),
         ("--tol", "-1", "--tol must be >= 0, got -1.0"),
         ("--tol", "nan", "--tol must be >= 0, got nan"),
+        ("--gamma", "0", "--gamma must be > 0, got 0.0"),
+        ("--gamma", "nan", "--gamma must be > 0, got nan"),
+        ("--gamma", "-1", "--gamma must be > 0, got -1.0"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
+        ("--seed", "x", "argument --seed: invalid int value: 'x'"),
+        ("--queens-size", "3", "--queens-size must be >= 4, got 3"),
     ])
     def test_flag_is_named(self, capsys, monkeypatch, command, flag, value,
                            message):
@@ -285,6 +313,44 @@ class TestStopFlagsNameThemselves:
         code, out, err = run_cli(capsys, "solve", "--puzzle", "4x4",
                                  "--config", str(cfg))
         assert code == 1 and out == "" and "--max-iter must be >= 1" in err
+
+    @pytest.mark.parametrize("command,line,message", [
+        (command, line, message)
+        for command in (["solve", "--puzzle", "4x4", "--method", "ddr"],
+                        ["bench", "--puzzle", "4x4", "--method", "ddr"])
+        for line, message in [
+            ("gamma = 0", "--gamma must be > 0, got 0.0"),
+            ("gamma = nan", "--gamma must be > 0, got nan"),
+            ("gamma = -1", "--gamma must be > 0, got -1.0"),
+            ("seed = -1", "--seed must be >= 0, got -1"),
+            ("seed = x", "argument --seed: invalid int value: 'x'"),
+            ("max_iter = 0", "--max-iter must be >= 1, got 0"),
+            ("max-iter = -5", "--max-iter must be >= 1, got -5"),
+            ("tol = -1e-3", "--tol must be >= 0, got -0.001"),
+            ("tol = nan", "--tol must be >= 0, got nan"),
+            ("queens_size = 3", "--queens-size must be >= 4, got 3"),
+        ]] + [
+        (["bench", "--puzzle", "4x4"], "runs = 0",
+         "--runs must be >= 1, got 0"),
+        (["bench", "--puzzle", "4x4"], "workers = -1",
+         "--workers must be >= 0 (0 for the default), got -1"),
+        (["bench", "--puzzle", "4x4"], "workers = 1.5",
+         "argument --workers: invalid int value: '1.5'"),
+    ])
+    def test_config_line_reads_as_its_flag(self, capsys, monkeypatch,
+                                           tmp_path, command, line, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a problem was built")
+        monkeypatch.setattr("drsplit.cli.build_problem", unreachable)
+        monkeypatch.setattr("drsplit.cli.bench_puzzle", unreachable)
+        key, value = (part.strip() for part in line.split("="))
+        flag = f"--{key.replace('_', '-')}={value}"
+        assert run_cli(capsys, *command, flag) == (1, "",
+                                                   f"error: {message}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# checked as {flag}\n{line}\n")
+        assert run_cli(capsys, *command, "--config", str(cfg)) == (
+            1, "", f"error: {cfg}:2: {message}\n")
 
 
 class TestBenchCommand:

@@ -240,6 +240,18 @@ class TestRun:
         with pytest.raises(ValueError):
             run(product_step(prob.projections, "sdr"), bad, StopPolicy())
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_start_of_another_shape_rejected(self, oracle):
+        # three queens-8 starts stacked as a batch belong to run_batch
+        prob = queens_problem(QueensInstance(8))
+        z0s = np.stack([prob.initial_state(seed) for seed in range(3)])
+        step = product_step(prob.projections, "sdr")
+        feasible = prob.feasible if oracle else None
+        for z0 in (z0s, z0s[0, 0, 0]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"got {z0.shape}; a batch of runs goes to run_batch")):
+                run(step, z0, StopPolicy(), feasible=feasible)
+
 
 # ---------------------------------------------------------------------------
 # the batched run, row by row
@@ -1028,6 +1040,20 @@ class TestTrace:
         path.write_text(f"{header}\n{','.join(row)}\n")
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}: the u columns")):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("header,error", [
+        ("k,z_step,objectve,u0_mismatch", "unknown column 'objectve'"),
+        ("k,z_step,z_res,residual", "unknown column 'residual'"),
+        ("k,z_step,z_step", "column 'z_step' repeats"),
+        ("k,z_step,objective,objective", "column 'objective' repeats"),
+        ("k,k,z_step", "column 'k' repeats")])
+    def test_csv_column_of_another_name_is_named(self, tmp_path, header,
+                                                 error):
+        path = tmp_path / "trace.csv"
+        row = ["1"] + ["0.5"] * header.count(",")
+        path.write_text(f"{header}\n{','.join(row)}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
             read_trace_csv(path)
 
     def test_csv_field_that_is_not_a_number_is_named(self, tmp_path):
