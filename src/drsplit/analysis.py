@@ -1,15 +1,13 @@
 """Analysis toolkit: empirical rate fitting, finite-termination detection,
-principal angles between constraint subspaces, and closed-form spectra of
-the damped splitting map on lifted sudoku.
+and the step linearized at a solution, with its spectrum and rate.
 
-The closed forms live on the product space of the five sudoku blocks,
-where the map linearized at a solution splits into one 5x5 block per cube
-coordinate, a free one or a clued one (`sudoku_linear_model`).  With p
-free coordinates, the damped map has eigenvalues {0, lam_minus,
-gamma/(1+gamma), lam_plus}, the largest of which is the observable linear
-rate; the plain method contracts at cos of the Friedrichs angle between the
-diagonal and the clue-constraint subspace, which is sqrt(5)/5 regardless of
-the clue pattern and the size.
+At a solution the step splits into one m x m block per coordinate, which
+depends on the method and on (m, p): m blocks cover the coordinate and p
+of them pass it through (`linear_model`, `coordinate_classes`).  For sdr
+the rate is sqrt(p/m), the cosine of the Friedrichs angle between the
+consensus diagonal and the pass-through subspace: sqrt(5)/5 on sudoku at
+every size (m = 5, p <= 1) and 0, finite termination, on queens (m = 4,
+p = 0).
 """
 
 import dataclasses
@@ -23,15 +21,15 @@ __all__ = [
     "InsufficientDataError",
     "RateFit",
     "auto_tail_fraction",
+    "coordinate_classes",
     "ddr_affine_rate",
-    "ddr_rate_eigenvalues",
     "detect_finite_termination",
+    "dominant_rate",
     "fit_linear_rate",
-    "friedrichs_angle",
     "is_semi_simple",
+    "linear_model",
     "numerical_rank",
-    "principal_angles",
-    "sudoku_linear_model",
+    "spectrum",
     "theoretical_rate",
 ]
 
@@ -57,8 +55,10 @@ _FIT_FLOOR = 1e-11
 _TAIL_THRESHOLD = 1e-4
 # z steps at or below this count as frozen
 _FREEZE_TOL = 1e-14
-# principal angles whose cosine is this close to 1 span the intersection
-_INTERSECTION_TOL = 1e-10
+# eigenvalues this close are one level (eigvals splits a Jordan pair by
+# about 1e-8); a level or its imaginary part this close to 0 is 0
+_LEVEL_TOL = 1e-6
+_ZERO_TOL = 1e-12
 _FIT_SKIP_LAST = 5
 _FIT_MIN_RECORDS = 30
 _FIT_MIN_POINTS = 10
@@ -141,36 +141,7 @@ def detect_finite_termination(trace, block):
 
 
 # ---------------------------------------------------------------------------
-# subspace geometry
-
-def _validated_orthonormal(basis):
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2:
-        raise ValueError("basis must be a 2-D array of rows")
-    gram = basis @ basis.T
-    if not np.allclose(gram, np.eye(basis.shape[0]), atol=1e-8):
-        raise ValueError("basis rows must be orthonormal")
-    return basis
-
-
-def principal_angles(basis_a, basis_b):
-    """Ascending principal angles between two linear subspaces given by
-    row-orthonormal bases."""
-    a = _validated_orthonormal(basis_a)
-    b = _validated_orthonormal(basis_b)
-    cosines = np.linalg.svd(a @ b.T, compute_uv=False)
-    return np.arccos(np.clip(cosines, 0.0, 1.0))
-
-
-def friedrichs_angle(basis_a, basis_b):
-    """First principal angle after discarding the common directions."""
-    angles = principal_angles(basis_a, basis_b)
-    separated = angles[np.cos(angles) < 1.0 - _INTERSECTION_TOL]
-    if len(separated) == 0:
-        raise ValueError(
-            "subspaces coincide along every direction; no angle remains")
-    return float(separated[0])
-
+# spectra
 
 def numerical_rank(matrix, reference=None):
     """Singular values above max(shape) * 1e-12 * smax(reference) count.
@@ -196,21 +167,33 @@ def is_semi_simple(matrix, eigenvalue):
             == numerical_rank(shifted @ shifted, reference=matrix))
 
 
+def spectrum(blocks):
+    """The eigenvalues of a block-diagonal matrix given as a list of
+    (block, copies) pairs, as [(eigenvalue, multiplicity)] sorted by
+    modulus.  An eigenvalue joins the level of the first one within
+    _LEVEL_TOL of it, and a level is the mean of its members, real when
+    its imaginary part is below _ZERO_TOL and 0 when its modulus is."""
+    lams = np.concatenate([np.linalg.eigvals(b) for b, _ in blocks])
+    copies = np.concatenate([np.full(len(b), c) for b, c in blocks])
+    first = (np.abs(lams[:, None] - lams) < _LEVEL_TOL).argmax(axis=1)
+    out = []
+    for level in np.unique(first):
+        lam = complex(lams[first == level].mean())
+        lam = lam.real if abs(lam.imag) < _ZERO_TOL else lam
+        out.append((0.0 if abs(lam) < _ZERO_TOL else lam,
+                    int(copies[first == level].sum())))
+    return sorted(out, key=lambda lv: (abs(lv[0]), lv[0].real, lv[0].imag))
+
+
+def dominant_rate(levels):
+    """The largest modulus below 1 of a `spectrum`; moduli within
+    _LEVEL_TOL of 1 are the fixed-point directions."""
+    return max((abs(lam) for lam, _ in levels
+                if abs(lam) < 1.0 - _LEVEL_TOL), default=0.0)
+
+
 # ---------------------------------------------------------------------------
-# closed-form spectra for the damped map
-
-def ddr_rate_eigenvalues(gamma):
-    """The four eigenvalue levels (0, lam_minus, gamma/(1+gamma), lam_plus)
-    of the damped sudoku map; real only for 0 < gamma <= 5/4."""
-    if not 0.0 < gamma <= 1.25:
-        raise ValueError(
-            f"closed form is real only for 0 < gamma <= 5/4, got {gamma}")
-    disc = np.sqrt(25.0 - 16.0 * gamma * gamma)
-    denom = 10.0 * (1.0 + gamma)
-    lam_minus = (2.0 * gamma + 5.0 - disc) / denom
-    lam_plus = (2.0 * gamma + 5.0 + disc) / denom
-    return (0.0, float(lam_minus), gamma / (1.0 + gamma), float(lam_plus))
-
+# the step linearized at a solution
 
 def ddr_affine_rate(gamma):
     """Contraction factor of the damped map on affine pairs, which is also
@@ -223,47 +206,40 @@ def ddr_affine_rate(gamma):
     return gamma / (1.0 + gamma)
 
 
-def theoretical_rate(kind, method, gamma=None):
-    """Predicted local linear rate, or None when no clean theory applies.
-    ddr at gamma = inf steps sdr, so it has sdr's rate."""
-    if method == "sdr" or (method == "ddr" and gamma == np.inf):
-        return SUDOKU_SDR_RATE if kind == "sudoku" else None
-    if method == "ddr" and gamma is not None:
-        if kind == "queens":
-            return ddr_affine_rate(gamma)
-        if kind == "sudoku":
-            if 0.0 < gamma <= 1.25:
-                # lam_plus, except for gamma in (1, 5/4], where
-                # gamma/(1+gamma) is the larger
-                return max(ddr_rate_eigenvalues(gamma))
-            return None
-    return None
+def linear_model(m, p, method, gamma=None):
+    """The step linearized at a solution, at a coordinate that m blocks
+    cover, as an m x m matrix.  The consensus there is PS = J/m, the last
+    p blocks pass it through (PC, the identity on them) and the others
+    are locally constant.  sdr is I - PS - PC + 2 PC PS, sdr-switched
+    I - PC - PS + 2 PS PC, altproj PS PC, and ddr lam sdr + (1 - lam) PC
+    with lam = ddr_affine_rate(gamma), so gamma = inf gives sdr."""
+    ps = np.full((m, m), 1.0 / m)
+    pc = np.diag((np.arange(m) >= m - p).astype(float))
+    eye = np.eye(m)
+    t = eye - ps - pc + 2.0 * pc @ ps
+    if method == "ddr":
+        lam = ddr_affine_rate(gamma)
+        return lam * t + (1.0 - lam) * pc
+    models = {"sdr": t, "sdr-switched": eye - pc - ps + 2.0 * ps @ pc,
+              "altproj": ps @ pc}
+    if method not in models:
+        raise ValueError(f"unknown method {method!r}")
+    return models[method]
 
 
-# ---------------------------------------------------------------------------
-# the splitting map linearized at a sudoku solution
-
-def sudoku_linear_model(gamma=None):
-    """The splitting map linearized at a sudoku solution, as its 5x5
-    blocks (free, clued).
-
-    Each coordinate of the cube has one entry in each of the five blocks
-    of the product space, and the linearized map acts on those five
-    entries alone.  The consensus is PS = J/5 there; the clue clamp, the
-    last block, is PC = e5 e5^T at a free coordinate and 0 at a clued one;
-    the four group projections are locally constant.  gamma=None gives
-    the plain map T = I - PS - PC + 2 PC PS, otherwise the damped map
-    (gamma T + PC) / (1 + gamma).
-    """
-    if gamma is not None and not 0.0 < gamma < np.inf:
-        raise ValueError(f"damping parameter must be positive, got {gamma}")
-    ps = np.full((5, 5), 0.2)
-    blocks = []
-    for pc in (np.diag([0.0, 0.0, 0.0, 0.0, 1.0]), np.zeros((5, 5))):
-        t = np.eye(5) - ps - pc + 2.0 * pc @ ps
-        if gamma is not None:
-            t = (gamma * t + pc) / (1.0 + gamma)
-        blocks.append(t)
-    return tuple(blocks)
+def coordinate_classes(problem):
+    """{(m, p): count} over the coordinates of a problem's vector: m is its
+    number of blocks, p the number of them that pass the coordinate
+    through (each projection's `passes` mask)."""
+    m = problem.n_blocks
+    p = np.count_nonzero([proj.passes for proj in problem.projections],
+                         axis=0)
+    return {(m, int(k)): int(c) for k, c in enumerate(np.bincount(p)) if c}
 
 
+def theoretical_rate(problem, method, gamma=None):
+    """The predicted local linear rate of a method on a problem: the
+    largest eigenvalue modulus below 1 of the linear model over the
+    problem's coordinate classes; 0 means finite termination."""
+    return dominant_rate(spectrum([(linear_model(m, p, method, gamma), 1)
+                                   for m, p in coordinate_classes(problem)]))

@@ -10,23 +10,22 @@ not reach feasibility or the data could not support a rate fit.
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
-    SUDOKU_SDR_RATE,
     InsufficientDataError,
     auto_tail_fraction,
-    ddr_rate_eigenvalues,
+    coordinate_classes,
     detect_finite_termination,
+    dominant_rate,
     fit_linear_rate,
-    friedrichs_angle,
     is_semi_simple,
-    numerical_rank,
-    principal_angles,
-    sudoku_linear_model,
+    linear_model,
+    spectrum,
     theoretical_rate,
 )
 from .bench import bench_puzzle
@@ -59,6 +58,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token such as -1e-3 is a value, as -1 and -0.5 are
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
+
     def error(self, message):
         raise CliError(message)
 
@@ -168,10 +173,11 @@ def _build_parser():
     sp.set_defaults(func=_cmd_rates, run_flags=[a.dest for a in flags])
 
     sp = sub.add_parser("angles",
-                        help="subspace angles and the damped-map spectrum")
+                        help="the damped step's linear model and spectrum")
     sp.add_argument("--puzzle", metavar="KEY_OR_FILE", required=True)
     sp.add_argument("--gamma", default=0.2, type=_checked(
-        float, "--gamma", lambda g: 0 < g <= 1.25, "lie in (0, 5/4]"))
+        float, "--gamma", lambda g: g > 0, "be > 0"),
+        help="damping parameter; inf recovers sdr")
     sp.set_defaults(func=_cmd_angles)
 
     return parser
@@ -233,7 +239,7 @@ def _resolve_instance(args):
         if args.puzzle in BUNDLED:
             return "sudoku", bundled_sudoku(args.puzzle)
         path = Path(args.puzzle)
-        if not path.exists():
+        if not path.is_file():
             raise CliError(
                 f"{args.puzzle!r} is neither a bundled key "
                 f"{tuple(BUNDLED)} nor an existing file")
@@ -375,11 +381,13 @@ def _cmd_rates(args):
             _reject_ignored(args, ("quantity", "tail_fraction"),
                             "queens runs report finite termination, "
                             "not a rate fit")
-        res, _ = _run_instance(kind, inst, args, stop_on_feasible=False,
-                               keep_iterates=True)
+        res, problem = _run_instance(kind, inst, args,
+                                     stop_on_feasible=False,
+                                     keep_iterates=True)
         trace = res.trace
         print(f"outcome={res.outcome} iterations={res.iterations}")
-        theory = theoretical_rate(kind, method, args.gamma)
+        if problem is not None:     # the circle/line pair has no model
+            theory = theoretical_rate(problem, method, args.gamma)
         # the objective is half a squared distance: it decays at the
         # square of the rate
         if theory is not None and quantity == "objective":
@@ -439,49 +447,37 @@ def _write_report(path, record):
 
 def _cmd_angles(args):
     _, inst = _resolve_instance(args)
-    s = inst.size
-    n = s ** 3
-    p = s * (s * s - len(inst.clues))       # the pillars of blank cells
+    problem = build_problem(inst)
     gamma = args.gamma
-    levels = np.unique(ddr_rate_eigenvalues(gamma))
-    print(f"instance={args.puzzle} ambient_dim={5 * n} blocks=5 "
-          f"free_coordinates={p}")
-    if p == 0:
-        raise CliError("every cell is clued: the clue-side subspace is {0}, "
-                       "so no angle and no local rate exist")
-
-    # the subspace pair splits per coordinate like the map: a free one
-    # pairs the clamp's span(e5) with the diagonal's span(1, ..., 1), a
-    # clued one pairs {0} with it and has no angle
-    clamp, diagonal = np.eye(5)[4:], np.full((1, 5), np.sqrt(0.2))
-    cos_f = float(np.cos(friedrichs_angle(clamp, diagonal)))
-    cosines = np.cos(principal_angles(clamp, diagonal))
-    spread = float(np.max(np.abs(cosines - SUDOKU_SDR_RATE)))
-    print(f"cos_friedrichs={cos_f!r} "
-          f"deviation_from_theory={abs(cos_f - SUDOKU_SDR_RATE):.3e}")
-    print(f"principal_cosines: count={p * len(cosines)} "
-          f"max_deviation={spread:.3e}")
-
-    blocks = sudoku_linear_model(gamma)
-    counts = np.zeros(len(levels), dtype=int)
-    deviation = 0.0
-    for block, mult in zip(blocks, (p, n - p)):
-        dist = np.abs(np.linalg.eigvals(block)[:, None] - levels)
-        deviation = max(deviation, float(dist.min(axis=1).max()))
-        np.add.at(counts, dist.argmin(axis=1), mult)
-    print(f"gamma={gamma} eigenvalues: " + ", ".join(
-        f"{'0' if lam == 0.0 else f'{lam:.12f}'} x{c}"
-        for lam, c in zip(levels, counts)))
-    print(f"eigenvalue check (model): max_deviation={deviation:.3e}")
-
-    rate = theoretical_rate("sudoku", "ddr", gamma)
-    free = blocks[0]
-    a = free - rate * np.eye(5)
-    print(f"dominant_rate={rate!r} "
-          f"semi_simple={all(is_semi_simple(b, rate) for b in blocks)} "
-          f"free_block_rank={numerical_rank(a, reference=free)} "
-          f"rank_of_square={numerical_rank(a @ a, reference=free)}")
+    print(f"instance={args.puzzle} "
+          f"ambient_dim={problem.n_blocks * problem.ambient_dim} "
+          f"blocks={problem.n_blocks}")
+    # the damped step at a solution, one m x m block per coordinate class
+    blocks = []
+    for (m, p), count in coordinate_classes(problem).items():
+        block = linear_model(m, p, "ddr", gamma)
+        blocks.append((block, count))
+        print(f"class m={m} p={p} coordinates={count} eigenvalues: "
+              + _levels(spectrum([(block, 1)])))
+    levels = spectrum(blocks)
+    print(f"gamma={gamma} eigenvalues: " + _levels(levels))
+    rate = dominant_rate(levels)
+    semi_simple = all(is_semi_simple(block, lam) for block, _ in blocks
+                      for lam, _ in levels
+                      if np.isclose(abs(lam), rate, rtol=1e-9, atol=0.0))
+    print(f"dominant_rate={_level(rate)} semi_simple={semi_simple}")
     return 0
+
+
+def _levels(levels):
+    return ", ".join(f"{_level(lam)} x{mult}" for lam, mult in levels)
+
+
+def _level(lam):
+    """An eigenvalue at 12 digits, 0 as 0 and a complex one as re+imi."""
+    if isinstance(lam, complex):
+        return f"{lam.real:.12f}{lam.imag:+.12f}i"
+    return "0" if lam == 0 else f"{lam:.12f}"
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,8 @@ class GroupProjection:
     tuples.  An entry -1 is padding, which lets groups of different lengths
     share one table; the tie-breaks read a row in table order, so pad on the
     right.  Groups must be non-empty and disjoint; coordinates outside every
-    group pass through unchanged.  ``allow_zero`` is one bool for every
-    group or a sequence of one bool per group.
+    group (`passes`) pass through unchanged.  ``allow_zero`` is one bool for
+    every group or a sequence of one bool per group.
 
     A call projects one vector of shape (n,) or each row of a (runs, n)
     batch; each row comes out as it would alone.  A random-tie projection
@@ -222,6 +222,11 @@ class GroupProjection:
         out.reshape(-1)[winners] = 1.0
         return out
 
+    @property
+    def passes(self):
+        """Bool mask of the coordinates outside every group."""
+        return np.bincount(self._idx[self._idx >= 0], minlength=self.n) == 0
+
     def _single_winners(self, x):
         """Flat indices into x of the spiked entries, one vector."""
         vals = x[self._idx]
@@ -272,7 +277,8 @@ class GroupProjection:
 
 class ClueProjection:
     """Affine clamp of clued pillars: cell (i, j) fixed to digit k means the
-    pillar (i, j, :) is replaced by e_k; everything else passes through.
+    pillar (i, j, :) is replaced by e_k; everything else (`passes`) passes
+    through.
     A call clamps one vector of shape (n,) or each row of a (runs, n) batch.
     """
 
@@ -284,8 +290,14 @@ class ClueProjection:
         clued = np.zeros((s * s, s), dtype=bool)
         values[cells, ijk[:, 2]] = 1.0
         clued[cells] = True
+        self.n = s ** 3
         self._fixed = np.flatnonzero(clued)
         self._fixed_values = values.ravel()[self._fixed]
+
+    @property
+    def passes(self):
+        """Bool mask of the coordinates no clue fixes."""
+        return np.isin(np.arange(self.n), self._fixed, invert=True)
 
     def __call__(self, x, out=None):
         """Clamp x; with ``out``, a float array of x's shape (of any

@@ -3,9 +3,10 @@ text form and its free coordinates, a planted solution grid, a digit grid
 or a 0/1 board as a flat vector, the slow queens validator, the per-group
 loop oracle of the group projections, a bench CSV read back, the spectral
 radius of a matrix, the textbook oracles of the product step
-(`oracle_step`) and of a run (`reference_run`), and the dense 4x4 oracles
-of the linearized sudoku map that `analysis.sudoku_linear_model` reduces
-to 5x5 blocks.
+(`oracle_step`) and of a run (`reference_run`), the closed-form spectrum
+of the damped sudoku map (`ddr_rate_eigenvalues`, `ddr_rate_block`), and
+the dense 4x4 oracles of the linearized sudoku map that
+`analysis.linear_model` reduces to one 5x5 block per coordinate class.
 """
 
 import csv
@@ -289,6 +290,19 @@ def reference_run(step, z0, policy, feasible=None, pure=None):
     return runs[k, outcome]
 
 
+def ddr_rate_eigenvalues(gamma):
+    """The four eigenvalue levels (0, lam_minus, gamma/(1+gamma), lam_plus)
+    of the damped sudoku map; real only for 0 < gamma <= 5/4."""
+    if not 0.0 < gamma <= 1.25:
+        raise ValueError(
+            f"closed form is real only for 0 < gamma <= 5/4, got {gamma}")
+    disc = np.sqrt(25.0 - 16.0 * gamma * gamma)
+    denom = 10.0 * (1.0 + gamma)
+    lam_minus = (2.0 * gamma + 5.0 - disc) / denom
+    lam_plus = (2.0 * gamma + 5.0 + disc) / denom
+    return (0.0, float(lam_minus), gamma / (1.0 + gamma), float(lam_plus))
+
+
 def ddr_rate_block(gamma, p):
     """The 2p x 2p invariant block of the damped sudoku map whose
     eigenvalues are exactly lam_minus and lam_plus, p times each."""
@@ -343,19 +357,3 @@ def build_sudoku_linearization(inst, gamma=None, dim_cap=2000):
     t /= 1.0 + gamma
     return t
 
-
-def sudoku_subspace_bases(inst):
-    """Row-orthonormal bases (constraint side, consensus diagonal) of the
-    two subspaces whose principal angles drive the local rate."""
-    n = inst.size ** 3
-    dim = 5 * n
-    free_idx = np.nonzero(free_mask(inst))[0]
-    p = len(free_idx)
-    basis_c = np.zeros((p, dim))
-    basis_c[np.arange(p), 4 * n + free_idx] = 1.0
-    basis_s = np.zeros((n, dim))
-    w = 1.0 / np.sqrt(5.0)
-    cols = np.arange(n)
-    for block in range(5):
-        basis_s[cols, block * n + cols] = w
-    return basis_c, basis_s

@@ -12,7 +12,6 @@ import pytest
 
 from drsplit.analysis import (
     auto_tail_fraction,
-    ddr_rate_eigenvalues,
     detect_finite_termination,
     fit_linear_rate,
     numerical_rank,
@@ -49,6 +48,7 @@ from drsplit.splitting import (
 from helpers import (
     build_sudoku_linearization,
     ddr_rate_block,
+    ddr_rate_eigenvalues,
     format_sudoku,
     planted_grid,
     spectral_radius,

@@ -6,15 +6,15 @@ from drsplit.analysis import (
     SUDOKU_SDR_RATE,
     InsufficientDataError,
     auto_tail_fraction,
+    coordinate_classes,
     ddr_affine_rate,
-    ddr_rate_eigenvalues,
     detect_finite_termination,
+    dominant_rate,
     fit_linear_rate,
-    friedrichs_angle,
     is_semi_simple,
+    linear_model,
     numerical_rank,
-    principal_angles,
-    sudoku_linear_model,
+    spectrum,
     theoretical_rate,
 )
 from drsplit.puzzles import bundled_sudoku, queens_problem, sudoku_problem
@@ -24,12 +24,13 @@ from drsplit.splitting import IterationTrace, StopPolicy, product_step, run
 from helpers import (
     build_sudoku_linearization,
     ddr_rate_block,
+    ddr_rate_eigenvalues,
     free_mask,
+    lift_board,
     lift_grid,
     planted_grid,
     spectral_radius,
     sudoku_product_projectors,
-    sudoku_subspace_bases,
 )
 
 RNG = np.random.default_rng(2024)
@@ -172,63 +173,6 @@ class TestFiniteTermination:
             detect_finite_termination(tr, "u7")
 
 
-class TestPrincipalAngles:
-    def test_known_plane_pair(self):
-        theta = np.pi / 6.0
-        a = np.eye(3)[:2]
-        b = np.vstack([np.eye(3)[0],
-                       [0.0, np.cos(theta), np.sin(theta)]])
-        angles = principal_angles(a, b)
-        assert_allclose(angles, [0.0, theta], atol=1e-12)
-
-    def test_cross_validated_against_projector_spectrum(self):
-        # cos^2 of the principal angles are eigenvalues of Pa Pb Pa
-        for _ in range(20):
-            n = 8
-            p, q = RNG.integers(1, 4), RNG.integers(1, 5)
-            A = np.linalg.qr(RNG.normal(size=(p, n)).T)[0].T
-            B = np.linalg.qr(RNG.normal(size=(q, n)).T)[0].T
-            angles = principal_angles(A, B)
-            Pa, Pb = A.T @ A, B.T @ B
-            ev = np.sort(np.linalg.eigvalsh(Pa @ Pb @ Pa))[::-1]
-            want = np.sqrt(np.clip(ev[:len(angles)], 0.0, 1.0))
-            assert_allclose(np.cos(angles), want, atol=1e-8)
-
-    def test_angles_sorted_ascending_in_0_pi_half(self):
-        A = np.linalg.qr(RNG.normal(size=(3, 9)).T)[0].T
-        B = np.linalg.qr(RNG.normal(size=(4, 9)).T)[0].T
-        angles = principal_angles(A, B)
-        assert len(angles) == 3
-        assert np.all(np.diff(angles) >= -1e-15)
-        assert angles[0] >= 0.0 and angles[-1] <= np.pi / 2 + 1e-12
-
-    def test_non_orthonormal_basis_rejected(self):
-        with pytest.raises(ValueError):
-            principal_angles(np.array([[1.0, 1.0]]), np.eye(2))
-
-    def test_friedrichs_skips_intersection(self):
-        theta = 0.3
-        a = np.eye(3)[:2]
-        b = np.vstack([np.eye(3)[0],
-                       [0.0, np.cos(theta), np.sin(theta)]])
-        assert_allclose(friedrichs_angle(a, b), theta, atol=1e-12)
-
-    def test_friedrichs_contained_subspace_rejected(self):
-        a = np.eye(3)[:1]
-        b = np.eye(3)[:2]
-        with pytest.raises(ValueError):
-            friedrichs_angle(a, b)
-
-    def test_sudoku_product_pair_friedrichs_cosine(self):
-        inst = bundled_sudoku("4x4")
-        bc, bs = sudoku_subspace_bases(inst)
-        assert abs(np.cos(friedrichs_angle(bc, bs))
-                   - np.sqrt(5.0) / 5.0) < 1e-10
-        # every principal angle coincides for this pair
-        angles = principal_angles(bc, bs)
-        assert_allclose(np.cos(angles), np.sqrt(5.0) / 5.0, atol=1e-10)
-
-
 class TestSpectra:
     def test_spectral_radius_diagonal(self):
         assert_allclose(spectral_radius(np.diag([0.5, -0.9, 0.1])), 0.9,
@@ -303,22 +247,6 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             ddr_rate_eigenvalues(-0.1)
 
-    def test_theoretical_rate_map(self):
-        assert theoretical_rate("sudoku", "sdr") == SUDOKU_SDR_RATE
-        assert_allclose(theoretical_rate("sudoku", "ddr", 0.2),
-                        ddr_rate_eigenvalues(0.2)[3])
-        # past gamma = 1, gamma/(1+gamma) overtakes lam_plus
-        assert_allclose(theoretical_rate("sudoku", "ddr", 1.2), 1.2 / 2.2,
-                        atol=1e-15)
-        assert ddr_rate_eigenvalues(1.2)[3] < 1.2 / 2.2
-        assert_allclose(theoretical_rate("queens", "ddr", 0.2), 1.0 / 6.0)
-        assert theoretical_rate("queens", "sdr") is None
-        assert theoretical_rate("circle-line", "sdr") is None
-        assert theoretical_rate("sudoku", "ddr", 99.0) is None
-        # gamma = inf steps sdr, so it has sdr's theory
-        assert theoretical_rate("sudoku", "ddr", np.inf) == SUDOKU_SDR_RATE
-        assert theoretical_rate("queens", "ddr", np.inf) is None
-
 
 class TestSudokuLinearization:
     def test_projectors_are_projectors(self):
@@ -372,12 +300,56 @@ def planted_instance(s, n_clues, seed):
 
 def model_matrix(gamma, free):
     """The dense map that the model's blocks give on the product space."""
-    block_free, block_clued = sudoku_linear_model(gamma)
-    return (np.kron(block_free, np.diag(free.astype(float)))
-            + np.kron(block_clued, np.diag((~free).astype(float))))
+    method = "sdr" if gamma is None else "ddr"
+    return (np.kron(linear_model(5, 1, method, gamma),
+                    np.diag(free.astype(float)))
+            + np.kron(linear_model(5, 0, method, gamma),
+                      np.diag((~free).astype(float))))
 
 
 GAMMAS = [None, 0.1, 0.2, 1.0]
+MODELS = [("sdr", None), ("sdr-switched", None), ("altproj", None),
+          ("ddr", 0.2), ("ddr", 1.0), ("ddr", 1.5), ("ddr", np.inf)]
+QUEENS8 = (0, 4, 7, 5, 2, 6, 1, 3)     # a queens-8 solution, column by row
+
+
+def solved_case(case):
+    """(problem, solution vector, free mask) of a test case at a solution:
+    a bundled or planted sudoku, or queens-8, where nothing is free."""
+    if case == "queens-8":
+        board = np.zeros((8, 8), dtype=int)
+        board[np.arange(8), QUEENS8] = 1
+        return (queens_problem(QueensInstance(8)), lift_board(board),
+                np.zeros(64, dtype=bool))
+    if case == "9x9-37":
+        inst, sol = bundled_sudoku(case), planted_grid(9)
+    else:
+        s = int(case.split("x")[0])
+        inst, sol = planted_instance(s, {16: 120, 25: 375}[s], s)
+    assert validate_sudoku(sol, inst)[0]
+    return sudoku_problem(inst), lift_grid(sol), free_mask(inst)
+
+
+class TestCoordinateClasses:
+    @pytest.mark.parametrize("case,classes", [
+        ("9x9-37", {(5, 1): 396, (5, 0): 333}),
+        ("16x16", {(5, 1): 16 * 136, (5, 0): 16 * 120}),
+        ("queens-8", {(4, 0): 64}),
+    ])
+    def test_classes_and_free_coordinates(self, case, classes):
+        prob, _, free = solved_case(case)
+        assert coordinate_classes(prob) == classes
+        # the coordinates one block passes through are the free ones
+        passes = np.count_nonzero([p.passes for p in prob.projections],
+                                  axis=0)
+        assert np.array_equal(passes == 1, free)
+        assert np.array_equal(passes == 0, ~free)
+
+    def test_fully_clued_grid_has_one_class(self):
+        grid = planted_grid(4)
+        inst = SudokuInstance(4, tuple((i, j, int(grid[i, j]))
+                                       for i in range(4) for j in range(4)))
+        assert coordinate_classes(sudoku_problem(inst)) == {(5, 0): 64}
 
 
 class TestLinearModel:
@@ -389,44 +361,129 @@ class TestLinearModel:
                         build_sudoku_linearization(inst, gamma=gamma),
                         rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("gamma", GAMMAS)
-    @pytest.mark.parametrize("case", ["9x9-37", "16x16", "25x25"])
-    def test_matches_product_step_jvp(self, case, gamma):
-        # at a planted solution the group projections are locally
-        # constant, so the step is affine nearby and a finite difference
-        # of it is the model applied to the direction
-        if case == "9x9-37":
-            inst, sol = bundled_sudoku(case), planted_grid(9)
-        else:
-            s = int(case.split("x")[0])
-            inst, sol = planted_instance(s, {16: 120, 25: 375}[s], s)
-        assert validate_sudoku(sol, inst)[0]
-        prob = sudoku_problem(inst)
-        free = free_mask(inst)
-        assert 0 < np.count_nonzero(free) < len(free)
-        step = product_step(prob.projections,
-                            "sdr" if gamma is None else "ddr", gamma)
-        z = np.tile(lift_grid(sol), (5, 1))
+    @pytest.mark.parametrize("method,gamma", MODELS)
+    @pytest.mark.parametrize("case", ["9x9-37", "16x16", "25x25",
+                                      "queens-8"])
+    def test_matches_product_step_jvp(self, case, method, gamma):
+        # at a solution the group projections are locally constant, so
+        # the step is affine nearby and a finite difference of it is the
+        # model applied to the direction
+        prob, sol, free = solved_case(case)
+        step = product_step(prob.projections, method, gamma)
+        m = prob.n_blocks
+        z = np.tile(sol, (m, 1))
         v = np.random.default_rng(0).normal(size=z.shape)
         eps = 1e-6
         jvp = (step(z + eps * v)[0] - step(z)[0]) / eps
-        block_free, block_clued = sudoku_linear_model(gamma)
-        want = np.where(free, block_free @ v, block_clued @ v)
+        want = np.where(free, linear_model(m, 1, method, gamma) @ v,
+                        linear_model(m, 0, method, gamma) @ v)
         assert np.max(np.abs(jvp - want)) < 1e-8
 
     def test_plain_free_block_spectrum(self):
         # 1 three times and 0.2 +- 0.4i, of modulus sqrt(5)/5
-        ev = np.linalg.eigvals(sudoku_linear_model()[0])
+        ev = np.linalg.eigvals(linear_model(5, 1, "sdr"))
         ev = ev[np.argsort(np.abs(ev))]
         assert_allclose(np.abs(ev[:2]), SUDOKU_SDR_RATE, atol=1e-15)
         assert_allclose(ev[2:], 1.0, atol=1e-14)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.2, 1.0, 1.2, 1.25])
     def test_spectral_radius_is_the_theoretical_rate(self, gamma):
-        rho = max(spectral_radius(b) for b in sudoku_linear_model(gamma))
-        assert abs(rho - theoretical_rate("sudoku", "ddr", gamma)) < 1e-8
+        rho = max(spectral_radius(linear_model(5, p, "ddr", gamma))
+                  for p in (0, 1))
+        prob = sudoku_problem(bundled_sudoku("9x9-37"))
+        assert abs(rho - theoretical_rate(prob, "ddr", gamma)) < 1e-8
 
     def test_rejects_nonpositive_gamma(self):
-        for gamma in (0.0, -1.0, np.inf):
+        for gamma in (0.0, -1.0, None):
             with pytest.raises(ValueError):
-                sudoku_linear_model(gamma)
+                linear_model(5, 1, "ddr", gamma)
+        # gamma = inf steps sdr
+        for p in (0, 1):
+            assert np.array_equal(linear_model(5, p, "ddr", np.inf),
+                                  linear_model(5, p, "sdr"))
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method 'newton'"):
+            linear_model(5, 1, "newton")
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_friedrichs_rate_law(self, m):
+        # sdr and sdr-switched contract at sqrt(p/m), the cosine of the
+        # Friedrichs angle between the diagonal and the pass-through
+        # subspace, and altproj at its square
+        for p in range(m):
+            for method, rate in (("sdr", np.sqrt(p / m)),
+                                 ("sdr-switched", np.sqrt(p / m)),
+                                 ("altproj", p / m)):
+                got = dominant_rate(spectrum(
+                    [(linear_model(m, p, method), 1)]))
+                assert abs(got - rate) < 1e-12, (m, p, method)
+
+
+class TestTheoreticalRate:
+    S37 = sudoku_problem(bundled_sudoku("9x9-37"))
+    Q8 = queens_problem(QueensInstance(8))
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.2, 0.5, 1.0, 1.2, 1.25])
+    def test_sudoku_ddr_is_the_closed_form(self, gamma):
+        # lam_plus, except for gamma in (1, 5/4], where gamma/(1+gamma)
+        # is the larger
+        assert abs(theoretical_rate(self.S37, "ddr", gamma)
+                   - max(ddr_rate_eigenvalues(gamma))) < 1e-12
+
+    @pytest.mark.parametrize("method,gamma,rate", [
+        ("sdr", None, SUDOKU_SDR_RATE),
+        ("ddr", np.inf, SUDOKU_SDR_RATE),
+        ("sdr-switched", None, SUDOKU_SDR_RATE),
+        ("altproj", None, 0.2),
+        ("ddr", 1.5, 0.6),
+        ("ddr", 3.0, 0.75),
+    ])
+    def test_sudoku_rates(self, method, gamma, rate):
+        assert abs(theoretical_rate(self.S37, method, gamma) - rate) < 1e-12
+
+    def test_rate_does_not_depend_on_the_size(self):
+        for case in ("16x16", "25x25"):
+            prob = solved_case(case)[0]
+            assert abs(theoretical_rate(prob, "sdr")
+                       - SUDOKU_SDR_RATE) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 1.2, 3.0])
+    def test_queens_ddr_is_the_affine_rate(self, gamma):
+        assert abs(theoretical_rate(self.Q8, "ddr", gamma)
+                   - ddr_affine_rate(gamma)) < 1e-12
+
+    @pytest.mark.parametrize("method,gamma", [
+        ("sdr", None), ("sdr-switched", None), ("altproj", None),
+        ("ddr", np.inf)])
+    def test_queens_terminates_finitely(self, method, gamma):
+        assert theoretical_rate(self.Q8, method, gamma) == 0.0
+
+
+class TestSpectrum:
+    def test_jordan_pair_is_one_level(self):
+        # eigvals splits the pair by about 1e-8
+        levels = spectrum([(np.array([[0.5, 1.0], [0.0, 0.5]]), 3)])
+        assert len(levels) == 1
+        assert abs(levels[0][0] - 0.5) < 1e-15 and levels[0][1] == 6
+
+    def test_levels_merge_across_blocks(self):
+        levels = spectrum([(np.diag([0.5, 1.0]), 2),
+                           (np.diag([1.0 + 1e-15, 0.25]), 3)])
+        assert [m for _, m in levels] == [3, 2, 5]
+        assert_allclose([lam for lam, _ in levels], [0.25, 0.5, 1.0])
+
+    def test_zero_and_complex_levels(self):
+        th = 0.7
+        rot = 0.5 * np.array([[np.cos(th), -np.sin(th)],
+                              [np.sin(th), np.cos(th)]])
+        levels = spectrum([(np.diag([3e-17, 1.0]), 1), (rot, 1)])
+        assert levels[0] == (0.0, 1)
+        assert [type(lam) for lam, _ in levels[1:3]] == [complex, complex]
+        assert_allclose([lam for lam, _ in levels[1:3]],
+                        [0.5 * np.exp(-1j * th), 0.5 * np.exp(1j * th)])
+        assert dominant_rate(levels) == pytest.approx(0.5, abs=1e-15)
+
+    def test_fixed_points_are_not_the_rate(self):
+        assert dominant_rate(spectrum([(np.eye(3), 1)])) == 0.0
+        assert dominant_rate(spectrum([(np.diag([1.0, 0.3]), 1)])) == 0.3

@@ -73,6 +73,19 @@ class TestSolve:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("value", ["", ".", "tmp_path"])
+    def test_puzzle_that_is_not_a_file_is_named(self, capsys, tmp_path,
+                                                value):
+        # an empty value is not read as the path "."
+        value = str(tmp_path) if value == "tmp_path" else value
+        message = f"error: {value!r} is neither a bundled key"
+        code, out, err = run_cli(capsys, "solve", "--puzzle", value)
+        assert code == 1 and out == "" and err.startswith(message)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"puzzle = {value}\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 1 and out == "" and err.startswith(message)
+
     def test_missing_instance_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "solve")
         assert code == 1
@@ -285,7 +298,10 @@ class TestStopFlagsNameThemselves:
         ("--max-iter", "-5", "--max-iter must be >= 1, got -5"),
         ("--tol", "-1", "--tol must be >= 0, got -1.0"),
         ("--tol", "nan", "--tol must be >= 0, got nan"),
+        ("--tol", "-1e-3", "--tol must be >= 0, got -0.001"),
+        ("--tol", "-2.5E+1", "--tol must be >= 0, got -25.0"),
         ("--gamma", "0", "--gamma must be > 0, got 0.0"),
+        ("--gamma", "-1e-3", "--gamma must be > 0, got -0.001"),
         ("--gamma", "nan", "--gamma must be > 0, got nan"),
         ("--gamma", "-1", "--gamma must be > 0, got -1.0"),
         ("--seed", "-1", "--seed must be >= 0, got -1"),
@@ -322,6 +338,7 @@ class TestStopFlagsNameThemselves:
             ("gamma = 0", "--gamma must be > 0, got 0.0"),
             ("gamma = nan", "--gamma must be > 0, got nan"),
             ("gamma = -1", "--gamma must be > 0, got -1.0"),
+            ("gamma = -1e-3", "--gamma must be > 0, got -0.001"),
             ("seed = -1", "--seed must be >= 0, got -1"),
             ("seed = x", "argument --seed: invalid int value: 'x'"),
             ("max_iter = 0", "--max-iter must be >= 1, got 0"),
@@ -470,6 +487,38 @@ class TestRatesCommand:
         assert rec["theory"] == pytest.approx(np.sqrt(5.0) / 5.0, abs=1e-15)
         assert abs(rec["deviation"]) < 0.02
 
+    @pytest.mark.parametrize("method,theory", [
+        ("sdr-switched", "theory=0.447214 deviation=+0.000000"),
+        ("altproj", "theory=0.200000 deviation=-0.000000"),
+    ])
+    def test_undamped_variants_have_a_theory(self, capsys, tmp_path, method,
+                                             theory):
+        report = tmp_path / "rate.json"
+        code, out, _ = run_cli(capsys, "rates", "--puzzle", "9x9-37",
+                               "--seed", "0", "--method", method,
+                               "--report", str(report))
+        assert code == 0 and theory in out
+        rec = json.loads(report.read_text())
+        assert abs(rec["deviation"]) < 0.02
+
+    def test_ddr_past_five_quarters_has_a_theory(self, capsys, tmp_path):
+        # this run ends at max-iter without settling, far from the rate
+        code, out, _ = run_cli(capsys, "rates", "--puzzle", "9x9-37",
+                               "--seed", "0", "--method", "ddr",
+                               "--gamma", "1.5")
+        assert code == 0
+        assert out.splitlines()[-1].endswith(
+            " theory=0.600000 deviation=+0.400000")
+
+    def test_circle_line_has_no_theory(self, capsys, tmp_path):
+        report = tmp_path / "rate.json"
+        code, out, _ = run_cli(capsys, "rates", "--circle-line", "--method",
+                               "ddr", "--gamma", "0.5", "--report",
+                               str(report))
+        assert code == 0 and "slope=" in out and "theory=" not in out
+        rec = json.loads(report.read_text())
+        assert rec["theory"] is None and "deviation" not in rec
+
     def test_rates_from_trace_file(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
         code, _, _ = run_cli(capsys, "solve", "--puzzle", PUZZLE4,
@@ -605,50 +654,72 @@ class TestRatesCommand:
 
 
 class TestAnglesCommand:
-    def test_reports_friedrichs_and_spectrum(self, capsys):
+    def test_reports_classes_and_spectrum(self, capsys):
         code, out, _ = run_cli(capsys, "angles", "--puzzle", PUZZLE4,
                                "--gamma", "0.2")
         assert code == 0
-        assert "cos_friedrichs=0.44721359" in out
-        assert "eigenvalue" in out
-        assert "semi_simple=True" in out
+        assert out.splitlines()[:3] == [
+            f"instance={PUZZLE4} ambient_dim=320 blocks=5",
+            "class m=5 p=0 coordinates=16 eigenvalues: 0 x1, "
+            "0.166666666667 x4",
+            "class m=5 p=1 coordinates=48 eigenvalues: 0.038701244025 x1, "
+            "0.166666666667 x3, 0.861298755975 x1"]
+        assert "dominant_rate=0.861298755975 semi_simple=True" in out
 
     def test_nine_by_nine_needs_no_flag(self, capsys):
         code, out, _ = run_cli(capsys, "angles", "--puzzle", PUZZLE37)
         assert code == 0
-        assert "free_coordinates=396" in out
-        assert ("0 x333, 0.038701244025 x396, 0.166666666667 x2520, "
-                "0.861298755975 x396") in out
-        assert "eigenvalue check (model)" in out
+        assert "class m=5 p=1 coordinates=396 " in out
+        assert "class m=5 p=0 coordinates=333 " in out
+        assert ("gamma=0.2 eigenvalues: 0 x333, 0.038701244025 x396, "
+                "0.166666666667 x2520, 0.861298755975 x396\n") in out
         assert "semi_simple=True" in out
 
     def test_dominant_rate_above_gamma_one(self, capsys):
-        # at gamma = 5/4 lam_minus = lam_plus = 1/3 is a Jordan pair, but
-        # gamma/(1+gamma) = 5/9 dominates, and it is semi-simple
+        # at gamma = 5/4 lam_minus = lam_plus = 1/3 is a Jordan pair, one
+        # level, but gamma/(1+gamma) = 5/9 dominates, and it is semi-simple
         code, out, _ = run_cli(capsys, "angles", "--puzzle", PUZZLE4,
                                "--gamma", "1.25")
         assert code == 0
-        assert "dominant_rate=0.5555555555555556 semi_simple=True" in out
+        assert "0.333333333333 x96, 0.555555555556 x208" in out
+        assert "dominant_rate=0.555555555556 semi_simple=True" in out
 
-    def test_gamma_past_five_quarters_is_an_input_error(self, capsys):
-        code, out, err = run_cli(capsys, "angles", "--puzzle", PUZZLE4,
-                                 "--gamma", "1.3")
-        assert code == 1
-        assert out == ""
-        assert "5/4" in err
+    def test_gamma_past_five_quarters_is_complex(self, capsys):
+        # lam_minus and lam_plus leave the reals, as (8 +- i sqrt(11))/25;
+        # gamma/(1+gamma) = 0.6 still dominates
+        code, out, _ = run_cli(capsys, "angles", "--puzzle", PUZZLE4,
+                               "--gamma", "1.5")
+        assert code == 0
+        assert "0.320000000000-0.132664991614i x48, " \
+            "0.320000000000+0.132664991614i x48" in out
+        assert "dominant_rate=0.600000000000 semi_simple=True" in out
 
-    @pytest.mark.parametrize("gamma", ["2", "0", "-1", "nan", "inf"])
+    def test_gamma_inf_is_sdr(self, capsys):
+        # the free block's 0.2 +- 0.4i have modulus sqrt(5)/5, and each is
+        # tested for semi-simplicity
+        code, out, _ = run_cli(capsys, "angles", "--puzzle", "9x9-37",
+                               "--gamma", "inf")
+        assert code == 0
+        assert ("gamma=inf eigenvalues: 0 x333, "
+                "0.200000000000-0.400000000000i x396, "
+                "0.200000000000+0.400000000000i x396, "
+                "1.000000000000 x2520") in out
+        assert "dominant_rate=0.447213595500 semi_simple=True" in out
+
+    @pytest.mark.parametrize("gamma", ["0", "-1", "nan", "-1e-3"])
     def test_gamma_out_of_range_is_named(self, capsys, gamma):
         code, out, err = run_cli(capsys, "angles", "--puzzle", PUZZLE4,
                                  "--gamma", gamma)
         assert code == 1 and out == ""
-        assert f"--gamma must lie in (0, 5/4], got {float(gamma)}" in err
+        assert f"--gamma must be > 0, got {float(gamma)}" in err
 
-    def test_fully_clued_grid_has_no_rate(self, capsys, tmp_path):
+    def test_fully_clued_grid_has_one_class(self, capsys, tmp_path):
         solved = tmp_path / "solved.txt"
         solved.write_text("1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n")
         code, out, err = run_cli(capsys, "angles", "--puzzle", str(solved))
-        assert code == 1
-        assert "free_coordinates=0" in out
-        assert "no local rate" in err
-        assert "coincide" not in err
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == [
+            "class m=5 p=0 coordinates=64 eigenvalues: 0 x1, "
+            "0.166666666667 x4",
+            "gamma=0.2 eigenvalues: 0 x64, 0.166666666667 x256",
+            "dominant_rate=0.166666666667 semi_simple=True"]

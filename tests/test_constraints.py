@@ -273,6 +273,15 @@ class TestGroupProjection:
         y = proj(x)
         assert y[4] == 7.0 and y[5] == -3.0
 
+    def test_passes_is_the_coordinates_outside_every_group(self):
+        proj = GroupProjection([(0, -1), (2, 4), (7, 5)], 9)
+        passes = proj.passes
+        assert passes.tolist() == [False, True, False, True, False, False,
+                                   True, False, True]
+        x = RNG.normal(size=9)
+        assert np.array_equal(proj(x)[passes], x[passes])
+        assert not GroupProjection(sudoku_groups(4, "row"), 64).passes.any()
+
     def test_idempotent(self):
         proj = GroupProjection(queens_groups(8, "diag"), 64, allow_zero=True)
         x = RNG.uniform(-1, 2, size=64)
@@ -543,6 +552,7 @@ class TestClueProjection:
         assert not mask[[cells[1, 2, k] for k in range(4)]].any()
         # free coordinates pass through; the clued pillar becomes e_3
         assert np.array_equal(proj(x)[mask], x[mask])
+        assert np.array_equal(proj.passes, mask)
         assert np.array_equal(proj(x)[~mask], np.eye(4)[3])
 
     def test_out_writes_its_slice(self):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from drsplit.analysis import principal_angles
 from drsplit.constraints import ClueProjection, project_unit_sphere
 from drsplit.puzzles import Hyperplane, bundled_sudoku
 from drsplit.splitting import ddr_step, dr_step, two_set_step
@@ -100,10 +99,6 @@ class TestAffineSubspace:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             LINE.project(np.zeros(3))
-
-    def test_non_orthonormal_basis_rejected(self):
-        with pytest.raises(ValueError):
-            principal_angles(2.0 * np.eye(3)[:2], np.eye(3))
 
     def test_zero_dimensional_subspace_is_a_point(self):
         # every cell clued: the clamp maps everything to one lifted grid
