@@ -150,11 +150,9 @@ def numerical_rank(matrix, reference=None):
     like M - lam I, so the threshold reflects the parent's scale.
     """
     sv = np.linalg.svd(matrix, compute_uv=False)
-    if reference is None:
-        smax = float(sv[0]) if len(sv) else 0.0
-    else:
-        ref_sv = np.linalg.svd(reference, compute_uv=False)
-        smax = float(ref_sv[0]) if len(ref_sv) else 0.0
+    ref_sv = sv if reference is None else np.linalg.svd(reference,
+                                                        compute_uv=False)
+    smax = float(ref_sv[0]) if len(ref_sv) else 0.0
     tol = max(matrix.shape) * 1e-12 * smax
     return int(np.count_nonzero(sv > tol))
 
@@ -230,8 +228,11 @@ def linear_model(m, p, method, gamma=None):
 def coordinate_classes(problem):
     """{(m, p): count} over the coordinates of a problem's vector: m is its
     number of blocks, p the number of them that pass the coordinate
-    through (each projection's `passes` mask)."""
+    through (each projection's `passes` mask).  A problem with no product
+    blocks, the circle/line pair, has none."""
     m = problem.n_blocks
+    if not m:
+        return {}
     p = np.count_nonzero([proj.passes for proj in problem.projections],
                          axis=0)
     return {(m, int(k)): int(c) for k, c in enumerate(np.bincount(p)) if c}
@@ -240,6 +241,10 @@ def coordinate_classes(problem):
 def theoretical_rate(problem, method, gamma=None):
     """The predicted local linear rate of a method on a problem: the
     largest eigenvalue modulus below 1 of the linear model over the
-    problem's coordinate classes; 0 means finite termination."""
+    problem's coordinate classes; 0 means finite termination, and None
+    that the problem has no classes to model."""
+    classes = coordinate_classes(problem)
+    if not classes:
+        return None
     return dominant_rate(spectrum([(linear_model(m, p, method, gamma), 1)
-                                   for m, p in coordinate_classes(problem)]))
+                                   for m, p in classes]))

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .puzzles import build_problem
-from .splitting import FEASIBLE, product_step, run_batch
+from .splitting import FEASIBLE, run_batch
 
 __all__ = [
     "BenchRecord",
@@ -129,7 +129,7 @@ def _bench_share(task):
         if tie_break != "lowest":
             problem = build_problem(instance, tie_break=tie_break,
                                     tie_seed=batch[0])
-        step = product_step(problem.projections, method, gamma=gamma)
+        step = problem.step(method, gamma)
         z0s = np.stack([problem.initial_state(seed) for seed in batch])
         results = run_batch(step, z0s, policy, problem.feasible)
         records += [BenchRecord(run_id=run_id, seed=seed, outcome=outcome,

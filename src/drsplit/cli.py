@@ -38,18 +38,9 @@ from .puzzles import (
     build_problem,
     bundled_sudoku,
     circle_line_instance,
-    format_grid,
     parse_sudoku,
 )
-from .splitting import (
-    FEASIBLE,
-    METHODS,
-    StopPolicy,
-    product_step,
-    read_trace_csv,
-    run,
-    two_set_step,
-)
+from .splitting import FEASIBLE, METHODS, StopPolicy, read_trace_csv, run
 
 __all__ = ["CliError", "main"]
 
@@ -174,7 +165,7 @@ def _build_parser():
 
     sp = sub.add_parser("angles",
                         help="the damped step's linear model and spectrum")
-    sp.add_argument("--puzzle", metavar="KEY_OR_FILE", required=True)
+    _add_instance_flags(sp)
     sp.add_argument("--gamma", default=0.2, type=_checked(
         float, "--gamma", lambda g: g > 0, "be > 0"),
         help="damping parameter; inf recovers sdr")
@@ -225,28 +216,26 @@ def _apply_config(args, parser):
 # shared resolution helpers
 
 def _resolve_instance(args):
-    """(kind, instance) from the mutually exclusive instance flags."""
-    chosen = []
-    if args.puzzle is not None:
-        chosen.append("--puzzle")
-    if getattr(args, "queens_size", None) is not None:
-        chosen.append("--queens-size")
-    if getattr(args, "circle_line", False):
-        chosen.append("--circle-line")
+    """(label, instance) from the mutually exclusive instance flags."""
+    chosen = [flag for flag in ("--puzzle", "--queens-size", "--circle-line")
+              if getattr(args, flag[2:].replace("-", "_"), None)
+              not in (None, False)]
     if len(chosen) > 1:
         raise CliError(f"choose one instance, got {' and '.join(chosen)}")
     if args.puzzle is not None:
         if args.puzzle in BUNDLED:
-            return "sudoku", bundled_sudoku(args.puzzle)
+            return args.puzzle, bundled_sudoku(args.puzzle)
         path = Path(args.puzzle)
         if not path.is_file():
             raise CliError(
                 f"{args.puzzle!r} is neither a bundled key "
                 f"{tuple(BUNDLED)} nor an existing file")
-        return "sudoku", parse_sudoku(path.read_text())
-    if getattr(args, "queens_size", None) is not None:
-        return "queens", QueensInstance(args.queens_size)
+        return args.puzzle, parse_sudoku(path.read_text())
+    if args.queens_size is not None:
+        return f"queens-{args.queens_size}", QueensInstance(args.queens_size)
     if getattr(args, "circle_line", False):
+        _reject_ignored(args, ("seed", "tie_break"),
+                        "--circle-line has a fixed start and no argmax")
         return "circle-line", circle_line_instance()
     raise CliError("an instance is required: --puzzle, --queens-size"
                    + (" or --circle-line" if hasattr(args, "circle_line")
@@ -293,53 +282,32 @@ def _resolve_tie_break(args):
     return "lowest" if args.tie_break is None else args.tie_break
 
 
-def _run_instance(kind, inst, args, stop_on_feasible=True,
-                  keep_iterates=False):
-    method = _resolve_method(args)
-    if kind == "circle-line":
-        _reject_ignored(args, ("seed", "tie_break"),
-                        "--circle-line has a fixed start and no argmax")
-        # continuous sets: the tracked point can drift through near-feasible
-        # positions without the iteration converging, so stop on the z-step
-        # stall and classify feasibility there
-        policy = _resolve_policy(args, stop_on_feasible=False)
-        step = two_set_step(inst.line.project, inst.project_circle,
-                            method, gamma=args.gamma)
-        res = run(step, inst.z0, policy, feasible=inst.feasible,
-                  keep_iterates=keep_iterates)
-        return res, None
-    policy = _resolve_policy(args, stop_on_feasible=stop_on_feasible)
-    problem = build_problem(inst, tie_break=_resolve_tie_break(args),
-                            tie_seed=_resolve_seed(args))
-    step = product_step(problem.projections, method, gamma=args.gamma)
-    res = run(step, problem.initial_state(_resolve_seed(args)), policy,
-              feasible=problem.feasible, keep_iterates=keep_iterates)
-    return res, problem
+def _resolve_problem(args):
+    """The problem of the instance flags, under the tie flags."""
+    _, inst = _resolve_instance(args)
+    return build_problem(inst, tie_break=_resolve_tie_break(args),
+                         tie_seed=_resolve_seed(args))
+
+
+def _run(problem, args, stop_on_feasible=True, keep_iterates=False):
+    step = problem.step(_resolve_method(args), args.gamma)
+    policy = _resolve_policy(args,
+                             stop_on_feasible and problem.stop_on_feasible)
+    return run(step, problem.initial_state(_resolve_seed(args)), policy,
+               feasible=problem.feasible, keep_iterates=keep_iterates)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_solve(args):
-    kind, inst = _resolve_instance(args)
-    keep = args.trace is not None
-    res, problem = _run_instance(
-        kind, inst, args, stop_on_feasible=not args.run_to_stall,
-        keep_iterates=keep)
+    problem = _resolve_problem(args)
+    res = _run(problem, args, stop_on_feasible=not args.run_to_stall,
+               keep_iterates=args.trace is not None)
     print(f"outcome={res.outcome} iterations={res.iterations} "
           f"final_z_step={res.trace.z_step[-1]:.3e}")
     if args.out:
-        if kind == "sudoku":
-            grid = problem.round(res.candidate)
-            Path(args.out).write_text(format_grid(grid))
-        elif kind == "queens":
-            board = problem.round(res.candidate)
-            text = "\n".join(" ".join(str(int(v)) for v in row)
-                             for row in board) + "\n"
-            Path(args.out).write_text(text)
-        else:
-            Path(args.out).write_text(
-                " ".join(repr(float(v)) for v in res.x) + "\n")
+        Path(args.out).write_text(problem.format(res.candidate))
         print(f"solution written to {args.out}")
     if args.trace:
         res.trace.to_csv(args.trace)
@@ -348,9 +316,7 @@ def _cmd_solve(args):
 
 
 def _cmd_bench(args):
-    kind, inst = _resolve_instance(args)
-    if kind == "circle-line":
-        raise CliError("bench needs a puzzle instance")
+    label, inst = _resolve_instance(args)
     method = _resolve_method(args)
     policy = _resolve_policy(args)
     report = bench_puzzle(inst, method, args.gamma, policy,
@@ -358,8 +324,7 @@ def _cmd_bench(args):
                           base_seed=_resolve_seed(args),
                           workers=args.workers,
                           tie_break=_resolve_tie_break(args))
-    print(f"instance={args.puzzle or f'queens-{inst.size}'} "
-          f"method={method}"
+    print(f"instance={label} method={method}"
           + (f" gamma={args.gamma}" if method == "ddr" else ""))
     print(report.summary())
     if args.out:
@@ -370,30 +335,29 @@ def _cmd_bench(args):
 
 def _cmd_rates(args):
     quantity = args.quantity if args.quantity is not None else "z_res"
-    kind = theory = guide = None
+    terminates = theory = guide = None
     if args.trace is not None:
         _reject_ignored(args, args.run_flags, "--trace fits a saved trace")
         trace = read_trace_csv(args.trace)
     else:
-        kind, inst = _resolve_instance(args)
+        problem = _resolve_problem(args)
         method = _resolve_method(args)
-        if kind == "queens":
+        # sdr's model has rate 0 on queens and on a fully clued grid
+        terminates = theoretical_rate(problem, "sdr") == 0
+        if terminates:
             _reject_ignored(args, ("quantity", "tail_fraction"),
-                            "queens runs report finite termination, "
-                            "not a rate fit")
-        res, problem = _run_instance(kind, inst, args,
-                                     stop_on_feasible=False,
-                                     keep_iterates=True)
+                            "the problem's sdr rate is 0, so its runs "
+                            "report finite termination, not a rate fit")
+        res = _run(problem, args, stop_on_feasible=False, keep_iterates=True)
         trace = res.trace
         print(f"outcome={res.outcome} iterations={res.iterations}")
-        if problem is not None:     # the circle/line pair has no model
-            theory = theoretical_rate(problem, method, args.gamma)
+        theory = theoretical_rate(problem, method, args.gamma)
         # the objective is half a squared distance: it decays at the
         # square of the rate
         if theory is not None and quantity == "objective":
             theory = theory ** 2
 
-    if kind == "queens":
+    if terminates:
         freeze = {"z": detect_finite_termination(trace, "z")}
         for i in range(trace.n_blocks):
             freeze[f"u{i}"] = detect_finite_termination(trace, f"u{i}")
@@ -405,6 +369,11 @@ def _cmd_rates(args):
         record = {"outcome": res.outcome, "iterations": res.iterations,
                   "finite_termination": freeze, "orbit_k": res.orbit_k}
     else:
+        if quantity != "objective" and trace.z_step[-1] > 1e-4:
+            raise InsufficientDataError(
+                f"{quantity} is a distance to the last iterate, and the run "
+                f"did not settle: its last z step is {trace.z_step[-1]:.3e}, "
+                f"above 1e-4")
         tail = args.tail_fraction
         if tail is None or tail == "auto":
             tail = auto_tail_fraction(trace, quantity)
@@ -436,31 +405,26 @@ def _cmd_rates(args):
                          values, guide=guide, title=title)
         print(f"plot written to {args.out}")
     if args.report:
-        _write_report(args.report, record)
+        Path(args.report).write_text(json.dumps(record, indent=2) + "\n")
+        print(f"report written to {args.report}")
     return 0
 
 
-def _write_report(path, record):
-    Path(path).write_text(json.dumps(record, indent=2) + "\n")
-    print(f"report written to {path}")
-
-
 def _cmd_angles(args):
-    _, inst = _resolve_instance(args)
+    label, inst = _resolve_instance(args)
     problem = build_problem(inst)
-    gamma = args.gamma
-    print(f"instance={args.puzzle} "
+    print(f"instance={label} "
           f"ambient_dim={problem.n_blocks * problem.ambient_dim} "
           f"blocks={problem.n_blocks}")
     # the damped step at a solution, one m x m block per coordinate class
     blocks = []
     for (m, p), count in coordinate_classes(problem).items():
-        block = linear_model(m, p, "ddr", gamma)
+        block = linear_model(m, p, "ddr", args.gamma)
         blocks.append((block, count))
         print(f"class m={m} p={p} coordinates={count} eigenvalues: "
               + _levels(spectrum([(block, 1)])))
     levels = spectrum(blocks)
-    print(f"gamma={gamma} eigenvalues: " + _levels(levels))
+    print(f"gamma={args.gamma} eigenvalues: " + _levels(levels))
     rate = dominant_rate(levels)
     semi_simple = all(is_semi_simple(block, lam) for block, _ in blocks
                       for lam, _ in levels

@@ -1,5 +1,5 @@
 """Puzzle instances: parsing, lifting, rounding, validation, and the
-assembly of product-space feasibility problems.
+assembly of feasibility problems, the circle/line pair among them.
 
 A sudoku grid is lifted to the s^3 indicator cube (flat index
 (i*s + j)*s + k), an s-queens board to the flat s^2 vector.  Instances are
@@ -24,6 +24,7 @@ from .constraints import (
     queens_groups,
     sudoku_groups,
 )
+from .splitting import product_step, two_set_step
 
 __all__ = [
     "BUNDLED",
@@ -271,14 +272,16 @@ def queens_feasible(v, s, line_keys):
 @dataclasses.dataclass
 class Problem:
     """A feasibility problem as a list of set projections on one vector,
-    with the rounding of a vector to a candidate solution and the
-    feasibility predicate of a vector: a vectorized check equal to
-    ``validate_*(round(v))[0]``."""
+    stepped on the product space, with the feasibility predicate of a
+    vector (a vectorized check equal to ``validate_*(round_*(v))[0]``) and
+    the text of the candidate a vector rounds to."""
 
     projections: list
     ambient_dim: int
-    round: object
+    format: object
     feasible: object
+    # a run may stop at the first candidate the predicate accepts
+    stop_on_feasible = True
 
     @property
     def n_blocks(self):
@@ -288,6 +291,18 @@ class Problem:
         """Seeded uniform start, one block row per constraint set."""
         rng = np.random.default_rng(seed)
         return rng.uniform(0.0, 1.0, size=(self.n_blocks, self.ambient_dim))
+
+    def step(self, method, gamma=None):
+        return product_step(self.projections, method, gamma=gamma)
+
+
+def _grid_text(v, s):
+    return format_grid(round_cube(v, s))
+
+
+def _board_text(x, s):
+    return "\n".join(" ".join(str(int(v)) for v in row)
+                     for row in round_board(x, s)) + "\n"
 
 
 def sudoku_problem(inst, tie_break="lowest", tie_seed=None):
@@ -304,7 +319,7 @@ def sudoku_problem(inst, tie_break="lowest", tie_seed=None):
     feasible = functools.partial(
         sudoku_feasible, s=s, line_keys=_sudoku_line_keys(s),
         clue_cells=clues[:, 0] * s + clues[:, 1], clue_digits=clues[:, 2])
-    return Problem(projections, n, functools.partial(round_cube, s=s),
+    return Problem(projections, n, functools.partial(_grid_text, s=s),
                    feasible)
 
 
@@ -320,22 +335,9 @@ def queens_problem(inst, tie_break="lowest", tie_seed=None):
                         seed=None if tie_seed is None else tie_seed + off)
         for off, (kind, zero) in enumerate(specs)
     ]
-    return Problem(projections, n, functools.partial(round_board, s=s),
+    return Problem(projections, n, functools.partial(_board_text, s=s),
                    functools.partial(queens_feasible, s=s,
                                      line_keys=_queens_line_keys(s)))
-
-
-_BUILDERS = {SudokuInstance: sudoku_problem, QueensInstance: queens_problem}
-
-
-def build_problem(instance, tie_break="lowest", tie_seed=None):
-    """The product-space problem of a sudoku or queens instance."""
-    try:
-        build = _BUILDERS[type(instance)]
-    except KeyError:
-        raise TypeError(f"no product-space problem for "
-                        f"{type(instance).__name__}") from None
-    return build(instance, tie_break=tie_break, tie_seed=tie_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +388,15 @@ class Hyperplane:
 _FEASIBLE_TOL = 1e-9
 
 
-class CircleLineInstance:
-    """Unit circle against a fixed line, with the bundled starting point."""
+class CircleLineInstance(Problem):
+    """Unit circle against a fixed line, from a fixed start: a two-set
+    problem with no product blocks, whose candidate is the step's x.  The
+    tracked point can drift through near-feasible positions without the
+    iteration converging, so a run stops on the z-step stall."""
+
+    projections = ()
+    ambient_dim = 2
+    stop_on_feasible = False
 
     def __init__(self, line, z0):
         self.line = line
@@ -396,13 +405,34 @@ class CircleLineInstance:
     def project_circle(self, x):
         return project_unit_sphere(x)
 
+    def initial_state(self, seed):
+        return self.z0
+
+    def step(self, method, gamma=None):
+        return two_set_step(self.line.project, self.project_circle, method,
+                            gamma=gamma)
+
     def feasible(self, pt):
         pt = np.asarray(pt, dtype=float)
         on_line = np.linalg.norm(self.line.project(pt) - pt) <= _FEASIBLE_TOL
         on_circle = abs(np.linalg.norm(pt) - 1.0) <= _FEASIBLE_TOL
         return bool(on_line and on_circle)
 
+    def format(self, x):
+        return " ".join(repr(float(v)) for v in x) + "\n"
+
 
 def circle_line_instance():
     line = Hyperplane(np.array([1.0, 2.0]), np.sqrt(2.0))
     return CircleLineInstance(line, np.array([-10.0, -8.0]))
+
+
+_BUILDERS = {SudokuInstance: sudoku_problem, QueensInstance: queens_problem,
+             # the circle/line pair is its own problem, with no ties
+             CircleLineInstance: lambda instance, **ties: instance}
+
+
+def build_problem(instance, tie_break="lowest", tie_seed=None):
+    """The problem of a sudoku, queens or circle/line instance."""
+    return _BUILDERS[type(instance)](instance, tie_break=tie_break,
+                                     tie_seed=tie_seed)

@@ -100,6 +100,25 @@ class TestSolve:
         ok, _ = validate_queens(board, QueensInstance(8))
         assert ok
 
+    @pytest.mark.parametrize("flags,text", [
+        (["--puzzle", "4x4", "--seed", "1"],
+         "1 2 3 4\n3 4 2 1\n2 1 4 3\n4 3 1 2\n"),
+        (["--queens-size", "8", "--seed", "0"],
+         "".join(" ".join("1" if j == col else "0" for j in range(8)) + "\n"
+                 for col in (7, 2, 0, 5, 1, 4, 6, 3))),
+        # the pair's candidate is the step's x, written with repr
+        (["--circle-line", "--method", "ddr", "--gamma", "0.2"],
+         "-0.4099776105601249 0.9120955864596763\n"),
+    ])
+    def test_out_writes_the_candidate_text(self, capsys, tmp_path, flags,
+                                           text):
+        out_file = tmp_path / "solution.txt"
+        code, out, _ = run_cli(capsys, "solve", *flags, "--out",
+                               str(out_file))
+        assert code == 0
+        assert out.endswith(f"\nsolution written to {out_file}\n")
+        assert out_file.read_text() == text
+
     def test_queens_size_below_minimum(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--queens-size", "3")
         assert code == 1
@@ -502,13 +521,65 @@ class TestRatesCommand:
         assert abs(rec["deviation"]) < 0.02
 
     def test_ddr_past_five_quarters_has_a_theory(self, capsys, tmp_path):
-        # this run ends at max-iter without settling, far from the rate
-        code, out, _ = run_cli(capsys, "rates", "--puzzle", "9x9-37",
+        # gamma/(1+gamma) = 0.6 dominates the complex pair of modulus 0.35
+        code, out, _ = run_cli(capsys, "rates", "--puzzle", "4x4",
                                "--seed", "0", "--method", "ddr",
                                "--gamma", "1.5")
         assert code == 0
-        assert out.splitlines()[-1].endswith(
-            " theory=0.600000 deviation=+0.400000")
+        assert out == (
+            "outcome=stalled iterations=100\n"
+            "quantity=z_res slope=0.600000 r_squared=1.000000 window=43..75 "
+            "n_points=33 theory=0.600000 deviation=-0.000000\n")
+
+    @pytest.mark.parametrize("source", [
+        ["--puzzle", "9x9-37", "--method", "ddr", "--gamma", "1.5",
+         "--seed", "0", "--max-iter", "500"],
+        ["--circle-line", "--max-iter", "2000"]])
+    @pytest.mark.parametrize("quantity", ["z_res", "x_res"])
+    def test_run_that_never_settled_has_no_rate(self, capsys, tmp_path,
+                                                source, quantity):
+        # z_res and x_res are distances to the final iterate, so they end
+        # at 0 even when that iterate is no limit
+        trace = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "rates", *source, "--quantity",
+                                 quantity, "--report", str(tmp_path / "r"))
+        assert code == 2
+        assert out.startswith("outcome=max-iter ") and out.count("\n") == 1
+        assert err.startswith(
+            "error: insufficient data for a rate fit: "
+            f"{quantity} is a distance to the last iterate, and the run did "
+            "not settle: its last z step is ")
+        assert err.endswith(", above 1e-4\n")
+        assert not (tmp_path / "r").exists()
+        # a saved trace of the same run is refused alike
+        run_cli(capsys, "solve", *source, "--run-to-stall",
+                "--trace", str(trace))
+        code, out, err2 = run_cli(capsys, "rates", "--trace", str(trace),
+                                  "--quantity", quantity)
+        assert (code, out, err2) == (2, "", err)
+
+    def test_short_run_that_stops_in_its_tail_fits(self, capsys):
+        # cut at 50 iterations, the run ends at a z step of 2.8e-10
+        code, out, _ = run_cli(capsys, "rates", "--puzzle", "4x4",
+                               "--max-iter", "50")
+        assert code == 0
+        assert "quantity=z_res slope=0.446892 " in out
+
+    def test_fully_clued_grid_reports_termination(self, capsys, tmp_path):
+        # the one class (5, 0) has sdr rate 0, as on queens
+        solved = tmp_path / "solved.txt"
+        solved.write_text("1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n")
+        code, out, err = run_cli(capsys, "rates", "--puzzle", str(solved))
+        assert (code, err) == (0, "")
+        assert out == ("outcome=feasible-found iterations=100\n"
+                       "finite termination: z K=4, u0 K=4, u1 K=4, u2 K=4, "
+                       "u3 K=3, u4 K=1, orbit_k=11\n")
+        code, out, err = run_cli(capsys, "rates", "--puzzle", str(solved),
+                                 "--quantity", "x_res")
+        assert code == 1 and out == ""
+        assert err == ("error: the problem's sdr rate is 0, so its runs "
+                       "report finite termination, not a rate fit; "
+                       "--quantity would be ignored\n")
 
     def test_circle_line_has_no_theory(self, capsys, tmp_path):
         report = tmp_path / "rate.json"
@@ -705,6 +776,34 @@ class TestAnglesCommand:
                 "0.200000000000+0.400000000000i x396, "
                 "1.000000000000 x2520") in out
         assert "dominant_rate=0.447213595500 semi_simple=True" in out
+
+    @pytest.mark.parametrize("gamma,lines", [
+        ("0.2", ["class m=4 p=0 coordinates=64 eigenvalues: 0 x1, "
+                 "0.166666666667 x3",
+                 "gamma=0.2 eigenvalues: 0 x64, 0.166666666667 x192",
+                 "dominant_rate=0.166666666667 semi_simple=True"]),
+        # sdr terminates finitely on queens: its rate is 0
+        ("inf", ["class m=4 p=0 coordinates=64 eigenvalues: 0 x1, "
+                 "1.000000000000 x3",
+                 "gamma=inf eigenvalues: 0 x64, 1.000000000000 x192",
+                 "dominant_rate=0 semi_simple=True"]),
+    ])
+    def test_queens_takes_the_instance_flag(self, capsys, gamma, lines):
+        code, out, err = run_cli(capsys, "angles", "--queens-size", "8",
+                                 "--gamma", gamma)
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "instance=queens-8 ambient_dim=256 blocks=4"] + lines
+
+    @pytest.mark.parametrize("flags,message", [
+        ([], "an instance is required: --puzzle, --queens-size"),
+        (["--puzzle", "4x4", "--queens-size", "8"],
+         "choose one instance, got --puzzle and --queens-size"),
+        (["--circle-line"], "unrecognized arguments: --circle-line"),
+    ])
+    def test_one_product_instance_is_required(self, capsys, flags, message):
+        assert run_cli(capsys, "angles", *flags) == (1, "",
+                                                     f"error: {message}\n")
 
     @pytest.mark.parametrize("gamma", ["0", "-1", "nan", "-1e-3"])
     def test_gamma_out_of_range_is_named(self, capsys, gamma):

@@ -24,7 +24,7 @@ from drsplit.puzzles import (
     sudoku_problem,
     validate_sudoku,
 )
-from drsplit.splitting import StopPolicy, product_step, run
+from drsplit.splitting import StopPolicy, product_step, run, two_set_step
 
 from helpers import (
     clue_grid,
@@ -42,6 +42,13 @@ SOLVED4 = planted_grid(4)
 SOLVED9 = planted_grid(9)
 
 TEXT4 = "1 2 3 .\n. . . .\n. . . .\n4 . . .\n"
+
+
+def circle_line_point():
+    """An intersection of the circle/line pair: x2 solves
+    5 x2^2 - 4 sqrt(2) x2 + 1 = 0."""
+    x2 = (2.0 * np.sqrt(2.0) + np.sqrt(3.0)) / 5.0
+    return np.array([np.sqrt(2.0) - 2.0 * x2, x2])
 
 
 class TestParsing:
@@ -276,15 +283,42 @@ class TestProblems:
             assert got.ambient_dim == want.ambient_dim
             for p, q in zip(got.projections, want.projections, strict=True):
                 assert np.array_equal(p(x), q(x))
-        with pytest.raises(TypeError):
-            build_problem(circle_line_instance())
+        # the circle/line pair is its own problem, with no ties to break
+        pair = circle_line_instance()
+        assert build_problem(pair, tie_break="random", tie_seed=3) is pair
+        assert pair.projections == () and not pair.stop_on_feasible
+        assert pair.initial_state(5) is pair.z0
+
+    @pytest.mark.parametrize("method,gamma", [
+        ("sdr", None), ("ddr", 0.2), ("sdr-switched", None),
+        ("altproj", None)])
+    def test_circle_line_step_is_the_two_set_step(self, method, gamma):
+        pair = build_problem(circle_line_instance())
+        got = pair.step(method, gamma)
+        want = two_set_step(pair.line.project, pair.project_circle, method,
+                            gamma=gamma)
+        z_got = z_want = pair.z0
+        for _ in range(50):
+            (z_got, *xu_got), (z_want, *xu_want) = got(z_got), want(z_want)
+            for a, b in zip((z_got, *xu_got), (z_want, *xu_want)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_format_is_the_rounded_candidate_text(self):
+        prob = sudoku_problem(parse_sudoku(TEXT4))
+        assert prob.format(lift_grid(SOLVED4) + 0.1) == format_grid(SOLVED4)
+        prob = queens_problem(QueensInstance(4))
+        assert prob.format(lift_board(QUEENS4_SOLUTION)) == \
+            "0 1 0 0\n0 0 0 1\n1 0 0 0\n0 0 1 0\n"
+        pair = circle_line_instance()
+        assert pair.format(np.array([0.1, -2.0])) == "0.1 -2.0\n"
 
     def test_problems_pickle(self):
         import pickle
         for prob, solution in (
                 (sudoku_problem(parse_sudoku(TEXT4)), lift_grid(SOLVED4)),
                 (queens_problem(QueensInstance(5)),
-                 lift_board(queens_board([0, 2, 4, 1, 3])))):
+                 lift_board(queens_board([0, 2, 4, 1, 3]))),
+                (circle_line_instance(), circle_line_point())):
             clone = pickle.loads(pickle.dumps(prob))
             x = RNG.uniform(size=prob.ambient_dim)
             for p, q in zip(prob.projections, clone.projections):
@@ -324,8 +358,8 @@ def solved_by_sdr(inst):
     prob = sudoku_problem(inst)
     step = product_step(prob.projections, "sdr")
     for seed in range(20):
-        grid = prob.round(run(step, prob.initial_state(seed),
-                              StopPolicy()).candidate)
+        grid = round_cube(run(step, prob.initial_state(seed),
+                              StopPolicy()).candidate, inst.size)
         if validate_sudoku(grid, inst)[0]:
             return grid
     raise AssertionError("no seeded sdr run solved the instance")
@@ -398,8 +432,9 @@ ORACLE_KINDS = ("solution", "noisy", "edit", "rows", "columns", "ties",
 
 
 def slow_feasible(label, v):
-    prob, _, _, _, validate = oracle_case(label)
-    return validate(prob.round(v))[0]
+    _, solution, _, _, validate = oracle_case(label)
+    rounding = round_board if label.startswith("queens") else round_cube
+    return validate(rounding(v, solution.shape[0]))[0]
 
 
 class TestFeasibilityOracle:
@@ -488,10 +523,7 @@ class TestCircleLine:
                    - 1.0) < 1e-15
 
     def test_feasible_at_intersection(self):
-        # intersection points solve 5 x2^2 - 4 sqrt(2) x2 + 1 = 0
-        x2 = (2.0 * np.sqrt(2.0) + np.sqrt(3.0)) / 5.0
-        x1 = np.sqrt(2.0) - 2.0 * x2
-        pt = np.array([x1, x2])
+        pt = circle_line_point()
         inst = circle_line_instance()
         assert inst.feasible(pt)
         assert not inst.feasible(pt + 0.01)

@@ -31,6 +31,7 @@ from drsplit.puzzles import (
     bundled_sudoku,
     circle_line_instance,
     queens_problem,
+    round_cube,
     sudoku_problem,
 )
 from drsplit.splitting import (
@@ -169,7 +170,7 @@ class TestRun:
         res = run(product_step(prob.projections, "sdr"),
                   prob.initial_state(0), StopPolicy(), feasible=prob.feasible)
         assert res.outcome == FEASIBLE
-        grid = prob.round(res.z.mean(axis=0))
+        grid = round_cube(res.z.mean(axis=0), 4)
         sol = lift_grid(grid)
         z0 = np.tile(sol, (5, 1))
         res2 = run(product_step(prob.projections, "sdr"), z0,
