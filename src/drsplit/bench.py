@@ -127,8 +127,7 @@ def _bench_share(task):
     for b in range(n_batches):
         batch = seeds[b::n_batches]
         if tie_break != "lowest":
-            problem = build_problem(instance, tie_break=tie_break,
-                                    tie_seed=batch[0])
+            problem = build_problem(instance, tie_seed=batch[0])
         step = problem.step(method, gamma)
         z0s = np.stack([problem.initial_state(seed) for seed in batch])
         results = run_batch(step, z0s, policy, problem.feasible)

@@ -283,10 +283,11 @@ def _resolve_tie_break(args):
 
 
 def _resolve_problem(args):
-    """The problem of the instance flags, under the tie flags."""
+    """The problem of the instance flags; under --tie-break random the
+    run's seed breaks its ties."""
     _, inst = _resolve_instance(args)
-    return build_problem(inst, tie_break=_resolve_tie_break(args),
-                         tie_seed=_resolve_seed(args))
+    tie_seed = _resolve_seed(args) if args.tie_break == "random" else None
+    return build_problem(inst, tie_seed=tie_seed)
 
 
 def _run(problem, args, stop_on_feasible=True, keep_iterates=False):
@@ -369,7 +370,7 @@ def _cmd_rates(args):
         record = {"outcome": res.outcome, "iterations": res.iterations,
                   "finite_termination": freeze, "orbit_k": res.orbit_k}
     else:
-        if quantity != "objective" and trace.z_step[-1] > 1e-4:
+        if quantity != "objective" and len(trace) and trace.z_step[-1] > 1e-4:
             raise InsufficientDataError(
                 f"{quantity} is a distance to the last iterate, and the run "
                 f"did not settle: its last z step is {trace.z_step[-1]:.3e}, "

@@ -3,7 +3,7 @@
 The nonconvex sets used by the puzzle encodings are unions of finitely many
 points per index group (unit vectors, optionally the zero vector), so the
 nearest point has a closed form: spike the largest entry.  Ties resolve to
-the lowest index unless a projection is built with tie_break="random".
+the lowest index unless a projection is built with an integer tie_seed.
 """
 
 import math
@@ -106,7 +106,9 @@ class GroupProjection:
     share one table; the tie-breaks read a row in table order, so pad on the
     right.  Groups must be non-empty and disjoint; coordinates outside every
     group (`passes`) pass through unchanged.  ``allow_zero`` is one bool for
-    every group or a sequence of one bool per group.
+    every group or a sequence of one bool per group.  Ties go to the lowest
+    index, or with an integer ``tie_seed`` to a uniform random choice drawn
+    from ``np.random.default_rng(tie_seed)``.
 
     A call projects one vector of shape (n,) or each row of a (runs, n)
     batch; each row comes out as it would alone.  A random-tie projection
@@ -125,10 +127,7 @@ class GroupProjection:
     `merged` builds one projection of a product of blocks from several.
     """
 
-    def __init__(self, groups, n, allow_zero=False, tie_break="lowest",
-                 seed=None):
-        if tie_break not in ("lowest", "random"):
-            raise ValueError(f"unknown tie_break {tie_break!r}")
+    def __init__(self, groups, n, allow_zero=False, tie_seed=None):
         # a copy in C order: __call__ gathers the table row by row
         idx = np.array(groups, dtype=np.intp, order="C")
         if idx.ndim != 2:
@@ -149,9 +148,9 @@ class GroupProjection:
             raise ValueError(f"allow_zero must be one bool or one per "
                              f"group ({g}), got shape {zero.shape}")
         self.n = n
-        self.tie_break = tie_break
-        self._rng = np.random.default_rng(seed) if tie_break == "random" \
-            else None
+        self.tie_seed = tie_seed
+        self._rng = None if tie_seed is None \
+            else np.random.default_rng(tie_seed)
         self._idx = idx
         self._flat = idx.ravel()
         self._starts = np.arange(0, idx.size, m)    # row starts
@@ -193,7 +192,7 @@ class GroupProjection:
         the entry its block's own call spikes."""
         placed = sorted(blocks.items())
         n = {p.n for _, p in placed}
-        if len(n) != 1 or any(p.tie_break != "lowest" for _, p in placed):
+        if len(n) != 1 or any(p.tie_seed is not None for _, p in placed):
             raise ValueError("merged blocks must be lowest-tie projections "
                              "of one length")
         n = n.pop()

@@ -4,7 +4,8 @@ assembly of feasibility problems, the circle/line pair among them.
 A sudoku grid is lifted to the s^3 indicator cube (flat index
 (i*s + j)*s + k), an s-queens board to the flat s^2 vector.  Instances are
 immutable value objects so they can be pickled into worker processes and
-used as dictionary keys.
+used as dictionary keys.  A problem's group blocks break ties at the lowest
+index, or, built with an integer tie_seed, block i at random from tie_seed + i.
 """
 
 import dataclasses
@@ -305,13 +306,13 @@ def _board_text(x, s):
                      for row in round_board(x, s)) + "\n"
 
 
-def sudoku_problem(inst, tie_break="lowest", tie_seed=None):
+def sudoku_problem(inst, tie_seed=None):
     """Five-set lifted encoding: row, column, pillar, block, clue clamp."""
     s = inst.size
     n = s ** 3
     projections = [
-        GroupProjection(sudoku_groups(s, kind), n, tie_break=tie_break,
-                        seed=None if tie_seed is None else tie_seed + off)
+        GroupProjection(sudoku_groups(s, kind), n,
+                        tie_seed=None if tie_seed is None else tie_seed + off)
         for off, kind in enumerate(("row", "column", "pillar", "block"))
     ]
     projections.append(ClueProjection(s, inst.clues))
@@ -323,7 +324,7 @@ def sudoku_problem(inst, tie_break="lowest", tie_seed=None):
                    feasible)
 
 
-def queens_problem(inst, tie_break="lowest", tie_seed=None):
+def queens_problem(inst, tie_seed=None):
     """Four-set encoding: one-hot rows and columns, at-most-one diagonals."""
     s = inst.size
     n = s * s
@@ -331,8 +332,7 @@ def queens_problem(inst, tie_break="lowest", tie_seed=None):
              ("antidiag", True), ("diag", True))
     projections = [
         GroupProjection(queens_groups(s, kind), n, allow_zero=zero,
-                        tie_break=tie_break,
-                        seed=None if tie_seed is None else tie_seed + off)
+                        tie_seed=None if tie_seed is None else tie_seed + off)
         for off, (kind, zero) in enumerate(specs)
     ]
     return Problem(projections, n, functools.partial(_board_text, s=s),
@@ -429,10 +429,9 @@ def circle_line_instance():
 
 _BUILDERS = {SudokuInstance: sudoku_problem, QueensInstance: queens_problem,
              # the circle/line pair is its own problem, with no ties
-             CircleLineInstance: lambda instance, **ties: instance}
+             CircleLineInstance: lambda instance, tie_seed: instance}
 
 
-def build_problem(instance, tie_break="lowest", tie_seed=None):
+def build_problem(instance, tie_seed=None):
     """The problem of a sudoku, queens or circle/line instance."""
-    return _BUILDERS[type(instance)](instance, tie_break=tie_break,
-                                     tie_seed=tie_seed)
+    return _BUILDERS[type(instance)](instance, tie_seed=tie_seed)

@@ -193,8 +193,7 @@ class _Stacked:
     def __init__(self, blocks):
         blocks = list(blocks)
         merged = {i: p for i, p in enumerate(blocks)
-                  if isinstance(p, GroupProjection)
-                  and p.tie_break == "lowest"}
+                  if isinstance(p, GroupProjection) and p.tie_seed is None}
         self._merged = GroupProjection.merged(merged, len(blocks)) \
             if merged else None
         self._rest = [(i, p if isinstance(p, (ClueProjection, GroupProjection))

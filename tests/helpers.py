@@ -185,7 +185,7 @@ class Textbook:
     def __init__(self, blocks, method, gamma=None):
         self.blocks, self.method, self.gamma = list(blocks), method, gamma
         self.pure = all(isinstance(p, ClueProjection) or (
-            isinstance(p, GroupProjection) and p.tie_break == "lowest")
+            isinstance(p, GroupProjection) and p.tie_seed is None)
             for p in self.blocks)
         self._kept = {}
 

@@ -73,7 +73,7 @@ class TestBench:
                                                            build_calls):
         bench_puzzle(QueensInstance(5), "sdr", None, StopPolicy(), runs=7,
                      base_seed=0, workers=1)
-        assert build_calls == [("lowest", None)]
+        assert build_calls == [None]
 
     def test_seeds_offset_from_base(self):
         inst = QueensInstance(4)
@@ -134,13 +134,13 @@ class TestBench:
 
 @pytest.fixture
 def build_calls(monkeypatch):
-    """(tie_break, tie_seed) of every problem bench builds, in order."""
+    """The tie seed of every problem bench builds, in order."""
     calls = []
     real = drsplit.bench.build_problem
 
-    def spy(instance, tie_break="lowest", tie_seed=None):
-        calls.append((tie_break, tie_seed))
-        return real(instance, tie_break=tie_break, tie_seed=tie_seed)
+    def spy(instance, tie_seed=None):
+        calls.append(tie_seed)
+        return real(instance, tie_seed=tie_seed)
 
     monkeypatch.setattr(drsplit.bench, "build_problem", spy)
     return calls
@@ -151,7 +151,7 @@ class TestBenchTieBreak:
         assert main(["bench", "--queens-size", "5", "--runs", "3",
                      "--workers", "1", "--seed", "7",
                      "--tie-break", "random"]) == 0
-        assert build_calls == [("random", 7), ("random", 8), ("random", 9)]
+        assert build_calls == [7, 8, 9]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_records_are_per_seed_runs(self, workers):
@@ -161,7 +161,7 @@ class TestBenchTieBreak:
                            workers=workers, tie_break="random")
         want = []
         for seed in range(4, 9):
-            prob = build_problem(inst, "random", tie_seed=seed)
+            prob = build_problem(inst, tie_seed=seed)
             res = run(product_step(prob.projections, "sdr"),
                       prob.initial_state(seed), policy,
                       feasible=prob.feasible)
@@ -176,4 +176,4 @@ class TestBenchTieBreak:
         cfg.write_text("tie_break = random\nruns = 2\nworkers = 1\n")
         assert main(["bench", "--queens-size", "5", "--config",
                      str(cfg)]) == 0
-        assert build_calls == [("random", 0), ("random", 1)]
+        assert build_calls == [0, 1]

@@ -590,24 +590,43 @@ class TestRatesCommand:
         rec = json.loads(report.read_text())
         assert rec["theory"] is None and "deviation" not in rec
 
-    def test_rates_from_trace_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("flags", [
+        ("--puzzle", PUZZLE4, "--seed", "0"),
+        ("--puzzle", "9x9-37", "--seed", "0"),
+        ("--puzzle", PUZZLE4, "--tie-break", "random", "--seed", "1"),
+        ("--puzzle", "9x9-22", "--method", "ddr", "--gamma", "1.0",
+         "--seed", "2")], ids=["4x4", "9x9-37", "4x4-random", "9x9-22-ddr"])
+    def test_rates_from_trace_file(self, capsys, tmp_path, flags):
+        """The trace `solve --run-to-stall` saves fits as its run does:
+        the fit line up to the theory, which a saved trace has none of."""
         trace = tmp_path / "t.csv"
-        code, _, _ = run_cli(capsys, "solve", "--puzzle", PUZZLE4,
-                             "--seed", "0", "--run-to-stall",
+        code, _, _ = run_cli(capsys, "solve", *flags, "--run-to-stall",
                              "--trace", str(trace))
-        assert code == 0
+        assert code in (0, 2)
         code, out, _ = run_cli(capsys, "rates", "--trace", str(trace))
         assert code == 0
-        assert "slope=" in out
+        code, fresh, _ = run_cli(capsys, "rates", *flags)
+        assert code == 0
+        fit = fresh.splitlines()[-1]
+        assert " theory=" in fit
+        assert out == fit[:fit.index(" theory=")] + "\n"
 
     def test_insufficient_data_exits_two(self, capsys, tmp_path):
-        trace = tmp_path / "flat.csv"
-        rows = ["k,z_step,z_res,x_res,u0_mismatch,objective"]
-        rows += [f"{k},1e-15,1e-15,1e-15,0,0.0" for k in range(1, 41)]
-        trace.write_text("\n".join(rows) + "\n")
-        code, _, err = run_cli(capsys, "rates", "--trace", str(trace))
-        assert code == 2
-        assert "insufficient" in err.lower()
+        flat = ["k,z_step,z_res,x_res,u0_mismatch,objective"]
+        flat += [f"{k},1e-15,1e-15,1e-15,0,0.0" for k in range(1, 41)]
+        for name, rows in (("flat", flat), ("header-only", ["k,z_step"])):
+            trace = tmp_path / f"{name}.csv"
+            trace.write_text("\n".join(rows) + "\n")
+            code, _, err = run_cli(capsys, "rates", "--trace", str(trace))
+            assert code == 2
+            assert "insufficient" in err.lower()
+        # a trace with no rows has no settle to check: both quantities
+        # count its records first
+        for quantity in ("z_res", "objective"):
+            code, _, err = run_cli(capsys, "rates", "--trace", str(trace),
+                                   "--quantity", quantity)
+            assert code == 2
+            assert "0 records; need at least 30" in err
 
     def test_queens_rates_report_termination_not_slope(self, capsys):
         code, out, _ = run_cli(capsys, "rates", "--queens-size", "8",

@@ -318,8 +318,8 @@ class TestGroupProjection:
 
     def test_random_tie_break_is_seeded_and_valid(self):
         groups = [(0, 1, 2, 3)]
-        a = GroupProjection(groups, 4, tie_break="random", seed=5)
-        b = GroupProjection(groups, 4, tie_break="random", seed=5)
+        a = GroupProjection(groups, 4, tie_seed=5)
+        b = GroupProjection(groups, 4, tie_seed=5)
         ties = np.array([1.0, 1.0, 1.0, 1.0])
         seen = set()
         for _ in range(20):
@@ -332,7 +332,7 @@ class TestGroupProjection:
     def test_pickled_random_tie_break_continues_the_seeded_stream(self):
         import pickle
         groups = [(0, 1, 2, 3)]
-        a = GroupProjection(groups, 4, tie_break="random", seed=5)
+        a = GroupProjection(groups, 4, tie_seed=5)
         clone = pickle.loads(pickle.dumps(a))
         ties = np.array([1.0, 1.0, 1.0, 1.0])
         for _ in range(20):
@@ -404,8 +404,7 @@ class TestGroupProjectionAgainstLoop:
         the loop over the same draws; a batch is rejected without a draw,
         so the stream goes on where it was."""
         table, n = ORACLE_TABLES[label]
-        proj = GroupProjection(table, n, allow_zero=allow_zero,
-                               tie_break="random", seed=seed)
+        proj = GroupProjection(table, n, allow_zero=allow_zero, tie_seed=seed)
         draws = np.random.default_rng(seed)
         shape = np.shape(table)
         batch = batch_rows(n, rows, seed)
@@ -423,10 +422,10 @@ class TestGroupProjectionAgainstLoop:
         assert np.array_equal(into_block_slice(proj, row), want,
                               equal_nan=True)
 
-    @pytest.mark.parametrize("tie_break", ["lowest", "random"])
-    def test_a_nan_group_spikes_its_first_nan(self, tie_break):
+    @pytest.mark.parametrize("tie_seed", [None, 3], ids=["lowest", "random"])
+    def test_a_nan_group_spikes_its_first_nan(self, tie_seed):
         table = [(0, 1, 2, -1), (3, 4, 5, 6)]
-        proj = GroupProjection(table, 7, tie_break=tie_break, seed=3)
+        proj = GroupProjection(table, 7, tie_seed=tie_seed)
         x = np.array([0.9, np.nan, np.nan, 0.2, 0.7, 0.7, np.nan])
         want = [[0, 1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0, 0]]
         for _ in range(10):
@@ -437,8 +436,7 @@ class TestGroupProjectionAgainstLoop:
         assert np.array_equal(GroupProjection(table, 7)(batch), want)
 
     def test_padding_never_wins_a_random_tie(self):
-        proj = GroupProjection([(0, 1, -1), (2, -1, -1)], 4,
-                               tie_break="random", seed=1)
+        proj = GroupProjection([(0, 1, -1), (2, -1, -1)], 4, tie_seed=1)
         x = np.array([-np.inf, -np.inf, 0.3, 7.0])
         for _ in range(20):
             y = proj(x)
@@ -519,8 +517,7 @@ class TestMergedTable:
 
     def test_only_lowest_tie_blocks_of_one_length_merge(self):
         a = GroupProjection(queens_groups(4, "row"), 16)
-        for other in (GroupProjection(queens_groups(4, "row"), 16,
-                                      tie_break="random", seed=1),
+        for other in (GroupProjection(queens_groups(4, "row"), 16, tie_seed=1),
                       GroupProjection(queens_groups(5, "row"), 25)):
             with pytest.raises(ValueError, match="lowest-tie"):
                 GroupProjection.merged({0: a, 1: other}, 2)
@@ -674,7 +671,7 @@ class TestRunAxis:
         """Its rows would share the one stream, each row's ties then
         depending on the rows beside it: any (runs, n) input is refused."""
         proj = GroupProjection(queens_groups(5, "diag"), 25, allow_zero=True,
-                               tie_break="random", seed=1)
+                               tie_seed=1)
         for out in (None, np.empty((rows, 25))):
             with pytest.raises(ValueError, match="share its stream"):
                 proj(np.zeros((rows, 25)), out=out)
@@ -729,8 +726,7 @@ class TestBatchAtTableWidths:
         """Lone rows of each kind at the table widths against the loop
         over the same draws; the batch itself is rejected."""
         table, n, allow_zero, rows = WIDE_TABLES[label]
-        proj = GroupProjection(table, n, allow_zero=allow_zero,
-                               tie_break="random", seed=16)
+        proj = GroupProjection(table, n, allow_zero=allow_zero, tie_seed=16)
         batch = batch_rows(n, rows, 17, every_kind=True)
         draws = np.random.default_rng(16)
         with pytest.raises(ValueError, match="share its stream"):
@@ -743,9 +739,8 @@ class TestBatchAtTableWidths:
 
 @pytest.mark.parametrize("shape", [(), (2, 3, 64), (1, 1, 1, 64)])
 def test_inputs_that_are_not_one_or_two_d_are_rejected(shape):
-    for tie_break in ("lowest", "random"):
-        proj = GroupProjection(sudoku_groups(4, "row"), 64,
-                               tie_break=tie_break)
+    for tie_seed in (None, 0):
+        proj = GroupProjection(sudoku_groups(4, "row"), 64, tie_seed=tie_seed)
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             proj(np.zeros(shape))
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from drsplit.constraints import ClueProjection
+from drsplit.constraints import ClueProjection, GroupProjection
 from drsplit.puzzles import (
     CircleLineInstance,
     InvalidInstanceError,
@@ -285,9 +285,30 @@ class TestProblems:
                 assert np.array_equal(p(x), q(x))
         # the circle/line pair is its own problem, with no ties to break
         pair = circle_line_instance()
-        assert build_problem(pair, tie_break="random", tie_seed=3) is pair
+        assert build_problem(pair, tie_seed=3) is pair
         assert pair.projections == () and not pair.stop_on_feasible
         assert pair.initial_state(5) is pair.z0
+
+    @pytest.mark.parametrize("inst", [bundled_sudoku("4x4"),
+                                      QueensInstance(8)],
+                             ids=["4x4", "queens-8"])
+    def test_tie_seed_zero_is_a_seed(self, inst):
+        """Group block i breaks its ties from tie seed i, and a clue clamp
+        is built as without a seed; with no seed every group block breaks
+        ties at the lowest index."""
+        seeded = build_problem(inst, tie_seed=0).projections
+        lowest = build_problem(inst).projections
+        groups = [i for i, p in enumerate(lowest)
+                  if isinstance(p, GroupProjection)]
+        assert [seeded[i].tie_seed for i in groups] == [0, 1, 2, 3]
+        assert all(lowest[i].tie_seed is None for i in groups)
+        ties = np.ones(lowest[0].n)
+        assert any(not np.array_equal(seeded[i](ties), lowest[i](ties))
+                   for i in groups)
+        for p, q in zip(seeded, lowest, strict=True):
+            if isinstance(q, ClueProjection):
+                assert isinstance(p, ClueProjection)
+                assert np.array_equal(p(ties), q(ties))
 
     @pytest.mark.parametrize("method,gamma", [
         ("sdr", None), ("ddr", 0.2), ("sdr-switched", None),

@@ -470,8 +470,7 @@ class TestRunBatch:
         `run_batch` over two or more rows raises at its first step; each
         row stepped alone, as a batch of one, ends as `run` does."""
         def problem():
-            return queens_problem(QueensInstance(8), tie_break="random",
-                                  tie_seed=7)
+            return queens_problem(QueensInstance(8), tie_seed=7)
         z0s = np.round(starts("queens-8", [1, 2, 3]))   # ties from the start
         step, shapes = product_step(problem().projections, "sdr"), []
 
@@ -575,8 +574,7 @@ class TestAgainstTextbook:
         twin's blocks, from a uniform start and a 0/1 one."""
         z0 = MERGED_PROBLEMS[key]().initial_state(7)
         start = np.round(z0) if rounded else z0
-        prob, twin = (MERGED_PROBLEMS[key](tie_break="random", tie_seed=5)
-                      for _ in range(2))
+        prob, twin = (MERGED_PROBLEMS[key](tie_seed=5) for _ in range(2))
         res = run(product_step(prob.projections, method, gamma=gamma),
                   start, GRID_POLICIES[11], feasible=prob.feasible,
                   keep_iterates=True)
@@ -680,13 +678,11 @@ def arranged(key, arrangement):
             last = (lambda v, p=last: p(v))
         return prob, [last] + blocks[:-1], [last] + blocks[:-1], [0]
     if arrangement == "one random tie":
-        blocks, twins = (blocks[:1] + build(
-            tie_break="random", tie_seed=5).projections[1:2] + blocks[2:]
-            for _ in range(2))
+        blocks, twins = (blocks[:1] + build(tie_seed=5).projections[1:2]
+                         + blocks[2:] for _ in range(2))
         return prob, blocks, twins, [1] + own
     if arrangement == "all random ties":
-        return prob, *(build(tie_break="random", tie_seed=5).projections
-                       for _ in range(2)), None
+        return prob, *(build(tie_seed=5).projections for _ in range(2)), None
     return prob, blocks, twins, own
 
 
@@ -732,7 +728,7 @@ class TestStepsAgainstOracle:
         every block is a lowest-tie group projection or a clue clamp."""
         _, blocks, _, _ = arranged(key, arrangement)
         want = all(isinstance(p, ClueProjection) or (
-            isinstance(p, GroupProjection) and p.tie_break == "lowest")
+            isinstance(p, GroupProjection) and p.tie_seed is None)
             for p in blocks)
         for method, gamma in BATCH_METHODS:
             step = product_step(blocks, method, gamma=gamma)
@@ -1184,8 +1180,7 @@ class TestReplayedColumns:
     def test_a_step_that_does_not_replay_raises(self):
         """A random-tie step behind a lambda is its own deep copy, so the
         replay draws its ties from where the run left the generators."""
-        prob = queens_problem(QueensInstance(8), tie_break="random",
-                              tie_seed=0)
+        prob = queens_problem(QueensInstance(8), tie_seed=0)
         step = product_step(prob.projections, "sdr")
         z0 = np.round(prob.initial_state(0))    # meets ties from the start
         res = run(lambda z: step(z), z0, REPLAY_POLICY, keep_iterates=True)
@@ -1303,8 +1298,7 @@ class TestReplay:
         inst = circle_line_instance()
 
         def ties():
-            return queens_problem(QueensInstance(8), tie_break="random",
-                                  tie_seed=0).projections
+            return queens_problem(QueensInstance(8), tie_seed=0).projections
         # run alone, the pure step closes an orbit; the others never do
         assert run(pure, z0, REPLAY_POLICY).orbit_k == 39
         for step, twin, start in [
@@ -1336,11 +1330,16 @@ FREEZE_PROBLEMS = {
 FREEZE_POLICY = StopPolicy(max_iter=300, min_iter=300, stop_on_feasible=False)
 
 
+def freeze_tie_seed(tie_break, seed):
+    return seed if tie_break == "random" else None
+
+
 def freeze_runs(name, method, gamma, tie_break, keep=True):
     """Three runs; the second starts from a 0/1 state, which meets exact
-    ties from its first step."""
+    ties from its first step.  Under random ties run i breaks its ties
+    from tie seed i."""
     for seed in range(3):
-        prob = FREEZE_PROBLEMS[name](tie_break=tie_break, tie_seed=seed)
+        prob = FREEZE_PROBLEMS[name](tie_seed=freeze_tie_seed(tie_break, seed))
         z0 = prob.initial_state(seed)
         yield run(product_step(prob.projections, method, gamma=gamma),
                   np.round(z0) if seed == 1 else z0, FREEZE_POLICY,
@@ -1357,7 +1356,8 @@ class TestStreamedFreeze:
         textbook run steps an equally seeded twin."""
         runs = freeze_runs(name, method, gamma, tie_break, keep=False)
         for seed, res in enumerate(runs):
-            twin = FREEZE_PROBLEMS[name](tie_break=tie_break, tie_seed=seed)
+            twin = FREEZE_PROBLEMS[name](
+                tie_seed=freeze_tie_seed(tie_break, seed))
             z0 = twin.initial_state(seed)
             want = reference_run(Textbook(twin.projections, method, gamma),
                                  np.round(z0) if seed == 1 else z0,

@@ -9,7 +9,7 @@ pair, the residuals against the final iterate.  Any change to the
 arithmetic of a step, the consensus average or a projection changes a
 digest; a refactor must not.
 
-PINNED_RANDOM_TIES covers tie_break="random" (tie_seed 0) from seed 0,
+PINNED_RANDOM_TIES covers random ties (tie_seed 0) from seed 0,
 once from the uniform start and once from that start rounded to 0/1.  The
 uniform-start digests equal the lowest-index ones: no exact tie there
 changes a winner.  The 0/1 start meets exact ties from the first step, so
@@ -216,8 +216,7 @@ def test_circle_line_trajectory_is_pinned(method):
 @pytest.mark.parametrize("key", sorted(PINNED_RANDOM_TIES))
 def test_random_tie_trajectories_are_pinned(key):
     method, name = key.rsplit(".", 1)
-    got = [puzzle_digest(name, method, 0, binary_start=start,
-                         tie_break="random", tie_seed=0)
+    got = [puzzle_digest(name, method, 0, binary_start=start, tie_seed=0)
            for start in (False, True)]
     assert got == PINNED_RANDOM_TIES[key]
 
