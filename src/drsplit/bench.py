@@ -144,6 +144,8 @@ def bench_puzzle(instance, method, gamma, policy, runs, base_seed=0,
     takes runs w, w + n, ...  Under the lowest-index tie-break it steps
     them as one batch; under random ties each run builds its problem with
     its own seed as the tie-break seed and is a batch of one."""
+    if tie_break not in ("lowest", "random"):
+        raise ValueError(f"unknown tie_break {tie_break!r}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     t0 = time.perf_counter()

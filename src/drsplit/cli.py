@@ -278,10 +278,6 @@ def _resolve_seed(args):
     return 0 if args.seed is None else args.seed
 
 
-def _resolve_tie_break(args):
-    return "lowest" if args.tie_break is None else args.tie_break
-
-
 def _resolve_problem(args):
     """The problem of the instance flags; under --tie-break random the
     run's seed breaks its ties."""
@@ -324,7 +320,7 @@ def _cmd_bench(args):
                           runs=20 if args.runs is None else args.runs,
                           base_seed=_resolve_seed(args),
                           workers=args.workers,
-                          tie_break=_resolve_tie_break(args))
+                          tie_break=args.tie_break or "lowest")
     print(f"instance={label} method={method}"
           + (f" gamma={args.gamma}" if method == "ddr" else ""))
     print(report.summary())

@@ -31,6 +31,11 @@ class TestWorkerResolution:
 
 
 class TestBench:
+    def test_unknown_tie_break_rejected(self):
+        with pytest.raises(ValueError, match="unknown tie_break 'Random'"):
+            bench_puzzle(QueensInstance(5), "sdr", None, StopPolicy(),
+                         runs=2, workers=1, tie_break="Random")
+
     def test_seeded_batch_is_deterministic(self):
         inst = QueensInstance(5)
         a = bench_puzzle(inst, "sdr", None, StopPolicy(), runs=6, base_seed=3,
